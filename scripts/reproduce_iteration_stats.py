@@ -12,8 +12,10 @@ import argparse
 
 from rangekit.bench import iteration_histogram
 from rangekit.datagen import GenSpec, gen_sequence
+from rangekit.search import STRATEGIES, strategy_compatible
 
-REPLAY_STRATEGIES = ("lin-fwd", "lin-bwd", "log", "log2", "exp", "tree", "table")
+REPLAY_STRATEGIES = tuple(s for s in STRATEGIES
+                          if strategy_compatible(s, "linear", "static") is None)
 
 
 def main() -> None:

@@ -127,14 +127,21 @@ def _time_ns(fn) -> int:
 
 
 def run_suite(grid: GridSpec) -> list[BenchRecord]:
-    """One record per (K x distribution x mode x model x search x rescale)."""
+    """One record per (K x distribution x mode x model x search x rescale).
+
+    The rescale variant only changes adaptive fenwick cells; every other
+    cell runs once, with the first entry of ``grid.rescales``.
+    """
     records = []
     for dist in grid.distributions:
         for k in grid.ks:
             for mode in grid.modes:
                 for model in grid.models:
+                    rescales = (grid.rescales
+                                if (mode, model) == ("adaptive", "fenwick")
+                                else grid.rescales[:1])
                     for strategy in grid.searches:
-                        for rescale in grid.rescales:
+                        for rescale in rescales:
                             records.append(run_cell(
                                 mode, dist, k, model, strategy, rescale,
                                 grid.n, grid.seed, grid.rescale_interval,
@@ -157,6 +164,9 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
     distribution.  The code values do not depend on the strategy, so one
     capture pass serves any number of replays.
     """
+    reason = strategy_compatible(strategy, "linear", "static")
+    if reason is not None:
+        raise ValueError(f"unsupported strategy for histogram: {reason}")
     sequence = list(sequence)
     if not sequence:
         raise ValueError("empty sequence")
@@ -181,31 +191,8 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
         dec.consume(hk[s], model.h[s])
         code_values.append(c)
 
-    hist: Counter = Counter()
-    if strategy == "table":
-        hist[1] = len(code_values)
-    elif strategy == "tree":
-        tree = _search.build_search_tree(hk)
-        for c in code_values:
-            hist[_search.tree_search(c, hk, tree)[1]] += 1
-    elif strategy == "log2":
-        i_mid = _search.determine_initial_split(hk)
-        for c in code_values:
-            hist[_search.log2_search(c, hk, i_mid)[1]] += 1
-    elif strategy == "log":
-        for c in code_values:
-            hist[_search.logarithmic(c, hk)[1]] += 1
-    elif strategy == "lin-fwd":
-        for c in code_values:
-            hist[_search.linear_forward(c, hk)[1]] += 1
-    elif strategy == "lin-bwd":
-        for c in code_values:
-            hist[_search.linear_backward(c, hk)[1]] += 1
-    elif strategy == "exp":
-        for c in code_values:
-            hist[_search.exponential(c, hk)[1]] += 1
-    else:
-        raise ValueError(f"unsupported strategy for histogram: {strategy!r}")
+    find, _ = _search.KERNELS[strategy][2](model, False)
+    hist = Counter(find(c, hk)[1] for c in code_values)
 
     n = len(code_values)
     average = sum(it * cnt for it, cnt in hist.items()) / n

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .fenwick_model import FenwickModel
 from .linear_model import MAX_TOTALCOUNT, LinearModel
 from . import search as _search
+from .search import strategy_compatible
 
 TOP = 1 << 24
 MASK32 = 0xFFFFFFFF
@@ -62,8 +63,9 @@ class CoderConfig:
             raise ValueError(f"unknown model: {self.model!r}")
         if self.rescale not in _RESCALES:
             raise ValueError(f"unknown rescale variant: {self.rescale!r}")
-        if self.rescale_interval < 0:
-            raise ValueError("rescale interval must be >= 0")
+        if not 0 <= self.rescale_interval < 1 << 32:
+            # the header stores the interval as an unsigned 32-bit field
+            raise ValueError("rescale interval must be in [0, 2**32)")
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,10 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
             raise StreamFormatError("truncated count table")
         counts = struct.unpack_from(f"<{k}I", payload, offset)
         offset = end
+        total = sum(counts)
+        # an empty static stream legitimately carries an all-zero table
+        if (n and total == 0) or total > MAX_TOTALCOUNT:
+            raise StreamFormatError(f"invalid static count total {total}")
     return StreamHeader(mode, model, rescale, interval, k, n, counts), offset
 
 
@@ -233,21 +239,6 @@ def _make_model(header_or_cfg, k: int, counts=None):
     # to the fenwick "orig" rounding); the variant field is carried in the
     # header for symmetry but does not change linear behaviour
     return LinearModel(counts, adaptive=adaptive)
-
-
-def strategy_compatible(strategy: str, model: str, mode: str) -> str | None:
-    """None if the cell is runnable, else a human-readable skip reason."""
-    if strategy not in _search.STRATEGIES:
-        return f"unknown strategy {strategy!r}"
-    if strategy == "bi":
-        if model != "fenwick":
-            return "binary-indexed search needs the fenwick model"
-        return None
-    if model == "fenwick":
-        return "fenwick model exposes no boundary array for this search"
-    if strategy == "tree" and mode == "adaptive":
-        return "tree search is static-only (no adaptive rebalancing)"
-    return None
 
 
 def default_strategy(model: str) -> str:
@@ -298,44 +289,20 @@ def decode_stream(payload: bytes, strategy: str | None = None,
         raise StreamFormatError("truncated payload")
     dec = Decoder(payload[offset:])
     model = _make_model(header, header.k, list(header.counts) if header.counts else None)
-    k = header.k
     interval = header.rescale_interval
     adaptive = header.mode == "adaptive"
-
-    table = None
-    tree = None
-    i_mid = 0
-    if strategy == "table":
-        counts = [model.count(i) for i in range(k)]
-        table = _search.LookupTable.create(counts)
-    elif strategy == "tree":
-        tree = _search.build_search_tree(model.hk)
-    elif strategy == "log2":
-        i_mid = _search.determine_initial_split(model.hk) if not adaptive else k >> 1
+    fenwick = header.model == "fenwick"
+    find, on_update = _search.KERNELS[strategy][2](model, adaptive)
 
     for pos in range(header.n):
         total = model.total_count
         c = dec.decode_target(total)
-        if header.model == "fenwick":
-            sym, low, iters = _search.binary_indexed(c, model)
+        if fenwick:
+            sym, low, iters = find(c, model)
             freq = model.count(sym)
         else:
             hk = model.hk
-            if strategy == "log":
-                sym, iters = _search.logarithmic(c, hk)
-            elif strategy == "lin-fwd":
-                sym, iters = _search.linear_forward(c, hk)
-            elif strategy == "lin-bwd":
-                sym, iters = _search.linear_backward(c, hk)
-            elif strategy == "exp":
-                sym, iters = _search.exponential(c, hk)
-            elif strategy == "log2":
-                sym, iters = _search.log2_search(c, hk, i_mid)
-            elif strategy == "tree":
-                sym, iters = _search.tree_search(c, hk, tree)
-            else:  # table
-                sym = table.lookup(c)
-                iters = 1
+            sym, iters = find(c, hk)
             low = hk[sym]
             freq = model.h[sym]
         dec.consume(low, freq)
@@ -349,14 +316,8 @@ def decode_stream(payload: bytes, strategy: str | None = None,
             if interval and (pos + 1) % interval == 0:
                 model.rescale()
                 rescaled = True
-            if strategy == "table":
-                if rescaled:
-                    counts = [model.count(i) for i in range(k)]
-                    table = _search.LookupTable.create(counts)
-                else:
-                    table.update(model.hk, sym)
-            elif strategy == "log2":
-                i_mid = _search.adapt_initial_split(k, i_mid, sym)
+            if on_update is not None:
+                on_update(sym, rescaled)
     if stats is not None:
         stats.update_accesses = model.update_accesses
         stats.rescale_accesses = model.rescale_accesses

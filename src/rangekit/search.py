@@ -7,6 +7,10 @@ The linear-model strategies operate on the raw boundary array ``hk``
 iteration statistics; the binary-indexed strategy works on a FenwickModel
 and additionally returns the symbol's lower boundary, which the decoder
 needs anyway.
+
+``KERNELS`` is the one place that knows each strategy: which model it
+runs on, whether it needs a static model, and how to set it up for one
+stream.  Decoding and iteration replay both take their search from it.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fenwick_model import FenwickModel
-
-#: Stable strategy identifiers for the CLI and CSV output.
-STRATEGIES = ("lin-fwd", "lin-bwd", "log", "log2", "exp", "tree", "table", "bi")
 
 NO_CHILD = -1
 
@@ -279,3 +280,80 @@ def binary_indexed(c: int, model: FenwickModel) -> tuple[int, int, int]:
             low += v[bottom]
         step >>= 1
     return bottom, low, iters
+
+
+def _stateless(find):
+    return lambda model, adaptive: (find, None)
+
+
+def _tree_kernel(model, adaptive):
+    tree = build_search_tree(model.hk)
+
+    def find(c, hk):
+        return tree_search(c, hk, tree)
+
+    return find, None
+
+
+def _log2_kernel(model, adaptive):
+    k = model.k
+    i_mid = k >> 1 if adaptive else determine_initial_split(model.hk)
+
+    def find(c, hk):
+        return log2_search(c, hk, i_mid)
+
+    def on_update(sym, rescaled):
+        nonlocal i_mid
+        i_mid = adapt_initial_split(k, i_mid, sym)
+
+    return find, on_update if adaptive else None
+
+
+def _table_kernel(model, adaptive):
+    k = model.k
+    table = LookupTable.create([model.count(i) for i in range(k)])
+
+    def find(c, hk):
+        return table.t[c], 1
+
+    def on_update(sym, rescaled):
+        nonlocal table
+        if rescaled:
+            table = LookupTable.create([model.count(i) for i in range(k)])
+        else:
+            table.update(model.hk, sym)
+
+    return find, on_update if adaptive else None
+
+
+#: Strategy name -> (model family, static_only, factory).  The factory is
+#: called once per stream as ``factory(model, adaptive)`` and returns
+#: ``(find, on_update)``.  ``find(c, hk)`` returns ``(symbol, iterations)``;
+#: for the fenwick family it is ``find(c, model)`` returning
+#: ``(symbol, lower_bound, iterations)``.  ``on_update(sym, rescaled)``,
+#: when not None, runs after each adaptive model update.
+KERNELS = {
+    "lin-fwd": ("linear", False, _stateless(linear_forward)),
+    "lin-bwd": ("linear", False, _stateless(linear_backward)),
+    "log": ("linear", False, _stateless(logarithmic)),
+    "log2": ("linear", False, _log2_kernel),
+    "exp": ("linear", False, _stateless(exponential)),
+    "tree": ("linear", True, _tree_kernel),
+    "table": ("linear", False, _table_kernel),
+    "bi": ("fenwick", False, _stateless(binary_indexed)),
+}
+
+#: Stable strategy identifiers for the CLI and CSV output.
+STRATEGIES = tuple(KERNELS)
+
+
+def strategy_compatible(strategy: str, model: str, mode: str) -> str | None:
+    """None if the cell is runnable, else a human-readable skip reason."""
+    if strategy not in KERNELS:
+        return f"unknown strategy {strategy!r}"
+    family, static_only, _ = KERNELS[strategy]
+    if model != family:
+        return f"{strategy} search needs the {family} model"
+    if static_only and mode != "static":
+        return f"{strategy} search is static-only"
+    return None

@@ -52,6 +52,14 @@ def test_run_suite_small_grid():
     assert {r.search for r in skipped} == {"bi"}
 
 
+def test_run_suite_rescale_axis_only_for_adaptive_fenwick():
+    records = run_suite(GridSpec(ks=(4,), n=50, timing_reps=1))
+    assert len(records) == 80
+    both = {(r.mode, r.model) for r in records if r.rescale == "new"}
+    assert both == {("adaptive", "fenwick")}
+    assert {r.rescale for r in records} == {"orig", "new"}
+
+
 def test_csv_output():
     grid = GridSpec(ks=(4,), distributions=("flat",), modes=("static",),
                     models=("linear",), searches=("log",),

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import rangekit
 from rangekit.cli import main
 from rangekit.datagen import read_symbols
+from rangekit.rangecoder import StreamHeader, pack_header
 
 
 def test_gen_encode_decode_round_trip(tmp_path):
@@ -76,3 +83,18 @@ def test_missing_input_reports_error(tmp_path, capsys):
     assert main(["encode", "-i", str(tmp_path / "nope.isy"),
                  "-o", str(tmp_path / "out.irc")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_decode_hostile_static_header_reports_error(tmp_path):
+    bad = tmp_path / "bad.irc"
+    header = StreamHeader("static", "linear", "orig", 0, 3, 9, (0, 0, 0))
+    bad.write_bytes(pack_header(header) + b"\x00" * 5)
+    src = str(Path(rangekit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rangekit.cli", "decode", "-i", str(bad),
+         "-o", str(tmp_path / "out.isy")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

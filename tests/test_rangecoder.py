@@ -115,6 +115,25 @@ def test_unpack_rejects_unknown_ids():
         unpack_header(bytes(packed))
 
 
+@pytest.mark.parametrize("model", ("linear", "fenwick"))
+@pytest.mark.parametrize("counts", [(0, 0, 0), (1 << 20, 1, 0)],
+                         ids=["zero-total", "over-max-total"])
+def test_unpack_rejects_hostile_static_counts(counts, model):
+    packed = pack_header(StreamHeader("static", model, "orig", 0, 3, 9,
+                                      counts))
+    with pytest.raises(StreamFormatError):
+        unpack_header(packed)
+    with pytest.raises(StreamFormatError):
+        decode_stream(packed + b"\x00" * 5)
+
+
+def test_unpack_accepts_empty_static_stream():
+    payload = encode_stream([], 3, CoderConfig("static", "linear"))
+    header, _ = unpack_header(payload)
+    assert header.counts == (0, 0, 0)
+    assert decode_stream(payload)[1] == []
+
+
 def test_normalize_counts_small_passthrough():
     assert normalize_counts([3, 0, 5]) == [3, 0, 5]
 
@@ -136,6 +155,15 @@ def test_config_validation():
         CoderConfig(rescale="half")
     with pytest.raises(ValueError):
         CoderConfig(rescale_interval=-1)
+    with pytest.raises(ValueError):
+        CoderConfig(rescale_interval=1 << 32)
+
+
+def test_largest_rescale_interval_encodes():
+    cfg = CoderConfig("adaptive", "linear", "orig", (1 << 32) - 1)
+    header, out = decode_stream(encode_stream([0, 1, 1], 2, cfg))
+    assert header.rescale_interval == (1 << 32) - 1
+    assert out == [0, 1, 1]
 
 
 def test_strategy_compatibility_matrix():
