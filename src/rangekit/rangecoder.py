@@ -40,7 +40,8 @@ _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 
 class StreamFormatError(ValueError):
-    """Malformed compressed stream (bad magic, truncation, unknown ids)."""
+    """Malformed compressed stream (bad magic, truncation, unknown ids,
+    trailing bytes)."""
 
 
 class ZeroCountError(ValueError):
@@ -151,7 +152,12 @@ class Decoder:
             self.code = ((self.code << 8) | self._byte()) & MASK32
 
     def _byte(self) -> int:
-        b = self.buf[self.pos] if self.pos < len(self.buf) else 0
+        # a valid stream never reads past its last byte, so running out
+        # bounds the work a forged symbol count can cause
+        try:
+            b = self.buf[self.pos]
+        except IndexError:
+            raise StreamFormatError("payload ends before the last symbol") from None
         self.pos += 1
         return b
 
@@ -284,6 +290,8 @@ def decode_stream(payload: bytes, strategy: str | None = None,
         raise ValueError(reason)
     symbols: list[int] = []
     if header.n == 0:
+        if len(payload) != offset + 5:
+            raise StreamFormatError("an empty stream carries exactly 5 payload bytes")
         return header, symbols
     if len(payload) < offset + 5:
         raise StreamFormatError("truncated payload")
@@ -318,6 +326,8 @@ def decode_stream(payload: bytes, strategy: str | None = None,
                 rescaled = True
             if on_update is not None:
                 on_update(sym, rescaled)
+    if dec.pos != len(dec.buf):
+        raise StreamFormatError("trailing bytes after the last symbol")
     if stats is not None:
         stats.update_accesses = model.update_accesses
         stats.rescale_accesses = model.rescale_accesses

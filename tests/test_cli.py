@@ -85,16 +85,28 @@ def test_missing_input_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_decode_hostile_static_header_reports_error(tmp_path):
+def _decode_in_subprocess(tmp_path, header):
     bad = tmp_path / "bad.irc"
-    header = StreamHeader("static", "linear", "orig", 0, 3, 9, (0, 0, 0))
     bad.write_bytes(pack_header(header) + b"\x00" * 5)
     src = str(Path(rangekit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "rangekit.cli", "decode", "-i", str(bad),
          "-o", str(tmp_path / "out.isy")],
         capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_decode_hostile_static_header_reports_error(tmp_path):
+    header = StreamHeader("static", "linear", "orig", 0, 3, 9, (0, 0, 0))
+    proc = _decode_in_subprocess(tmp_path, header)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_decode_past_payload_reports_error(tmp_path):
+    header = StreamHeader("adaptive", "linear", "orig", 0, 2, 1 << 40, None)
+    proc = _decode_in_subprocess(tmp_path, header)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -127,6 +127,30 @@ def test_unpack_rejects_hostile_static_counts(counts, model):
         decode_stream(packed + b"\x00" * 5)
 
 
+@pytest.mark.parametrize("model", ("linear", "fenwick"))
+def test_decode_stops_at_end_of_payload(model):
+    # 2**40 announced symbols, 5 payload bytes: the decoder must give up
+    # as soon as it needs a sixth byte instead of inventing zeros
+    header = StreamHeader("adaptive", model, "orig", 0, 2, 1 << 40, None)
+    stats = DecodeStats()
+    with pytest.raises(StreamFormatError):
+        decode_stream(pack_header(header) + b"\x00" * 5, stats=stats)
+    assert stats.symbols < 1000  # bounded by the payload, not by n
+
+
+@pytest.mark.parametrize("n", (0, 300))
+def test_decode_rejects_trailing_and_missing_bytes(n):
+    # a valid stream's decoder reads exactly its payload, no more, no less
+    rng = random.Random(16)
+    data = [rng.randrange(5) for _ in range(n)]
+    for cfg in (CoderConfig("adaptive", "linear"), CoderConfig("static", "fenwick")):
+        payload = encode_stream(data, 5, cfg)
+        assert decode_stream(payload)[1] == data
+        for bad in (payload + b"\0", payload[:-1]):
+            with pytest.raises(StreamFormatError):
+                decode_stream(bad)
+
+
 def test_unpack_accepts_empty_static_stream():
     payload = encode_stream([], 3, CoderConfig("static", "linear"))
     header, _ = unpack_header(payload)

@@ -1,14 +1,21 @@
 import bisect
+import hashlib
+import json
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from rangekit import linear_model, search
+from rangekit.datagen import GenSpec, gen_sequence
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import LinearModel
+from rangekit.rangecoder import CoderConfig, encode_stream, unpack_header
 from rangekit.search import (
-    NO_CHILD, LookupTable, adapt_initial_split, best_split, binary_indexed,
-    build_search_tree, determine_initial_split, exponential, linear_backward,
-    linear_forward, log2_search, logarithmic, tree_search,
+    KERNELS, NO_CHILD, LookupTable, adapt_initial_split, best_split,
+    binary_indexed, build_search_tree, changed_slots, determine_initial_split,
+    exponential, linear_backward, linear_forward, log2_search, logarithmic,
+    tree_search,
 )
 
 from conftest import REF19_COUNTS, TOY_HK, TOY_TABLE, TOY_TABLE_AFTER
@@ -56,6 +63,47 @@ def test_best_split_balances_mass():
     assert best_split([0, 1, 2, 3, 4], 0, 4) == 2
     with pytest.raises(ValueError):
         best_split(TOY_HK, 1, 2)
+
+
+def brute_force_split(hk, bottom, top):
+    """Reference split: scan every interior boundary, first minimum wins."""
+    ref = hk[top] + hk[bottom]
+    return min(range(bottom + 1, top), key=lambda j: abs(2 * hk[j] - ref))
+
+
+# counts with many zeros give boundary arrays with long plateaus
+plateau_counts = st.lists(
+    st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 1000)),
+    min_size=2, max_size=40)
+
+
+@given(plateau_counts, st.data())
+def test_best_split_matches_brute_force(counts, data):
+    hk = LinearModel(counts, adaptive=False).hk
+    k = len(counts)
+    bottom = data.draw(st.integers(0, k - 2))
+    top = data.draw(st.integers(bottom + 2, k))
+    assert best_split(hk, bottom, top) == brute_force_split(hk, bottom, top)
+
+
+# sha256 of json [left, right, root] for K=256, 256-symbol geometric
+# static streams (about 190 zero counts each), recorded with the
+# full-scan split
+TREE_DIGESTS = {
+    1: "e9bdef61f6c32e4a4dd94c1fa2552d2eaadfebbad5630e9330fe2bc1b5c69116",
+    2: "443ec083563c8c6b5e36cf1c063ac4fbaf3467a6503120794445f703dc2636df",
+    3: "76d3c65f568e566958038de89c18b54c1c7c80eb308f1333061afdbe1bce5409",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TREE_DIGESTS))
+def test_build_tree_golden_k256(seed):
+    seq = gen_sequence(GenSpec("geometric", 256, 256, seed)).tolist()
+    header, _ = unpack_header(
+        encode_stream(seq, 256, CoderConfig("static", "linear")))
+    tree = build_search_tree(LinearModel(header.counts, adaptive=False).hk)
+    blob = json.dumps([tree.left, tree.right, tree.root]).encode()
+    assert hashlib.sha256(blob).hexdigest() == TREE_DIGESTS[seed]
 
 
 def test_build_tree_flat_k4():
@@ -149,8 +197,9 @@ def test_lookup_table_update(toy_counts):
     table = LookupTable.create(toy_counts)
     m = LinearModel(toy_counts)
     m.update(1)
-    written = table.update(m.hk, 1)
-    assert written == [5, 6, 10]
+    before = list(table.t)
+    assert table.update(m.hk, 1) is None
+    assert changed_slots(before, table.t) == [5, 6, 10]
     assert table.t == TOY_TABLE_AFTER
 
 
@@ -158,7 +207,8 @@ def test_lookup_table_update_last_symbol(toy_counts):
     table = LookupTable.create(toy_counts)
     m = LinearModel(toy_counts)
     m.update(3)
-    assert table.update(m.hk, 3) == [10]
+    table.update(m.hk, 3)
+    assert changed_slots(TOY_TABLE, table.t) == [10]
     assert table.t == TOY_TABLE + [3]
 
 
@@ -170,6 +220,85 @@ def test_lookup_table_tracks_model(k, data):
         m.update(sym)
         table.update(m.hk, sym)
     assert table.t == LookupTable.create(m.h).t
+
+
+@pytest.mark.parametrize("slots_per_write", [0, 10**9],
+                         ids=["rewrite", "insert"])
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=12), st.data())
+def test_lookup_table_update_both_repairs(slots_per_write, counts, data):
+    """Rewriting last slots and inserting one slot give the same table."""
+    k = len(counts)
+    m = LinearModel(counts)
+    table = LookupTable.create(m.h)
+    with mock.patch.object(search, "_INSERT_SLOTS_PER_WRITE",
+                           slots_per_write):
+        for sym in data.draw(st.lists(st.integers(0, k - 1), max_size=20)):
+            m.update(sym)
+            before = list(table.t)
+            table.update(m.hk, sym)
+            assert table.t == LookupTable.create(m.h).t
+            assert changed_slots(before, table.t) == [
+                m.hk[i + 1] - 1 for i in range(sym, k)]
+
+
+class InsertCountingList(list):
+    inserts = 0
+
+    def insert(self, i, v):
+        self.inserts += 1
+        super().insert(i, v)
+
+
+@pytest.mark.parametrize("counts, sym, inserts", [
+    ([1, 1, 1, 10_000], 0, 0),   # 10 002 slots to move vs 4 writes
+    ([10_000, 1, 1, 1], 1, 1),   # 2 slots to move vs 3 writes
+    ([1, 1, 1, 10_000], 3, 1),   # last symbol: an append either way
+])
+def test_lookup_table_update_picks_cheaper_repair(counts, sym, inserts):
+    m = LinearModel(counts)
+    table = LookupTable(InsertCountingList(LookupTable.create(m.h).t))
+    m.update(sym)
+    table.update(m.hk, sym)
+    assert table.t.inserts == inserts
+    assert table.t == LookupTable.create(m.h).t
+
+
+def table_seen_by(find, model):
+    """The whole table as the kernel's ``find`` reads it."""
+    t = [find(c, model.hk)[0] for c in range(model.total_count)]
+    with pytest.raises(IndexError):  # and not one slot more
+        find(model.total_count, model.hk)
+    return t
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=12),
+       st.integers(0, 12), st.integers(0, 60), st.data())
+def test_table_kernel_tracks_model(counts, interval, headroom, data):
+    """Adaptive updates with periodic and cap-triggered rescales.
+
+    The count cap is lowered so the cap rescale fires within a few dozen
+    symbols; the kernel sees it only through ``rescaled``.
+    """
+    k = len(counts)
+    model = LinearModel(counts)
+    syms = data.draw(st.lists(st.integers(0, k - 1), max_size=80))
+    with mock.patch.object(linear_model, "MAX_TOTALCOUNT",
+                           sum(counts) + headroom):
+        find, on_update = KERNELS["table"][2](model, True)
+        for pos, sym in enumerate(syms):
+            before = table_seen_by(find, model)
+            rescaled = model.update(sym)
+            if interval and (pos + 1) % interval == 0:
+                model.rescale()
+                rescaled = True
+            on_update(sym, rescaled)
+            after = table_seen_by(find, model)
+            assert after == LookupTable.create(model.h).t
+            if not rescaled:
+                # the paper's repair: the last slot of every run from sym up
+                assert changed_slots(before, after) == [
+                    model.hk[i + 1] - 1 for i in range(sym, k)]
 
 
 def test_binary_indexed_toy(toy_counts):
