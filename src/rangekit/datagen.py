@@ -17,6 +17,10 @@ import numpy as np
 
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
+#: ISY1 stores symbols as uint16, so no alphabet is larger than this; the
+#: stream header and the encoder share the limit.
+MAX_ALPHABET = 1 << 16
+
 ISY_MAGIC = b"ISY1"
 _ISY_FMT = "<4sIQ"
 _ISY_SIZE = struct.calcsize(_ISY_FMT)
@@ -32,8 +36,8 @@ class GenSpec:
     def __post_init__(self):
         if self.distribution not in ("flat", "geometric"):
             raise ValueError(f"unknown distribution: {self.distribution!r}")
-        if self.k < 1:
-            raise ValueError("alphabet size must be >= 1")
+        if not 1 <= self.k <= MAX_ALPHABET:
+            raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
         if self.n < 0:
             raise ValueError("sequence length must be >= 0")
 

@@ -8,6 +8,11 @@ totals are capped at 2^20 < 2^24, range/total never truncates to zero.
 The stream self-describes via a fixed little-endian header; the search
 strategy is deliberately NOT part of the header because it does not
 affect the bitstream, only how fast the decoder finds each symbol.
+
+``Encoder`` and ``Decoder`` are the step-by-step reference of the register
+discipline.  The stream functions ``encode_stream``/``decode_stream`` keep
+copies of the same registers in locals and repeat their arithmetic inline,
+which spares two method calls per symbol; they must stay bit-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .datagen import MAX_ALPHABET
 from .fenwick_model import FenwickModel
 from .linear_model import MAX_TOTALCOUNT, LinearModel
 from . import search as _search
@@ -204,8 +210,8 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
         rescale = _RESCALES[rescale]
     except IndexError:
         raise StreamFormatError("unknown mode/model/rescale id") from None
-    if k < 1:
-        raise StreamFormatError("invalid alphabet size")
+    if not 1 <= k <= MAX_ALPHABET:
+        raise StreamFormatError(f"invalid alphabet size {k}")
     counts = None
     offset = _HEADER_SIZE
     if mode == "static":
@@ -253,8 +259,13 @@ def default_strategy(model: str) -> str:
 
 def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     """Compress a symbol sequence into a self-describing stream."""
+    if not 1 <= k <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
     symbols = list(symbols)
     n = len(symbols)
+    if n and (min(symbols) < 0 or max(symbols) >= k):
+        bad = next(s for s in symbols if not 0 <= s < k)
+        raise ValueError(f"symbol {bad} outside alphabet of size {k}")
     counts = None
     if config.mode == "static":
         raw = [0] * k
@@ -267,15 +278,41 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     enc = Encoder()
     if n:
         model = _make_model(header, k, counts)
+        fenwick = header.model == "fenwick"
+        hk = None if fenwick else model.hk
+        h = None if fenwick else model.h
+        adaptive = header.mode == "adaptive"
         interval = header.rescale_interval
+        # Encoder.encode and Encoder._shift_low, registers in locals; every
+        # count is >= 1 (data-derived static counts, adaptive counts), so
+        # the zero-width check cannot fire here
+        low, rng, cache, cache_size = enc.low, enc.range, enc.cache, enc.cache_size
+        out = enc.out
         for pos, s in enumerate(symbols):
-            if not 0 <= s < k:
-                raise ValueError(f"symbol {s} outside alphabet of size {k}")
-            enc.encode(model.cum(s), model.count(s), model.total_count)
-            if header.mode == "adaptive":
+            r = rng // model.total_count
+            if fenwick:
+                low += r * model.cum(s)
+                rng = r * model.count(s)
+            else:
+                low += r * hk[s]
+                rng = r * h[s]
+            while rng < TOP:
+                if low < 0xFF000000 or low > MASK32:
+                    carry = low >> 32
+                    out.append((cache + carry) & 0xFF)
+                    if cache_size > 1:
+                        out += (b"\x00" if carry else b"\xff") * (cache_size - 1)
+                        cache_size = 1
+                    cache = (low >> 24) & 0xFF
+                else:
+                    cache_size += 1
+                low = (low << 8) & MASK32
+                rng <<= 8  # rng < 2**24 here, so no mask is needed
+            if adaptive:
                 model.update(s)
                 if interval and (pos + 1) % interval == 0:
                     model.rescale()
+        enc.low, enc.range, enc.cache, enc.cache_size = low, rng, cache, cache_size
     return pack_header(header) + enc.finish()
 
 
@@ -295,38 +332,57 @@ def decode_stream(payload: bytes, strategy: str | None = None,
         return header, symbols
     if len(payload) < offset + 5:
         raise StreamFormatError("truncated payload")
-    dec = Decoder(payload[offset:])
     model = _make_model(header, header.k, list(header.counts) if header.counts else None)
     interval = header.rescale_interval
     adaptive = header.mode == "adaptive"
     fenwick = header.model == "fenwick"
+    hk = None if fenwick else model.hk
+    h = None if fenwick else model.h
     find, on_update = _search.KERNELS[strategy][2](model, adaptive)
+    append = symbols.append
 
-    for pos in range(header.n):
+    # Decoder.__init__, decode_target and consume, registers in locals; the
+    # first payload byte is the flush artifact and falls out of 32 bits
+    rng = MASK32
+    code = int.from_bytes(payload[offset + 1:offset + 5], "big")
+    pos = offset + 5
+    for i in range(header.n):
         total = model.total_count
-        c = dec.decode_target(total)
+        r = rng // total
+        c = code // r
+        if c >= total:
+            c = total - 1
         if fenwick:
-            sym, low, iters = find(c, model)
-            freq = model.count(sym)
+            sym, low, freq, iters = find(c, model)
         else:
-            hk = model.hk
             sym, iters = find(c, hk)
             low = hk[sym]
-            freq = model.h[sym]
-        dec.consume(low, freq)
-        symbols.append(sym)
+            freq = h[sym]
+        code -= r * low
+        rng = r * freq
+        while rng < TOP:
+            # a valid stream never reads past its last byte, so running out
+            # bounds the work a forged symbol count can cause
+            try:
+                code = ((code << 8) | payload[pos]) & MASK32
+            except IndexError:
+                raise StreamFormatError(
+                    "payload ends before the last symbol") from None
+            pos += 1
+            rng <<= 8  # rng < 2**24 here, so no mask is needed
+        append(sym)
         if stats is not None:
             stats.symbols += 1
             stats.search_iterations += iters
             stats.iteration_histogram[iters] += 1
         if adaptive:
             rescaled = model.update(sym)
-            if interval and (pos + 1) % interval == 0:
+            if interval and (i + 1) % interval == 0:
                 model.rescale()
                 rescaled = True
             if on_update is not None:
                 on_update(sym, rescaled)
-    if dec.pos != len(dec.buf):
+    if pos != len(payload):
         raise StreamFormatError("trailing bytes after the last symbol")
     if stats is not None:
         stats.update_accesses = model.update_accesses

@@ -5,8 +5,8 @@ Every strategy answers the same question: given a code value c in
 The linear-model strategies operate on the raw boundary array ``hk``
 (K+1 entries) and return ``(symbol, iterations)`` so callers can collect
 iteration statistics; the binary-indexed strategy works on a FenwickModel
-and additionally returns the symbol's lower boundary, which the decoder
-needs anyway.
+and additionally returns the symbol's interval, which the decoder needs
+anyway.
 
 ``KERNELS`` is the one place that knows each strategy: which model it
 runs on, whether it needs a static model, and how to set it up for one
@@ -15,7 +15,7 @@ stream.  Decoding and iteration replay both take their search from it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .fenwick_model import FenwickModel
@@ -55,6 +55,26 @@ def logarithmic(c: int, hk) -> tuple[int, int]:
             bottom = i + 1
         if top == bottom:
             return bottom - 1, iters
+
+
+def bisection_depths(k: int) -> list[int]:
+    """Iterations ``logarithmic`` takes over K symbols, by insertion point.
+
+    With ``p = bisect_right(hk, c)``, the probe ``c < hk[mid]`` holds
+    exactly when ``mid >= p``, so the bisection's path, and its length,
+    depend on p alone.  Entry p of the result is that length.
+    """
+    depth = [0] * (k + 1)
+    stack = [(0, k, 0)]
+    while stack:
+        bottom, top, iters = stack.pop()
+        if bottom == top:
+            depth[bottom] = iters
+        else:
+            mid = (top + bottom) >> 1
+            stack.append((bottom, mid, iters + 1))
+            stack.append((mid + 1, top, iters + 1))
+    return depth
 
 
 def best_split(hk, bottom: int, top: int) -> int:
@@ -271,34 +291,57 @@ def changed_slots(before, after) -> list[int]:
             if i >= len(before) or before[i] != v]
 
 
-def binary_indexed(c: int, model: FenwickModel) -> tuple[int, int, int]:
+def binary_indexed_interval(c: int, model: FenwickModel) -> tuple[int, int, int, int]:
     """Power-of-two descent over the hierarchical array.
 
-    Returns ``(symbol, lower_bound, iterations)`` where ``lower_bound``
-    equals ``model.cum(symbol)``; the accumulated subtractions are exactly
-    the symbol's cumulative count, which saves the decoder a second query.
-    Always log2(topLevIdx)+1 iterations.
+    Returns ``(symbol, lower_bound, frequency, iterations)``.  The values
+    the descent subtracts add up to ``model.cum(symbol)``.  Each in-range
+    probe it does not take gives an upper bound ``low + v[test]``, and the
+    last of them is ``model.cum(symbol + 1)`` (or the total, if none), so
+    the symbol's count comes out of the same walk.  Always
+    log2(topLevIdx)+1 iterations.
     """
     v = model.v
     k = model.k
     step = model.top_lev_idx
     bottom = 0
     low = 0
-    iters = 0
+    high = model.total_count
     while step:
-        iters += 1
         test = bottom + step
         # bounds test first: the probe may overrun when K is not a power of two
-        if test <= k and c >= v[test]:
-            bottom = test
-            c -= v[bottom]
-            low += v[bottom]
+        if test <= k:
+            x = v[test]
+            if c >= x:
+                bottom = test
+                c -= x
+                low += x
+            else:
+                high = low + x
         step >>= 1
-    return bottom, low, iters
+    return bottom, low, high - low, model.top_lev_idx.bit_length()
+
+
+def binary_indexed(c: int, model: FenwickModel) -> tuple[int, int, int]:
+    """``(symbol, lower_bound, iterations)`` of ``binary_indexed_interval``."""
+    sym, low, _, iters = binary_indexed_interval(c, model)
+    return sym, low, iters
 
 
 def _stateless(find):
     return lambda model, adaptive: (find, None)
+
+
+def _log_kernel(model, adaptive):
+    # bisect_right runs logarithmic's bisection in C; the iteration count
+    # comes from a per-stream table, so the counters stay exact
+    depth = bisection_depths(model.k)
+
+    def find(c, hk):
+        p = bisect_right(hk, c)
+        return p - 1, depth[p]
+
+    return find, None
 
 
 def _tree_kernel(model, adaptive):
@@ -344,17 +387,18 @@ def _table_kernel(model, adaptive):
 #: called once per stream as ``factory(model, adaptive)`` and returns
 #: ``(find, on_update)``.  ``find(c, hk)`` returns ``(symbol, iterations)``;
 #: for the fenwick family it is ``find(c, model)`` returning
-#: ``(symbol, lower_bound, iterations)``.  ``on_update(sym, rescaled)``,
-#: when not None, runs after each adaptive model update.
+#: ``(symbol, lower_bound, frequency, iterations)``.
+#: ``on_update(sym, rescaled)``, when not None, runs after each adaptive
+#: model update.
 KERNELS = {
     "lin-fwd": ("linear", False, _stateless(linear_forward)),
     "lin-bwd": ("linear", False, _stateless(linear_backward)),
-    "log": ("linear", False, _stateless(logarithmic)),
+    "log": ("linear", False, _log_kernel),
     "log2": ("linear", False, _log2_kernel),
     "exp": ("linear", False, _stateless(exponential)),
     "tree": ("linear", True, _tree_kernel),
     "table": ("linear", False, _table_kernel),
-    "bi": ("fenwick", False, _stateless(binary_indexed)),
+    "bi": ("fenwick", False, _stateless(binary_indexed_interval)),
 }
 
 #: Stable strategy identifiers for the CLI and CSV output.

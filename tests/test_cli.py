@@ -4,10 +4,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rangekit
 from rangekit.cli import main
-from rangekit.datagen import read_symbols
+from rangekit.datagen import read_symbols, write_symbols
 from rangekit.rangecoder import StreamHeader, pack_header
 
 
@@ -85,15 +86,18 @@ def test_missing_input_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _decode_in_subprocess(tmp_path, header):
-    bad = tmp_path / "bad.irc"
-    bad.write_bytes(pack_header(header) + b"\x00" * 5)
+def _cli_in_subprocess(*args):
     src = str(Path(rangekit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
-        [sys.executable, "-m", "rangekit.cli", "decode", "-i", str(bad),
-         "-o", str(tmp_path / "out.isy")],
+        [sys.executable, "-m", "rangekit.cli", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=60)
+
+
+def _decode_in_subprocess(tmp_path, header):
+    bad = tmp_path / "bad.irc"
+    bad.write_bytes(pack_header(header) + b"\x00" * 5)
+    return _cli_in_subprocess("decode", "-i", bad, "-o", tmp_path / "out.isy")
 
 
 def test_decode_hostile_static_header_reports_error(tmp_path):
@@ -110,3 +114,21 @@ def test_decode_past_payload_reports_error(tmp_path):
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mode", ("static", "adaptive"))
+def test_encode_out_of_alphabet_symbol_reports_error(tmp_path, mode):
+    # the ISY header says K=4 but the body holds symbol 9
+    raw = tmp_path / "bad.isy"
+    write_symbols(raw, 4, [0, 9, 1])
+    proc = _cli_in_subprocess("encode", "--mode", mode, "-i", raw,
+                              "-o", tmp_path / "out.irc")
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_gen_rejects_alphabet_above_uint16(tmp_path, capsys):
+    assert main(["gen", "--dist", "flat", "--k", "70000", "--n", "10",
+                 "-o", str(tmp_path / "seq.isy")]) == 1
+    assert "error:" in capsys.readouterr().err

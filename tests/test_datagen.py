@@ -14,6 +14,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GenSpec("flat", 0, 10)
     with pytest.raises(ValueError):
+        GenSpec("flat", 65537, 10)  # ISY symbols are uint16
+    with pytest.raises(ValueError):
         GenSpec("flat", 4, -1)
 
 

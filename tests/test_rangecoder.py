@@ -3,6 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rangekit.datagen import MAX_ALPHABET
+from rangekit.fenwick_model import FenwickModel
+from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
     MAGIC, MASK32, TOP, VERSION, CoderConfig, DecodeStats, Decoder, Encoder,
     StreamFormatError, StreamHeader, ZeroCountError, decode_stream,
@@ -290,8 +293,33 @@ def test_static_stream_with_unused_symbols():
 
 
 def test_encode_rejects_out_of_range_symbol():
+    # checked before the static first pass counts symbols
+    for mode in ("static", "adaptive"):
+        for bad in (7, -1):
+            with pytest.raises(ValueError, match="outside alphabet"):
+                encode_stream([0, bad, 3], 7, CoderConfig(mode))
+
+
+@pytest.mark.parametrize("k", (0, MAX_ALPHABET + 1))
+def test_encode_rejects_alphabet_size(k):
     with pytest.raises(ValueError):
-        encode_stream([0, 7], 7, CoderConfig())
+        encode_stream([], k, CoderConfig())
+
+
+def test_largest_alphabet_round_trip():
+    data = [0, MAX_ALPHABET - 1, 7]
+    for mode in ("static", "adaptive"):
+        payload = encode_stream(data, MAX_ALPHABET, CoderConfig(mode))
+        assert decode_stream(payload)[1] == data
+
+
+def test_unpack_rejects_alphabet_size():
+    # the header field is 32 bits wide; 65537 is the smallest forged size
+    # (never try 2**31 here: an unchecked decoder allocates ~16 GiB)
+    header = StreamHeader("adaptive", "linear", "orig", 0, MAX_ALPHABET + 1,
+                          1, None)
+    with pytest.raises(StreamFormatError):
+        unpack_header(pack_header(header) + b"\x00" * 5)
 
 
 def test_decode_rejects_incompatible_strategy():
@@ -321,3 +349,74 @@ def test_round_trip_property(k, data):
     cfg = CoderConfig(mode, model, "orig", 0)
     _, out = decode_stream(encode_stream(syms, k, cfg))
     assert out == syms
+
+
+def reference_model(header, counts):
+    adaptive = header.mode == "adaptive"
+    if header.model == "fenwick":
+        return FenwickModel(counts, adaptive=adaptive,
+                            rescale_variant=header.rescale)
+    return LinearModel(counts, adaptive=adaptive)
+
+
+def reference_encode(symbols, k, cfg):
+    """encode_stream written with the step-by-step Encoder."""
+    adaptive = cfg.mode == "adaptive"
+    counts = None if adaptive else normalize_counts(
+        [symbols.count(i) for i in range(k)])
+    header = StreamHeader(cfg.mode, cfg.model, cfg.rescale,
+                          cfg.rescale_interval if adaptive else 0, k,
+                          len(symbols), None if adaptive else tuple(counts))
+    enc = Encoder()
+    if symbols:
+        model = reference_model(header, counts or [1] * k)
+        for pos, s in enumerate(symbols):
+            enc.encode(model.cum(s), model.count(s), model.total_count)
+            if adaptive:
+                model.update(s)
+                if cfg.rescale_interval and (pos + 1) % cfg.rescale_interval == 0:
+                    model.rescale()
+    return pack_header(header) + enc.finish()
+
+
+def reference_decode(payload):
+    """decode_stream written with the step-by-step Decoder and a scan."""
+    header, offset = unpack_header(payload)
+    out = []
+    if not header.n:
+        return out
+    dec = Decoder(payload[offset:])
+    model = reference_model(header, list(header.counts or [1] * header.k))
+    for pos in range(header.n):
+        c = dec.decode_target(model.total_count)
+        sym = next(i for i in range(header.k) if c < model.cum(i + 1))
+        dec.consume(model.cum(sym), model.count(sym))
+        out.append(sym)
+        if header.mode == "adaptive":
+            model.update(sym)
+            interval = header.rescale_interval
+            if interval and (pos + 1) % interval == 0:
+                model.rescale()
+    assert dec.pos == len(dec.buf)
+    return out
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(1, 40), st.sampled_from(("static", "adaptive")),
+       st.sampled_from(("linear", "fenwick")), st.sampled_from(("orig", "new")),
+       st.sampled_from((0, 1, 3, 16, 64)), st.data())
+def test_stream_functions_match_reference_coder(k, mode, model, rescale,
+                                              interval, data):
+    """The register-in-locals stream functions against Encoder/Decoder, byte for byte."""
+    # a skewed draw drives long pending-0xFF runs and carries
+    hot = data.draw(st.integers(0, k - 1))
+    syms = data.draw(st.lists(
+        st.one_of(st.just(hot), st.integers(0, k - 1)), max_size=400))
+    cfg = CoderConfig(mode, model, rescale,
+                      interval if mode == "adaptive" else 0)
+    payload = encode_stream(syms, k, cfg)
+    assert payload == reference_encode(syms, k, cfg)
+    assert reference_decode(payload) == syms
+    strategy = data.draw(st.sampled_from(
+        [s for s in STRATEGIES if strategy_compatible(s, model, mode) is None]))
+    assert decode_stream(payload, strategy)[1] == syms

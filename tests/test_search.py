@@ -13,7 +13,8 @@ from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import CoderConfig, encode_stream, unpack_header
 from rangekit.search import (
     KERNELS, NO_CHILD, LookupTable, adapt_initial_split, best_split,
-    binary_indexed, build_search_tree, changed_slots, determine_initial_split,
+    binary_indexed, binary_indexed_interval, bisection_depths,
+    build_search_tree, changed_slots, determine_initial_split,
     exponential, linear_backward, linear_forward, log2_search, logarithmic,
     tree_search,
 )
@@ -56,6 +57,15 @@ def test_logarithmic_iteration_bound():
         assert iters <= 6  # ceil(log2 19) + 1
 
 
+def test_bisection_depths_match_logarithmic():
+    # one count per symbol: c = p - 1 has insertion point p for every p
+    for k in range(1, 301):
+        hk = list(range(k + 1))
+        depth = bisection_depths(k)
+        assert [depth[c + 1] for c in range(k)] == [
+            logarithmic(c, hk)[1] for c in range(k)]
+
+
 def test_best_split_balances_mass():
     # boundaries 0,3,5,6,10: j=2 splits 5 vs 5 exactly
     assert best_split(TOY_HK, 0, 4) == 2
@@ -75,6 +85,22 @@ def brute_force_split(hk, bottom, top):
 plateau_counts = st.lists(
     st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 1000)),
     min_size=2, max_size=40)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 50)),
+                min_size=1, max_size=300))
+def test_log_kernel_matches_logarithmic(counts):
+    """bisect_right plus the depth table gives logarithmic's symbol and
+    iteration count for every code value, zero-count plateaus included."""
+    if not any(counts):
+        counts[-1] = 1
+    model = LinearModel(counts, adaptive=False)
+    hk = model.hk
+    find, on_update = KERNELS["log"][2](model, False)
+    assert on_update is None
+    for c in range(model.total_count):
+        assert find(c, hk) == logarithmic(c, hk)
 
 
 @given(plateau_counts, st.data())
@@ -318,6 +344,37 @@ def test_binary_indexed_reference(ref19_counts):
         assert sym == oracle_symbol(c, hk)
         assert low == hk[sym]
         assert iters == 5  # log2(16) + 1 for K = 19
+
+
+def assert_descent_interval(fm):
+    """The descent's (sym, low, freq) is (sym, cum(sym), count(sym))."""
+    for c in range(fm.total_count):
+        sym, low, freq, iters = binary_indexed_interval(c, fm)
+        assert (low, freq) == (fm.cum(sym), fm.count(sym))
+        assert low <= c < low + freq
+        assert binary_indexed(c, fm) == (sym, low, iters)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 70), st.sampled_from(("orig", "new")), st.data())
+def test_binary_indexed_interval_adaptive(k, variant, data):
+    fm = FenwickModel([data.draw(st.integers(1, 9)) for _ in range(k)],
+                      rescale_variant=variant)
+    ops = data.draw(st.lists(
+        st.one_of(st.integers(0, k - 1), st.just("rescale")), max_size=40))
+    for op in ops:
+        if op == "rescale":
+            fm.rescale()
+        else:
+            fm.update(op)
+    assert_descent_interval(fm)
+
+
+@given(plateau_counts)
+def test_binary_indexed_interval_static_zero_counts(counts):
+    if not any(counts):
+        counts[0] = 1
+    assert_descent_interval(FenwickModel(counts, adaptive=False))
 
 
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=50), st.data())
