@@ -170,6 +170,9 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
     sequence = list(sequence)
     if not sequence:
         raise ValueError("empty sequence")
+    if min(sequence) < 0 or max(sequence) >= k:
+        bad = next(s for s in sequence if not 0 <= s < k)
+        raise ValueError(f"symbol {bad} outside alphabet of size {k}")
     counts = [0] * k
     for s in sequence:
         counts[s] += 1

@@ -7,6 +7,8 @@ linear sweep over the tail of the prefix-sum array.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 MAX_TOTALCOUNT = 1 << 20
 
 
@@ -30,11 +32,13 @@ class LinearModel:
         counts = list(counts)
         if not counts:
             raise ValueError("alphabet must contain at least one symbol")
-        if any(c < 0 for c in counts):
+        least = min(counts)
+        if least < 0:
             raise ValueError("counts must be non-negative")
-        if adaptive and any(c == 0 for c in counts):
+        if adaptive and least == 0:
             raise ValueError("adaptive mode requires every count >= 1")
-        total = sum(counts)
+        hk = list(accumulate(counts, initial=0))
+        total = hk[-1]
         if total > MAX_TOTALCOUNT:
             raise OverflowError(
                 f"total count {total} exceeds MAX_TOTALCOUNT={MAX_TOTALCOUNT}; "
@@ -42,11 +46,6 @@ class LinearModel:
             )
         self.k = len(counts)
         self.h = counts
-        hk = [0] * (self.k + 1)
-        s = 0
-        for i, c in enumerate(counts):
-            s += c
-            hk[i + 1] = s
         self.hk = hk
         self.total_count = total
         self.adaptive = adaptive
@@ -90,14 +89,14 @@ class LinearModel:
         return rescaled
 
     def rescale(self) -> None:
-        """Halve every count (rounding up, so counts never reach zero)."""
+        """Halve every count (rounding up, so counts never reach zero).
+
+        Both arrays are rewritten in place: callers hold on to ``h`` and
+        ``hk`` across a rescale.
+        """
         h = self.h
-        for i in range(self.k):
-            h[i] -= h[i] >> 1
-        s = 0
+        h[:] = [c - (c >> 1) for c in h]
         hk = self.hk
-        for i in range(self.k):
-            s += h[i]
-            hk[i + 1] = s
+        hk[1:] = accumulate(h)
         self.rescale_accesses += 3 * self.k
-        self.total_count = s
+        self.total_count = hk[-1]

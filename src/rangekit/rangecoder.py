@@ -332,7 +332,7 @@ def decode_stream(payload: bytes, strategy: str | None = None,
         return header, symbols
     if len(payload) < offset + 5:
         raise StreamFormatError("truncated payload")
-    model = _make_model(header, header.k, list(header.counts) if header.counts else None)
+    model = _make_model(header, header.k, header.counts)
     interval = header.rescale_interval
     adaptive = header.mode == "adaptive"
     fenwick = header.model == "fenwick"

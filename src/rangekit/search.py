@@ -11,12 +11,24 @@ anyway.
 ``KERNELS`` is the one place that knows each strategy: which model it
 runs on, whether it needs a static model, and how to set it up for one
 stream.  Decoding and iteration replay both take their search from it.
+
+Two kernels find the symbol with the C-level ``bisect_right`` and read
+the reference search's iteration count from a per-stream table, so their
+counters stay exact.  ``log`` reads the length of ``logarithmic``'s
+bisection by insertion point (``bisection_depths``).  ``tree`` reads the
+depth of the symbol's node in ``build_search_tree``'s tree
+(``tree_depths``): a code value in a symbol's nonempty interval always
+descends to that symbol's node, and the table is built by the same
+``best_split`` recursion, skipping the ranges that hold no count.
+``logarithmic``, ``build_search_tree`` and ``tree_search`` stay as the
+reference the tables are tested against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fenwick_model import FenwickModel
 
@@ -57,12 +69,15 @@ def logarithmic(c: int, hk) -> tuple[int, int]:
             return bottom - 1, iters
 
 
-def bisection_depths(k: int) -> list[int]:
+@lru_cache(maxsize=8)
+def bisection_depths(k: int) -> tuple[int, ...]:
     """Iterations ``logarithmic`` takes over K symbols, by insertion point.
 
     With ``p = bisect_right(hk, c)``, the probe ``c < hk[mid]`` holds
     exactly when ``mid >= p``, so the bisection's path, and its length,
-    depend on p alone.  Entry p of the result is that length.
+    depend on p alone.  Entry p of the result is that length.  The table
+    depends on K alone, so it is cached and returned as a tuple that no
+    caller can change.
     """
     depth = [0] * (k + 1)
     stack = [(0, k, 0)]
@@ -74,7 +89,7 @@ def bisection_depths(k: int) -> list[int]:
             mid = (top + bottom) >> 1
             stack.append((bottom, mid, iters + 1))
             stack.append((mid + 1, top, iters + 1))
-    return depth
+    return tuple(depth)
 
 
 def best_split(hk, bottom: int, top: int) -> int:
@@ -156,6 +171,29 @@ def tree_search(c: int, hk, tree: SearchTree) -> tuple[int, int]:
             return i, iters
         else:
             i = right[i]
+
+
+def tree_depths(hk) -> list[int]:
+    """Iterations ``tree_search`` takes to find each symbol, root at 1.
+
+    Walks the same ``best_split`` recursion as ``build_search_tree`` but
+    enters a child range only if it holds a count.  A symbol with a
+    nonzero count never lies in a zero-mass range, so its depth is its
+    node's depth in the full tree; entries of zero-count symbols that sit
+    in a pruned range stay 0, and no code value decodes to them.
+    """
+    k = len(hk) - 1
+    depth = [0] * k
+    stack = [(0, k, 1)]
+    while stack:
+        bottom, top, d = stack.pop()
+        j = bottom if top - bottom == 1 else best_split(hk, bottom, top)
+        depth[j] = d
+        if hk[j] > hk[bottom]:
+            stack.append((bottom, j, d + 1))
+        if j + 1 < top and hk[top] > hk[j + 1]:
+            stack.append((j + 1, top, d + 1))
+    return depth
 
 
 def determine_initial_split(hk) -> int:
@@ -345,10 +383,13 @@ def _log_kernel(model, adaptive):
 
 
 def _tree_kernel(model, adaptive):
-    tree = build_search_tree(model.hk)
+    # tree_search always ends at the node of the symbol bisect_right finds,
+    # so the tree's iteration count is that node's depth
+    depth = tree_depths(model.hk)
 
     def find(c, hk):
-        return tree_search(c, hk, tree)
+        sym = bisect_right(hk, c) - 1
+        return sym, depth[sym]
 
     return find, None
 

@@ -97,3 +97,9 @@ def test_iteration_histogram_rejects_bad_input():
         iteration_histogram("log", [], 4)
     with pytest.raises(ValueError):
         iteration_histogram("bi", [0, 1], 2)
+
+
+@pytest.mark.parametrize("sequence,bad", [([0, -1, 1], -1), ([0, 5, 1], 5)])
+def test_iteration_histogram_rejects_out_of_alphabet_symbol(sequence, bad):
+    with pytest.raises(ValueError, match=f"symbol {bad} outside alphabet"):
+        iteration_histogram("log", sequence, 3)

@@ -152,6 +152,56 @@ def test_update_changes_exactly_tail_entries():
         assert changed == 13 - sym
 
 
+def reference_model(counts):
+    """Loop reference of construction: (h, hk, total)."""
+    h = list(counts)
+    hk = [0] * (len(h) + 1)
+    s = 0
+    for i, c in enumerate(h):
+        s += c
+        hk[i + 1] = s
+    return h, hk, s
+
+
+def reference_rescale(h):
+    """Loop reference of rescale: halve rounding up, then prefix sums."""
+    h = list(h)
+    for i in range(len(h)):
+        h[i] -= h[i] >> 1
+    return reference_model(h)
+
+
+@given(st.booleans(), st.data())
+def test_construction_and_rescale_match_loop_reference(adaptive, data):
+    low = 1 if adaptive else 0
+    counts = data.draw(st.lists(st.integers(low, 5000), min_size=1, max_size=200))
+    m = LinearModel(counts, adaptive=adaptive)
+    assert (m.h, m.hk, m.total_count) == reference_model(counts)
+    assert m.rescale_accesses == 0
+    h, hk = m.h, m.hk
+    for rounds in range(1, 3):
+        want = reference_rescale(m.h)
+        m.rescale()
+        assert (m.h, m.hk, m.total_count) == want
+        assert m.rescale_accesses == 3 * len(counts) * rounds
+        # decode and the table kernel keep these lists across a rescale
+        assert m.h is h and m.hk is hk
+
+
+@pytest.mark.parametrize("counts,adaptive,exc,message", [
+    ([], True, ValueError, "at least one symbol"),
+    ([], False, ValueError, "at least one symbol"),
+    ([3, -1, 2], False, ValueError, "non-negative"),
+    ([0, -1], True, ValueError, "non-negative"),
+    ([3, 0, 2], True, ValueError, "every count >= 1"),
+    ([MAX_TOTALCOUNT, 1], False, OverflowError, "exceeds MAX_TOTALCOUNT"),
+    ([MAX_TOTALCOUNT // 2 + 1] * 2, True, OverflowError, "exceeds MAX_TOTALCOUNT"),
+])
+def test_construction_rejects_invalid_counts(counts, adaptive, exc, message):
+    with pytest.raises(exc, match=message):
+        LinearModel(counts, adaptive=adaptive)
+
+
 def test_rescale_bounds_total():
     rng = random.Random(2)
     counts = [rng.randint(1, 500) for _ in range(20)]

@@ -16,7 +16,7 @@ from rangekit.search import (
     binary_indexed, binary_indexed_interval, bisection_depths,
     build_search_tree, changed_slots, determine_initial_split,
     exponential, linear_backward, linear_forward, log2_search, logarithmic,
-    tree_search,
+    tree_depths, tree_search,
 )
 
 from conftest import REF19_COUNTS, TOY_HK, TOY_TABLE, TOY_TABLE_AFTER
@@ -64,6 +64,9 @@ def test_bisection_depths_match_logarithmic():
         depth = bisection_depths(k)
         assert [depth[c + 1] for c in range(k)] == [
             logarithmic(c, hk)[1] for c in range(k)]
+        # one shared table per K, which no kernel can change
+        assert isinstance(depth, tuple)
+        assert bisection_depths(k) is depth
 
 
 def test_best_split_balances_mass():
@@ -159,6 +162,38 @@ def test_build_tree_skewed_does_not_recurse():
     tree = build_search_tree(hk)
     for c in (0, 1, 5, 3999, 4000, hk[-1] - 1):
         assert tree_search(c, hk, tree)[0] == oracle_symbol(c, hk)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 50)),
+                min_size=1, max_size=300))
+def test_tree_kernel_matches_tree_search(counts):
+    """bisect_right plus the depth table gives tree_search's symbol and
+    iteration count for every code value, zero-count plateaus included."""
+    if not any(counts):
+        counts[-1] = 1
+    model = LinearModel(counts, adaptive=False)
+    hk = model.hk
+    tree = build_search_tree(hk)
+    find, on_update = KERNELS["tree"][2](model, False)
+    assert on_update is None
+    for c in range(model.total_count):
+        assert find(c, hk) == tree_search(c, hk, tree)
+
+
+def test_tree_depths_skip_zero_mass_ranges():
+    k = 256
+    hk = LinearModel([5, 3, 0, 1, 7] + [0] * (k - 5), adaptive=False).hk
+    with mock.patch.object(search, "best_split",
+                           wraps=search.best_split) as split:
+        depth = tree_depths(hk)
+    assert all(hk[top] > hk[bottom] for (_, bottom, top), _ in
+               split.call_args_list)
+    visited = sum(1 for d in depth if d)
+    assert visited < k
+    tree = build_search_tree(hk)
+    for sym in (0, 1, 3, 4):
+        assert depth[sym] == tree_search(hk[sym], hk, tree)[1]
 
 
 def test_determine_initial_split():
