@@ -3,13 +3,32 @@
 The model keeps the per-symbol counts and their exclusive prefix sums side
 by side, so a cumulative count is a single array read and an update is a
 linear sweep over the tail of the prefix-sum array.
+
+The storage of the prefix sums is chosen once, at construction.  It is a
+list, which is read fastest, except in an adaptive model with at least
+``_ARRAY_MIN_K`` symbols: there it is an ``array('q')`` whose tail an
+update raises in one C-level numpy operation on a view of its buffer.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import accumulate
 
+import numpy as np
+
 MAX_TOTALCOUNT = 1 << 20
+
+#: Smallest alphabet whose adaptive model keeps ``hk`` as an array.  A
+#: numpy tail increment costs about 1.5 us at any length against about
+#: 50 ns per interpreted ``hk[j] += 1``, but an array item read costs
+#: about twice a list read.  Measured end to end (encode and decode, 8192
+#: symbols, rescale every 1024, CPython 3.11 on an Intel Xeon core),
+#: array/list time on flat data with ``table`` search is 1.6-1.8 at K=8,
+#: 1.2-1.3 at K=32, 1.0-1.06 at K=48 and 0.93-0.98 at K=64; on geometric
+#: data with ``log`` search the array already wins at K=48.  From K=64 up
+#: the array is faster on both.
+_ARRAY_MIN_K = 64
 
 
 class LinearModel:
@@ -19,13 +38,18 @@ class LinearModel:
     ``hk[i+1] == hk[i] + h[i]`` and ``hk[K]`` equals ``total_count``.
     ``hk[i]`` is the lower interval boundary of symbol i.
 
+    ``hk`` is a list, or an ``array('q')`` in an adaptive model with K >=
+    ``_ARRAY_MIN_K``.  Callers index it and may hold it across updates and
+    rescales, which change it in place; they must never rebind or resize
+    it (a resize also fails while the array's buffer is exported).
+
     In adaptive mode every count stays >= 1 so no subinterval collapses;
     static models may carry zero counts for symbols known to be absent.
     """
 
     __slots__ = (
         "k", "h", "hk", "total_count", "adaptive",
-        "update_accesses", "rescale_accesses",
+        "update_accesses", "rescale_accesses", "_view",
     )
 
     def __init__(self, counts, adaptive: bool = True):
@@ -45,6 +69,10 @@ class LinearModel:
                 "caller must pre-normalize"
             )
         self.k = len(counts)
+        self._view = None
+        if adaptive and self.k >= _ARRAY_MIN_K:
+            hk = array("q", hk)
+            self._view = np.frombuffer(hk, dtype=np.int64)
         self.h = counts
         self.hk = hk
         self.total_count = total
@@ -81,9 +109,12 @@ class LinearModel:
             self.rescale()
             rescaled = True
         self.h[sym] += 1
-        hk = self.hk
-        for j in range(sym + 1, self.k + 1):
-            hk[j] += 1
+        if self._view is None:
+            hk = self.hk
+            for j in range(sym + 1, self.k + 1):
+                hk[j] += 1
+        else:
+            self._view[sym + 1:] += 1
         self.update_accesses += self.k - sym + 1
         self.total_count += 1
         return rescaled
@@ -92,11 +123,13 @@ class LinearModel:
         """Halve every count (rounding up, so counts never reach zero).
 
         Both arrays are rewritten in place: callers hold on to ``h`` and
-        ``hk`` across a rescale.
+        ``hk`` across a rescale, and the numpy view keeps aliasing ``hk``.
         """
         h = self.h
         h[:] = [c - (c >> 1) for c in h]
         hk = self.hk
-        hk[1:] = accumulate(h)
+        # a same-length slice, which an array with an exported buffer
+        # allows; a list slice takes the array's items as ints
+        hk[1:] = array("q", accumulate(h))
         self.rescale_accesses += 3 * self.k
         self.total_count = hk[-1]

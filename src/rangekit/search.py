@@ -267,10 +267,13 @@ def exponential(c: int, hk) -> tuple[int, int]:
             return bottom - 1, iters
 
 
-#: A list insert moves one table slot in about 0.5 ns; one interpreted
-#: last-slot write takes about 57 ns (CPython 3.11 on an Intel Xeon core),
-#: so a write costs as much as moving roughly this many slots.
-_INSERT_SLOTS_PER_WRITE = 100
+#: A list insert moves one table slot in about 0.5 ns.  One interpreted
+#: last-slot write takes 42-64 ns when ``hk`` is a list and 74-109 ns when
+#: it is an ``array('q')``, whose item reads are slower (CPython 3.11 on an
+#: Intel Xeon core).  Adaptive models store ``hk`` as an array from
+#: ``linear_model._ARRAY_MIN_K`` symbols up, where the rewrite runs long,
+#: so a write is taken to cost as much as moving roughly this many slots.
+_INSERT_SLOTS_PER_WRITE = 200
 
 
 class LookupTable:

@@ -1,4 +1,8 @@
+from unittest import mock
+
 import pytest
+
+from rangekit import linear_model
 
 # 19-symbol reference example: counts, boundary array, hierarchical array
 REF19_COUNTS = [3, 2, 2, 1, 4, 1, 5, 2, 3, 1, 2, 3, 1, 4, 2, 1, 1, 3, 2]
@@ -21,3 +25,10 @@ def ref19_counts():
 @pytest.fixture
 def toy_counts():
     return list(TOY_COUNTS)
+
+
+def forced_storage(storage):
+    """Context in which new adaptive LinearModels store ``hk`` as a
+    ``"list"`` or an ``"array"`` whatever their alphabet size."""
+    floor = {"list": float("inf"), "array": 1}[storage]
+    return mock.patch.object(linear_model, "_ARRAY_MIN_K", floor)

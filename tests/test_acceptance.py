@@ -101,7 +101,7 @@ def test_criterion_05_fenwick_linear_equivalence():
                     fm.update(s)
                     counts[s] += 1
             lin = LinearModel(counts)
-            assert [fm.cum(i) for i in range(k + 1)] == lin.hk
+            assert [fm.cum(i) for i in range(k + 1)] == list(lin.hk)
             assert [fm.count(s) for s in range(k)] == counts
 
         for k in range(1, 33):  # exhaustive small alphabets

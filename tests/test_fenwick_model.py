@@ -189,7 +189,7 @@ def test_mirrors_linear_model(k, data):
             fm.update(op)
             counts[op] += 1
     lin = LinearModel(counts)
-    assert [fm.cum(i) for i in range(k + 1)] == lin.hk
+    assert [fm.cum(i) for i in range(k + 1)] == list(lin.hk)
     assert [fm.count(s) for s in range(k)] == counts
 
 

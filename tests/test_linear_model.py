@@ -1,11 +1,16 @@
 import random
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rangekit import linear_model
 from rangekit.linear_model import MAX_TOTALCOUNT, LinearModel
 
-from conftest import REF19_COUNTS, REF19_HK, TOY_HK
+from conftest import REF19_COUNTS, REF19_HK, TOY_HK, forced_storage
+
+STORAGES = ("list", "array")
 
 
 def test_flat_init():
@@ -175,17 +180,66 @@ def reference_rescale(h):
 def test_construction_and_rescale_match_loop_reference(adaptive, data):
     low = 1 if adaptive else 0
     counts = data.draw(st.lists(st.integers(low, 5000), min_size=1, max_size=200))
-    m = LinearModel(counts, adaptive=adaptive)
-    assert (m.h, m.hk, m.total_count) == reference_model(counts)
-    assert m.rescale_accesses == 0
-    h, hk = m.h, m.hk
-    for rounds in range(1, 3):
-        want = reference_rescale(m.h)
-        m.rescale()
-        assert (m.h, m.hk, m.total_count) == want
-        assert m.rescale_accesses == 3 * len(counts) * rounds
-        # decode and the table kernel keep these lists across a rescale
-        assert m.h is h and m.hk is hk
+    for storage in STORAGES:
+        with forced_storage(storage):
+            m = LinearModel(counts, adaptive=adaptive)
+        # only adaptive models ever store hk as an array
+        assert type(m.hk) is (array if adaptive and storage == "array" else list)
+        assert (m.h, list(m.hk), m.total_count) == reference_model(counts)
+        assert m.rescale_accesses == 0
+        h, hk = m.h, m.hk
+        for rounds in range(1, 3):
+            want = reference_rescale(m.h)
+            m.rescale()
+            assert (m.h, list(m.hk), m.total_count) == want
+            assert m.rescale_accesses == 3 * len(counts) * rounds
+            # decode and the table kernel keep these arrays across a rescale
+            assert m.h is h and m.hk is hk
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_update_and_rescale_on_each_storage(storage):
+    rng = random.Random(9)
+    k = 90
+    counts = [rng.randint(1, 9) for _ in range(k)]
+    with forced_storage(storage):
+        m = LinearModel(counts)
+    assert type(m.hk) is (array if storage == "array" else list)
+    hk = m.hk
+    cap_rescales = 0
+    # a low cap makes some updates rescale first, besides the periodic ones
+    with mock.patch.object(linear_model, "MAX_TOTALCOUNT", 600):
+        for _ in range(2):
+            for _ in range(400):
+                sym = rng.randrange(k)
+                before = (m.update_accesses, m.rescale_accesses)
+                rescaled = m.update(sym)
+                if rescaled:
+                    cap_rescales += 1
+                    counts = reference_rescale(counts)[0]
+                counts[sym] += 1
+                assert m.update_accesses - before[0] == k - sym + 1
+                assert m.rescale_accesses - before[1] == 3 * k * rescaled
+                assert (m.h, list(hk), m.total_count) == reference_model(counts)
+            before = m.rescale_accesses
+            m.rescale()
+            counts = reference_rescale(counts)[0]
+            assert m.rescale_accesses - before == 3 * k
+            assert m.hk is hk
+            # an update after a rescale shows through hk, so the numpy view
+            # still aliases the array the callers hold
+            m.update(5)
+            counts[5] += 1
+            assert list(hk) == reference_model(counts)[1]
+    assert cap_rescales
+
+
+def test_storage_follows_mode_and_alphabet_size():
+    crossover = linear_model._ARRAY_MIN_K
+    assert type(LinearModel([1] * (crossover - 1)).hk) is list
+    assert type(LinearModel([1] * crossover).hk) is array
+    assert type(LinearModel.flat(256).hk) is array
+    assert type(LinearModel([1] * 256, adaptive=False).hk) is list
 
 
 @pytest.mark.parametrize("counts,adaptive,exc,message", [

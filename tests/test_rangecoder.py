@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from rangekit.datagen import MAX_ALPHABET
 from rangekit.fenwick_model import FenwickModel
+from rangekit import linear_model
 from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
     MAGIC, MASK32, TOP, VERSION, CoderConfig, DecodeStats, Decoder, Encoder,
@@ -13,6 +14,8 @@ from rangekit.rangecoder import (
     strategy_compatible, unpack_header, _HEADER_SIZE,
 )
 from rangekit.search import STRATEGIES
+
+from conftest import forced_storage
 
 
 def test_encoder_initial_registers():
@@ -420,3 +423,26 @@ def test_stream_functions_match_reference_coder(k, mode, model, rescale,
     strategy = data.draw(st.sampled_from(
         [s for s in STRATEGIES if strategy_compatible(s, model, mode) is None]))
     assert decode_stream(payload, strategy)[1] == syms
+
+
+@pytest.mark.parametrize("below", [1, 0], ids=["list", "array"])
+@pytest.mark.parametrize("strategy", [
+    s for s in STRATEGIES if strategy_compatible(s, "linear", "adaptive") is None])
+def test_stream_functions_match_reference_across_storage_crossover(strategy, below):
+    """Adaptive linear streams on each side of the hk storage crossover
+    against the Encoder/Decoder reference run on a list-stored model;
+    decode's counters equal those of a list-stored decode."""
+    k = linear_model._ARRAY_MIN_K - below
+    rng = random.Random(k)
+    hot = rng.randrange(k)
+    syms = [hot if rng.random() < 0.3 else rng.randrange(k) for _ in range(700)]
+    cfg = CoderConfig("adaptive", "linear", "orig", 64)
+    with forced_storage("list"):
+        want = reference_encode(syms, k, cfg)
+        assert reference_decode(want) == syms
+        want_stats = DecodeStats()
+        decode_stream(want, strategy, want_stats)
+    assert encode_stream(syms, k, cfg) == want
+    stats = DecodeStats()
+    assert decode_stream(want, strategy, stats)[1] == syms
+    assert stats == want_stats
