@@ -2,10 +2,10 @@
 """Reproduce the K=64 search-iteration statistics table.
 
 Generates N truncated-geometric symbols, builds a static model from the
-empirical counts, captures the decoder's code values once, and replays
-every boundary-array search over them.  Prints one row per strategy:
-the iteration histogram (percent of symbols per iteration count) and the
-average.
+empirical counts, and runs every boundary-array search once per symbol
+that occurs, weighted by its count: a search's iteration count depends on
+the decoded symbol alone.  Prints one row per strategy: the iteration
+histogram (percent of symbols per iteration count) and the average.
 """
 
 import argparse

@@ -4,32 +4,3 @@ Pluggable decoder symbol searches, linear and binary-indexed cumulative
 count models, a byte-oriented range coder, deterministic data generation,
 and an instrumented benchmark harness.
 """
-
-from .linear_model import MAX_TOTALCOUNT, LinearModel
-from .fenwick_model import (
-    FenwickModel, forward_step, parent_index, top_level_index,
-)
-from .search import (
-    STRATEGIES, LookupTable, SearchTree, adapt_initial_split, best_split,
-    binary_indexed, build_search_tree, determine_initial_split, exponential,
-    linear_backward, linear_forward, log2_search, logarithmic, tree_search,
-)
-from .rangecoder import (
-    CoderConfig, DecodeStats, Decoder, Encoder, StreamFormatError,
-    StreamHeader, ZeroCountError, decode_stream, encode_stream,
-)
-from .datagen import GenSpec, gen_sequence, geom_params, splitmix64
-
-__all__ = [
-    "MAX_TOTALCOUNT", "LinearModel", "FenwickModel",
-    "forward_step", "parent_index", "top_level_index",
-    "STRATEGIES", "LookupTable", "SearchTree",
-    "adapt_initial_split", "best_split", "binary_indexed",
-    "build_search_tree", "determine_initial_split", "exponential",
-    "linear_backward", "linear_forward", "log2_search", "logarithmic",
-    "tree_search",
-    "CoderConfig", "DecodeStats", "Decoder", "Encoder",
-    "StreamFormatError", "StreamHeader", "ZeroCountError",
-    "decode_stream", "encode_stream",
-    "GenSpec", "gen_sequence", "geom_params", "splitmix64",
-]

@@ -12,14 +12,22 @@ anyway.
 runs on, whether it needs a static model, and how to set it up for one
 stream.  Decoding and iteration replay both take their search from it.
 
-Two kernels find the symbol with the C-level ``bisect_right`` and read
-the reference search's iteration count from a per-stream table, so their
-counters stay exact.  ``log`` reads the length of ``logarithmic``'s
-bisection by insertion point (``bisection_depths``).  ``tree`` reads the
-depth of the symbol's node in ``build_search_tree``'s tree
-(``tree_depths``): a code value in a symbol's nonempty interval always
-descends to that symbol's node, and the table is built by the same
-``best_split`` recursion, skipping the ranges that hold no count.
+Every comparison search probes ``c < hk[i]``.  For a code value c in
+symbol s's nonempty interval that probe holds exactly when i > s, so a
+search's path, and its iteration count, depend on s alone.  Four kernels
+therefore find the symbol with the C-level ``bisect_right`` and read the
+count from a per-stream table indexed by symbol (``_bisect_kernel``):
+
+- ``lin-fwd``: s + 1 probes, as ``linear_forward`` makes
+- ``lin-bwd``: K - s probes, as ``linear_backward`` makes
+- ``log``: the length of ``logarithmic``'s bisection (``bisection_depths``)
+- ``tree``: the depth of s's node in ``build_search_tree``'s tree
+  (``tree_depths``), built by the same ``best_split`` recursion, skipping
+  the ranges that hold no count
+
+``log2`` (its first probe moves after each adaptive update), ``exp``
+(its table would cost O(K log K) interpreted steps per stream), ``table``
+and ``bi`` keep their own loops.  ``linear_forward``, ``linear_backward``,
 ``logarithmic``, ``build_search_tree`` and ``tree_search`` stay as the
 reference the tables are tested against.
 """
@@ -71,20 +79,20 @@ def logarithmic(c: int, hk) -> tuple[int, int]:
 
 @lru_cache(maxsize=8)
 def bisection_depths(k: int) -> tuple[int, ...]:
-    """Iterations ``logarithmic`` takes over K symbols, by insertion point.
+    """Iterations ``logarithmic`` takes to find each of K symbols.
 
-    With ``p = bisect_right(hk, c)``, the probe ``c < hk[mid]`` holds
-    exactly when ``mid >= p``, so the bisection's path, and its length,
-    depend on p alone.  Entry p of the result is that length.  The table
-    depends on K alone, so it is cached and returned as a tuple that no
-    caller can change.
+    The bisection ends at insertion point ``p = bisect_right(hk, c)``,
+    the symbol plus one, and its path depends on p alone; entry p - 1 of
+    the result is that path's length.  The table depends on K alone, so
+    it is cached and returned as a tuple that no caller can change.
     """
-    depth = [0] * (k + 1)
+    depth = [0] * k
     stack = [(0, k, 0)]
     while stack:
         bottom, top, iters = stack.pop()
         if bottom == top:
-            depth[bottom] = iters
+            if bottom:  # insertion point 0 holds no code value
+                depth[bottom - 1] = iters
         else:
             mid = (top + bottom) >> 1
             stack.append((bottom, mid, iters + 1))
@@ -373,28 +381,23 @@ def _stateless(find):
     return lambda model, adaptive: (find, None)
 
 
-def _log_kernel(model, adaptive):
-    # bisect_right runs logarithmic's bisection in C; the iteration count
-    # comes from a per-stream table, so the counters stay exact
-    depth = bisection_depths(model.k)
+def _bisect_kernel(depths):
+    """Factory whose ``find`` is ``bisect_right`` plus a per-symbol table.
 
-    def find(c, hk):
-        p = bisect_right(hk, c)
-        return p - 1, depth[p]
+    ``depths(model)`` is called once per stream and gives the reference
+    search's iteration count for each symbol; it depends on K alone or,
+    for static-only searches, on the static counts.
+    """
+    def factory(model, adaptive):
+        depth = depths(model)
 
-    return find, None
+        def find(c, hk):
+            sym = bisect_right(hk, c) - 1
+            return sym, depth[sym]
 
+        return find, None
 
-def _tree_kernel(model, adaptive):
-    # tree_search always ends at the node of the symbol bisect_right finds,
-    # so the tree's iteration count is that node's depth
-    depth = tree_depths(model.hk)
-
-    def find(c, hk):
-        sym = bisect_right(hk, c) - 1
-        return sym, depth[sym]
-
-    return find, None
+    return factory
 
 
 def _log2_kernel(model, adaptive):
@@ -433,14 +436,15 @@ def _table_kernel(model, adaptive):
 #: for the fenwick family it is ``find(c, model)`` returning
 #: ``(symbol, lower_bound, frequency, iterations)``.
 #: ``on_update(sym, rescaled)``, when not None, runs after each adaptive
-#: model update.
+#: model update.  Each ``_bisect_kernel`` lambda builds the stream's
+#: per-symbol iteration table from the model ``m``.
 KERNELS = {
-    "lin-fwd": ("linear", False, _stateless(linear_forward)),
-    "lin-bwd": ("linear", False, _stateless(linear_backward)),
-    "log": ("linear", False, _log_kernel),
+    "lin-fwd": ("linear", False, _bisect_kernel(lambda m: range(1, m.k + 1))),
+    "lin-bwd": ("linear", False, _bisect_kernel(lambda m: range(m.k, 0, -1))),
+    "log": ("linear", False, _bisect_kernel(lambda m: bisection_depths(m.k))),
     "log2": ("linear", False, _log2_kernel),
     "exp": ("linear", False, _stateless(exponential)),
-    "tree": ("linear", True, _tree_kernel),
+    "tree": ("linear", True, _bisect_kernel(lambda m: tree_depths(m.hk))),
     "table": ("linear", False, _table_kernel),
     "bi": ("fenwick", False, _stateless(binary_indexed_interval)),
 }

@@ -1,13 +1,21 @@
 import io
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rangekit.bench import (
     CSV_COLUMNS, GridSpec, empirical_entropy, iteration_histogram, run_cell,
     run_suite, write_csv,
 )
 from rangekit.datagen import GenSpec, gen_sequence
+from rangekit.linear_model import LinearModel
+from rangekit.rangecoder import Decoder, Encoder
+from rangekit.search import KERNELS, STRATEGIES, strategy_compatible
+
+STATIC_REPLAY = [s for s in STRATEGIES
+                 if strategy_compatible(s, "linear", "static") is None]
 
 
 def test_entropy_known_values():
@@ -60,6 +68,12 @@ def test_run_suite_rescale_axis_only_for_adaptive_fenwick():
     assert {r.rescale for r in records} == {"orig", "new"}
 
 
+@pytest.mark.parametrize("timing_reps", [0, -1])
+def test_grid_spec_rejects_no_timing_reps(timing_reps):
+    with pytest.raises(ValueError, match="at least 1"):
+        GridSpec(timing_reps=timing_reps)
+
+
 def test_csv_output():
     grid = GridSpec(ks=(4,), distributions=("flat",), modes=("static",),
                     models=("linear",), searches=("log",),
@@ -103,3 +117,43 @@ def test_iteration_histogram_rejects_bad_input():
 def test_iteration_histogram_rejects_out_of_alphabet_symbol(sequence, bad):
     with pytest.raises(ValueError, match=f"symbol {bad} outside alphabet"):
         iteration_histogram("log", sequence, 3)
+
+
+def captured_code_values(sequence, model):
+    """Code values a step-by-step static decode of ``sequence`` sees."""
+    hk, h, total = model.hk, model.h, model.total_count
+    enc = Encoder()
+    for s in sequence:
+        enc.encode(hk[s], h[s], total)
+    dec = Decoder(enc.finish())
+    values = []
+    for s in sequence:
+        c = dec.decode_target(total)
+        assert hk[s] <= c < hk[s + 1]
+        dec.consume(hk[s], h[s])
+        values.append(c)
+    return values
+
+
+@pytest.mark.parametrize("strategy", STATIC_REPLAY)
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 40), st.data())
+def test_iteration_histogram_matches_code_value_replay(strategy, k, data):
+    """One search per symbol gives what replaying every decoded code value
+    gives, also when some symbols never occur."""
+    used = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                              max_size=k - 1, unique=True))
+    sequence = data.draw(st.lists(st.sampled_from(used), min_size=1,
+                                  max_size=400))
+    counts = [0] * k
+    for s in sequence:
+        counts[s] += 1
+    model = LinearModel(counts, adaptive=False)
+    find, _ = KERNELS[strategy][2](model, False)
+    hist = Counter(find(c, model.hk)[1]
+                   for c in captured_code_values(sequence, model))
+    n = len(sequence)
+    stats = iteration_histogram(strategy, sequence, k)
+    assert stats.histogram == {it: 100.0 * cnt / n
+                               for it, cnt in sorted(hist.items())}
+    assert stats.average == sum(it * cnt for it, cnt in hist.items()) / n

@@ -65,6 +65,20 @@ def test_bench_writes_csv(tmp_path, monkeypatch):
     assert len(lines) == 3
 
 
+def test_bench_rejects_zero_reps_before_running(tmp_path, monkeypatch, capsys):
+    import rangekit.bench as bench
+
+    def no_cell(*args, **kw):
+        raise AssertionError("a cell ran before the options were checked")
+
+    monkeypatch.setattr(bench, "run_cell", no_cell)
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", "--reps", "0", "--csv", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: timing repetitions must be at least 1, got 0" in err
+    assert not csv_path.exists()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -62,8 +62,8 @@ def test_bisection_depths_match_logarithmic():
     for k in range(1, 301):
         hk = list(range(k + 1))
         depth = bisection_depths(k)
-        assert [depth[c + 1] for c in range(k)] == [
-            logarithmic(c, hk)[1] for c in range(k)]
+        # code value c = sym decodes to sym
+        assert list(depth) == [logarithmic(sym, hk)[1] for sym in range(k)]
         # one shared table per K, which no kernel can change
         assert isinstance(depth, tuple)
         assert bisection_depths(k) is depth
@@ -90,20 +90,29 @@ plateau_counts = st.lists(
     min_size=2, max_size=40)
 
 
+BISECT_REFERENCES = {
+    "lin-fwd": linear_forward,
+    "lin-bwd": linear_backward,
+    "log": logarithmic,
+}
+
+
+@pytest.mark.parametrize("strategy", BISECT_REFERENCES)
 @settings(deadline=None, max_examples=150)
 @given(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 50)),
                 min_size=1, max_size=300))
-def test_log_kernel_matches_logarithmic(counts):
-    """bisect_right plus the depth table gives logarithmic's symbol and
-    iteration count for every code value, zero-count plateaus included."""
+def test_bisect_kernel_matches_reference(strategy, counts):
+    """bisect_right plus the depth table gives the reference search's
+    symbol and iteration count for every code value, zero-count plateaus
+    included."""
     if not any(counts):
         counts[-1] = 1
     model = LinearModel(counts, adaptive=False)
     hk = model.hk
-    find, on_update = KERNELS["log"][2](model, False)
+    find, on_update = KERNELS[strategy][2](model, False)
     assert on_update is None
     for c in range(model.total_count):
-        assert find(c, hk) == logarithmic(c, hk)
+        assert find(c, hk) == BISECT_REFERENCES[strategy](c, hk)
 
 
 @given(plateau_counts, st.data())
