@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import csv
 import time
-from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datagen import GenSpec, gen_sequence
+from .datagen import MAX_ALPHABET, GenSpec, gen_sequence
 from .linear_model import LinearModel
 from .rangecoder import (
     CoderConfig, DecodeStats, decode_stream, encode_stream, strategy_compatible,
@@ -166,13 +165,14 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
 
     The static model is built from the raw sequence counts (no header
     normalization), so the statistics reflect the exact empirical
-    distribution.  A search's iteration count depends on the decoded
-    symbol alone (see ``search``), so each symbol's count comes from one
-    search at the bottom of its interval, weighted by how often it occurs.
+    distribution.  The counts come from ``search.count_iterations``, as
+    a decode's ``DecodeStats`` do.
     """
     reason = strategy_compatible(strategy, "linear", "static")
     if reason is not None:
         raise ValueError(f"unsupported strategy for histogram: {reason}")
+    if not 1 <= k <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
     sequence = list(sequence)
     if not sequence:
         raise ValueError("empty sequence")
@@ -183,12 +183,7 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
     for s in sequence:
         counts[s] += 1
     model = LinearModel(counts, adaptive=False)
-    hk = model.hk
-    find, _ = _search.KERNELS[strategy][2](model, False)
-    hist = Counter()
-    for s, cnt in enumerate(counts):
-        if cnt:
-            hist[find(hk[s], hk)[1]] += cnt
+    hist = _search.count_iterations(strategy, model, False, sequence)
 
     n = len(sequence)
     average = sum(it * cnt for it, cnt in hist.items()) / n

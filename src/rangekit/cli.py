@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import bench as _bench
@@ -62,12 +63,11 @@ def _cmd_bench(args) -> int:
         modes = ("static", "adaptive")
     grid = _bench.GridSpec(modes=modes, n=args.n, seed=args.seed,
                            timing_reps=args.reps)
-    records = _bench.run_suite(grid)
-    if args.csv == "-":
-        _bench.write_csv(records, sys.stdout)
-    else:
-        with open(args.csv, "w", newline="") as fh:
-            _bench.write_csv(records, fh)
+    # open the output before the first cell, so a bad path fails at once
+    out = (contextlib.nullcontext(sys.stdout) if args.csv == "-"
+           else open(args.csv, "w", newline=""))
+    with out as fh:
+        _bench.write_csv(_bench.run_suite(grid), fh)
     return 0
 
 

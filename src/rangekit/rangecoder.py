@@ -88,7 +88,11 @@ class StreamHeader:
 
 @dataclass
 class DecodeStats:
-    """Deterministic work counters collected during one decode pass."""
+    """Deterministic work counters of the decodes it was passed to.
+
+    Each decode adds its counts to every field, so one object passed to
+    several decodes holds their sums.  A decode that raises adds nothing.
+    """
     symbols: int = 0
     search_iterations: int = 0
     iteration_histogram: Counter = field(default_factory=Counter)
@@ -318,7 +322,10 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
 
 def decode_stream(payload: bytes, strategy: str | None = None,
                   stats: DecodeStats | None = None) -> tuple[StreamHeader, list[int]]:
-    """Decompress a stream; the strategy only affects speed, never output."""
+    """Decompress a stream; the strategy only affects speed, never output.
+
+    ``stats``, when given, gets the work counters added after decoding.
+    """
     header, offset = unpack_header(payload)
     if strategy is None:
         strategy = default_strategy(header.model)
@@ -353,9 +360,9 @@ def decode_stream(payload: bytes, strategy: str | None = None,
         if c >= total:
             c = total - 1
         if fenwick:
-            sym, low, freq, iters = find(c, model)
+            sym, low, freq = find(c, model)
         else:
-            sym, iters = find(c, hk)
+            sym = find(c, hk)
             low = hk[sym]
             freq = h[sym]
         code -= r * low
@@ -371,10 +378,6 @@ def decode_stream(payload: bytes, strategy: str | None = None,
             pos += 1
             rng <<= 8  # rng < 2**24 here, so no mask is needed
         append(sym)
-        if stats is not None:
-            stats.symbols += 1
-            stats.search_iterations += iters
-            stats.iteration_histogram[iters] += 1
         if adaptive:
             rescaled = model.update(sym)
             if interval and (i + 1) % interval == 0:
@@ -385,6 +388,10 @@ def decode_stream(payload: bytes, strategy: str | None = None,
     if pos != len(payload):
         raise StreamFormatError("trailing bytes after the last symbol")
     if stats is not None:
-        stats.update_accesses = model.update_accesses
-        stats.rescale_accesses = model.rescale_accesses
+        hist = _search.count_iterations(strategy, model, adaptive, symbols)
+        stats.symbols += header.n
+        stats.search_iterations += sum(it * n for it, n in hist.items())
+        stats.iteration_histogram.update(hist)
+        stats.update_accesses += model.update_accesses
+        stats.rescale_accesses += model.rescale_accesses
     return header, symbols

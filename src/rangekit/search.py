@@ -3,40 +3,33 @@
 Every strategy answers the same question: given a code value c in
 [0, totalCount), find the symbol index i with hk[i] <= c < hk[i+1].
 The linear-model strategies operate on the raw boundary array ``hk``
-(K+1 entries) and return ``(symbol, iterations)`` so callers can collect
-iteration statistics; the binary-indexed strategy works on a FenwickModel
-and additionally returns the symbol's interval, which the decoder needs
-anyway.
+(K+1 entries) and return ``(symbol, iterations)``; the binary-indexed
+strategy works on a FenwickModel and also returns the symbol's lower
+bound, which the decoder needs anyway.  These functions are the
+reference searches: their iteration counts are the work the paper
+compares.
 
 ``KERNELS`` is the one place that knows each strategy: which model it
-runs on, whether it needs a static model, and how to set it up for one
-stream.  Decoding and iteration replay both take their search from it.
+runs on, whether it needs a static model, how to set up its decode for
+one stream, and how to count its iterations.
 
-Every comparison search probes ``c < hk[i]``.  For a code value c in
-symbol s's nonempty interval that probe holds exactly when i > s, so a
-search's path, and its iteration count, depend on s alone.  Four kernels
-therefore find the symbol with the C-level ``bisect_right`` and read the
-count from a per-stream table indexed by symbol (``_bisect_kernel``):
-
-- ``lin-fwd``: s + 1 probes, as ``linear_forward`` makes
-- ``lin-bwd``: K - s probes, as ``linear_backward`` makes
-- ``log``: the length of ``logarithmic``'s bisection (``bisection_depths``)
-- ``tree``: the depth of s's node in ``build_search_tree``'s tree
-  (``tree_depths``), built by the same ``best_split`` recursion, skipping
-  the ranges that hold no count
-
-``log2`` (its first probe moves after each adaptive update), ``exp``
-(its table would cost O(K log K) interpreted steps per stream), ``table``
-and ``bi`` keep their own loops.  ``linear_forward``, ``linear_backward``,
-``logarithmic``, ``build_search_tree`` and ``tree_search`` stay as the
-reference the tables are tested against.
+Decoding and counting are separate.  Every comparison search probes
+``c < hk[i]``.  For a code value c in symbol s's nonempty interval that
+probe holds exactly when i > s, so every comparison search (``lin-fwd``,
+``lin-bwd``, ``log``, ``log2``, ``exp``, ``tree``) finds the symbol that
+decode finds with the C-level ``bisect_right``; ``table`` decodes with
+its lookup table and ``bi`` with its descent.  The same fact makes a
+comparison search's path, and its iteration count, depend on s alone
+(and, for ``log2``, on its first probe), so ``count_iterations`` derives
+the iteration histogram from the decoded symbols, after decoding and
+only when asked.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .fenwick_model import FenwickModel
 
@@ -75,29 +68,6 @@ def logarithmic(c: int, hk) -> tuple[int, int]:
             bottom = i + 1
         if top == bottom:
             return bottom - 1, iters
-
-
-@lru_cache(maxsize=8)
-def bisection_depths(k: int) -> tuple[int, ...]:
-    """Iterations ``logarithmic`` takes to find each of K symbols.
-
-    The bisection ends at insertion point ``p = bisect_right(hk, c)``,
-    the symbol plus one, and its path depends on p alone; entry p - 1 of
-    the result is that path's length.  The table depends on K alone, so
-    it is cached and returned as a tuple that no caller can change.
-    """
-    depth = [0] * k
-    stack = [(0, k, 0)]
-    while stack:
-        bottom, top, iters = stack.pop()
-        if bottom == top:
-            if bottom:  # insertion point 0 holds no code value
-                depth[bottom - 1] = iters
-        else:
-            mid = (top + bottom) >> 1
-            stack.append((bottom, mid, iters + 1))
-            stack.append((mid + 1, top, iters + 1))
-    return tuple(depth)
 
 
 def best_split(hk, bottom: int, top: int) -> int:
@@ -179,29 +149,6 @@ def tree_search(c: int, hk, tree: SearchTree) -> tuple[int, int]:
             return i, iters
         else:
             i = right[i]
-
-
-def tree_depths(hk) -> list[int]:
-    """Iterations ``tree_search`` takes to find each symbol, root at 1.
-
-    Walks the same ``best_split`` recursion as ``build_search_tree`` but
-    enters a child range only if it holds a count.  A symbol with a
-    nonzero count never lies in a zero-mass range, so its depth is its
-    node's depth in the full tree; entries of zero-count symbols that sit
-    in a pruned range stay 0, and no code value decodes to them.
-    """
-    k = len(hk) - 1
-    depth = [0] * k
-    stack = [(0, k, 1)]
-    while stack:
-        bottom, top, d = stack.pop()
-        j = bottom if top - bottom == 1 else best_split(hk, bottom, top)
-        depth[j] = d
-        if hk[j] > hk[bottom]:
-            stack.append((bottom, j, d + 1))
-        if j + 1 < top and hk[top] > hk[j + 1]:
-            stack.append((j + 1, top, d + 1))
-    return depth
 
 
 def determine_initial_split(hk) -> int:
@@ -340,15 +287,14 @@ def changed_slots(before, after) -> list[int]:
             if i >= len(before) or before[i] != v]
 
 
-def binary_indexed_interval(c: int, model: FenwickModel) -> tuple[int, int, int, int]:
+def binary_indexed_interval(c: int, model: FenwickModel) -> tuple[int, int, int]:
     """Power-of-two descent over the hierarchical array.
 
-    Returns ``(symbol, lower_bound, frequency, iterations)``.  The values
-    the descent subtracts add up to ``model.cum(symbol)``.  Each in-range
-    probe it does not take gives an upper bound ``low + v[test]``, and the
-    last of them is ``model.cum(symbol + 1)`` (or the total, if none), so
-    the symbol's count comes out of the same walk.  Always
-    log2(topLevIdx)+1 iterations.
+    Returns ``(symbol, lower_bound, frequency)``.  The values the descent
+    subtracts add up to ``model.cum(symbol)``.  Each in-range probe it
+    does not take gives an upper bound ``low + v[test]``, and the last of
+    them is ``model.cum(symbol + 1)`` (or the total, if none), so the
+    symbol's count comes out of the same walk.
     """
     v = model.v
     k = model.k
@@ -368,57 +314,31 @@ def binary_indexed_interval(c: int, model: FenwickModel) -> tuple[int, int, int,
             else:
                 high = low + x
         step >>= 1
-    return bottom, low, high - low, model.top_lev_idx.bit_length()
+    return bottom, low, high - low
 
 
 def binary_indexed(c: int, model: FenwickModel) -> tuple[int, int, int]:
-    """``(symbol, lower_bound, iterations)`` of ``binary_indexed_interval``."""
-    sym, low, _, iters = binary_indexed_interval(c, model)
-    return sym, low, iters
+    """``(symbol, lower_bound, iterations)`` of the power-of-two descent.
 
-
-def _stateless(find):
-    return lambda model, adaptive: (find, None)
-
-
-def _bisect_kernel(depths):
-    """Factory whose ``find`` is ``bisect_right`` plus a per-symbol table.
-
-    ``depths(model)`` is called once per stream and gives the reference
-    search's iteration count for each symbol; it depends on K alone or,
-    for static-only searches, on the static counts.
+    Always log2(topLevIdx)+1 iterations.
     """
-    def factory(model, adaptive):
-        depth = depths(model)
-
-        def find(c, hk):
-            sym = bisect_right(hk, c) - 1
-            return sym, depth[sym]
-
-        return find, None
-
-    return factory
+    sym, low, _ = binary_indexed_interval(c, model)
+    return sym, low, model.top_lev_idx.bit_length()
 
 
-def _log2_kernel(model, adaptive):
-    k = model.k
-    i_mid = k >> 1 if adaptive else determine_initial_split(model.hk)
-
-    def find(c, hk):
-        return log2_search(c, hk, i_mid)
-
-    def on_update(sym, rescaled):
-        nonlocal i_mid
-        i_mid = adapt_initial_split(k, i_mid, sym)
-
-    return find, on_update if adaptive else None
+def _bisect_find(c: int, hk) -> int:
+    return bisect_right(hk, c) - 1
 
 
-def _table_kernel(model, adaptive):
+def _bisect_decode(model, adaptive):
+    return _bisect_find, None
+
+
+def _table_decode(model, adaptive):
     table = LookupTable.create(model.h)
 
     def find(c, hk):
-        return table.t[c], 1
+        return table.t[c]
 
     def on_update(sym, rescaled):
         nonlocal table
@@ -430,23 +350,65 @@ def _table_kernel(model, adaptive):
     return find, on_update if adaptive else None
 
 
-#: Strategy name -> (model family, static_only, factory).  The factory is
-#: called once per stream as ``factory(model, adaptive)`` and returns
-#: ``(find, on_update)``.  ``find(c, hk)`` returns ``(symbol, iterations)``;
+def _bi_decode(model, adaptive):
+    return binary_indexed_interval, None
+
+
+def _reference_count(search):
+    """Counting entry of a reference search ``search(c, hk)``."""
+    return lambda model, adaptive: (lambda c: search(c, model.hk)[1], None)
+
+
+def _tree_count(model, adaptive):
+    hk = model.hk
+    tree = build_search_tree(hk)
+    return lambda c: tree_search(c, hk, tree)[1], None
+
+
+def _log2_count(model, adaptive):
+    hk = model.hk
+    k = model.k
+    i_mid = k >> 1 if adaptive else determine_initial_split(hk)
+
+    def iterations(c):
+        return log2_search(c, hk, i_mid)[1]
+
+    def on_symbol(sym):
+        nonlocal i_mid
+        i_mid = adapt_initial_split(k, i_mid, sym)
+
+    return iterations, on_symbol if adaptive else None
+
+
+def _table_count(model, adaptive):
+    return lambda c: 1, None  # one table read per symbol
+
+
+def _bi_count(model, adaptive):
+    return lambda c: binary_indexed(c, model)[2], None
+
+
+#: Strategy name -> (model family, static_only, factory, count).
+#:
+#: ``factory(model, adaptive)`` is called once per decoded stream and
+#: returns ``(find, on_update)``.  ``find(c, hk)`` returns the symbol;
 #: for the fenwick family it is ``find(c, model)`` returning
-#: ``(symbol, lower_bound, frequency, iterations)``.
-#: ``on_update(sym, rescaled)``, when not None, runs after each adaptive
-#: model update.  Each ``_bisect_kernel`` lambda builds the stream's
-#: per-symbol iteration table from the model ``m``.
+#: ``(symbol, lower_bound, frequency)``.  ``on_update(sym, rescaled)``,
+#: when not None, runs after each adaptive model update.
+#:
+#: ``count(model, adaptive)`` is called by ``count_iterations`` only and
+#: returns ``(iterations, on_symbol)``: ``iterations(c)`` is the reference
+#: search's iteration count at code value c, and ``on_symbol(sym)``, when
+#: not None, moves the search's state on after each symbol.
 KERNELS = {
-    "lin-fwd": ("linear", False, _bisect_kernel(lambda m: range(1, m.k + 1))),
-    "lin-bwd": ("linear", False, _bisect_kernel(lambda m: range(m.k, 0, -1))),
-    "log": ("linear", False, _bisect_kernel(lambda m: bisection_depths(m.k))),
-    "log2": ("linear", False, _log2_kernel),
-    "exp": ("linear", False, _stateless(exponential)),
-    "tree": ("linear", True, _bisect_kernel(lambda m: tree_depths(m.hk))),
-    "table": ("linear", False, _table_kernel),
-    "bi": ("fenwick", False, _stateless(binary_indexed_interval)),
+    "lin-fwd": ("linear", False, _bisect_decode, _reference_count(linear_forward)),
+    "lin-bwd": ("linear", False, _bisect_decode, _reference_count(linear_backward)),
+    "log": ("linear", False, _bisect_decode, _reference_count(logarithmic)),
+    "log2": ("linear", False, _bisect_decode, _log2_count),
+    "exp": ("linear", False, _bisect_decode, _reference_count(exponential)),
+    "tree": ("linear", True, _bisect_decode, _tree_count),
+    "table": ("linear", False, _table_decode, _table_count),
+    "bi": ("fenwick", False, _bi_decode, _bi_count),
 }
 
 #: Stable strategy identifiers for the CLI and CSV output.
@@ -457,9 +419,33 @@ def strategy_compatible(strategy: str, model: str, mode: str) -> str | None:
     """None if the cell is runnable, else a human-readable skip reason."""
     if strategy not in KERNELS:
         return f"unknown strategy {strategy!r}"
-    family, static_only, _ = KERNELS[strategy]
+    family, static_only, _, _ = KERNELS[strategy]
     if model != family:
         return f"{strategy} search needs the {family} model"
     if static_only and mode != "static":
         return f"{strategy} search is static-only"
     return None
+
+
+def count_iterations(strategy: str, model, adaptive: bool, symbols) -> Counter:
+    """Iteration histogram of ``strategy``'s reference search over ``symbols``.
+
+    ``model`` is the model after the last of ``symbols`` was decoded.
+    Every symbol a stream decodes has a nonzero count in it (adaptive
+    counts never drop below one), so the bottom of a symbol's interval
+    leads the reference search down the path that any code value decoding
+    to that symbol took.  A search that keeps no state between symbols
+    runs once per distinct symbol, weighted by how often it occurs; one
+    that does (adaptive ``log2``) replays every symbol in order.
+    """
+    iterations, on_symbol = KERNELS[strategy][3](model, adaptive)
+    cum = model.cum
+    hist = Counter()
+    if on_symbol is None:
+        for sym, n in Counter(symbols).items():
+            hist[iterations(cum(sym))] += n
+    else:
+        for sym in symbols:
+            hist[iterations(cum(sym))] += 1
+            on_symbol(sym)
+    return hist

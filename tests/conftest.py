@@ -3,6 +3,11 @@ from unittest import mock
 import pytest
 
 from rangekit import linear_model
+from rangekit.search import (
+    LookupTable, adapt_initial_split, binary_indexed, build_search_tree,
+    determine_initial_split, exponential, linear_backward, linear_forward,
+    log2_search, logarithmic, tree_search,
+)
 
 # 19-symbol reference example: counts, boundary array, hierarchical array
 REF19_COUNTS = [3, 2, 2, 1, 4, 1, 5, 2, 3, 1, 2, 3, 1, 4, 2, 1, 1, 3, 2]
@@ -32,3 +37,41 @@ def forced_storage(storage):
     ``"list"`` or an ``"array"`` whatever their alphabet size."""
     floor = {"list": float("inf"), "array": 1}[storage]
     return mock.patch.object(linear_model, "_ARRAY_MIN_K", floor)
+
+
+class ReferenceSearch:
+    """A strategy's reference search, run on every code value.
+
+    ``find(c)`` returns ``(symbol, iterations)`` on the model as it stands.
+    ``after(sym)`` runs after each adaptive update; it moves ``log2``'s
+    first probe.  ``table`` rebuilds its table for every lookup.
+    """
+
+    def __init__(self, strategy, model, adaptive):
+        self.strategy = strategy
+        self.model = model
+        if strategy == "tree":
+            self.tree = build_search_tree(model.hk)
+        elif strategy == "log2":
+            self.i_mid = (model.k >> 1 if adaptive
+                          else determine_initial_split(model.hk))
+
+    def find(self, c):
+        model = self.model
+        strategy = self.strategy
+        if strategy == "bi":
+            sym, _, iters = binary_indexed(c, model)
+            return sym, iters
+        if strategy == "table":
+            return LookupTable.create(model.h).lookup(c), 1
+        hk = model.hk
+        if strategy == "tree":
+            return tree_search(c, hk, self.tree)
+        if strategy == "log2":
+            return log2_search(c, hk, self.i_mid)
+        return {"lin-fwd": linear_forward, "lin-bwd": linear_backward,
+                "log": logarithmic, "exp": exponential}[strategy](c, hk)
+
+    def after(self, sym):
+        if self.strategy == "log2":
+            self.i_mid = adapt_initial_split(self.model.k, self.i_mid, sym)

@@ -9,10 +9,12 @@ from rangekit.bench import (
     CSV_COLUMNS, GridSpec, empirical_entropy, iteration_histogram, run_cell,
     run_suite, write_csv,
 )
-from rangekit.datagen import GenSpec, gen_sequence
+from rangekit.datagen import MAX_ALPHABET, GenSpec, gen_sequence
 from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import Decoder, Encoder
-from rangekit.search import KERNELS, STRATEGIES, strategy_compatible
+from rangekit.search import STRATEGIES, strategy_compatible
+
+from conftest import ReferenceSearch
 
 STATIC_REPLAY = [s for s in STRATEGIES
                  if strategy_compatible(s, "linear", "static") is None]
@@ -113,6 +115,17 @@ def test_iteration_histogram_rejects_bad_input():
         iteration_histogram("bi", [0, 1], 2)
 
 
+@pytest.mark.parametrize("k", [0, MAX_ALPHABET + 1])
+def test_iteration_histogram_rejects_alphabet_size(k):
+    with pytest.raises(ValueError, match="alphabet size must be in"):
+        iteration_histogram("log", [0], k)
+
+
+@pytest.mark.parametrize("k", [1, MAX_ALPHABET])
+def test_iteration_histogram_accepts_alphabet_bounds(k):
+    assert iteration_histogram("log", [0, 0], k).histogram
+
+
 @pytest.mark.parametrize("sequence,bad", [([0, -1, 1], -1), ([0, 5, 1], 5)])
 def test_iteration_histogram_rejects_out_of_alphabet_symbol(sequence, bad):
     with pytest.raises(ValueError, match=f"symbol {bad} outside alphabet"):
@@ -149,8 +162,8 @@ def test_iteration_histogram_matches_code_value_replay(strategy, k, data):
     for s in sequence:
         counts[s] += 1
     model = LinearModel(counts, adaptive=False)
-    find, _ = KERNELS[strategy][2](model, False)
-    hist = Counter(find(c, model.hk)[1]
+    search = ReferenceSearch(strategy, model, False)
+    hist = Counter(search.find(c)[1]
                    for c in captured_code_values(sequence, model))
     n = len(sequence)
     stats = iteration_histogram(strategy, sequence, k)

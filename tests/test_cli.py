@@ -79,6 +79,20 @@ def test_bench_rejects_zero_reps_before_running(tmp_path, monkeypatch, capsys):
     assert not csv_path.exists()
 
 
+def test_bench_rejects_bad_csv_path_before_running(tmp_path, monkeypatch,
+                                                  capsys):
+    import rangekit.bench as bench
+
+    def no_cell(*args, **kw):
+        raise AssertionError("a cell ran before the output was opened")
+
+    monkeypatch.setattr(bench, "run_cell", no_cell)
+    csv_path = tmp_path / "missing" / "bench.csv"
+    assert main(["bench", "--csv", str(csv_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not csv_path.parent.exists()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

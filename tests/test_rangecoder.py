@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -341,6 +342,31 @@ def test_decode_stats_collection():
     assert stats.search_iterations == sum(
         n * i for i, n in stats.iteration_histogram.items())
     assert stats.update_accesses > 0
+
+
+def test_decode_stats_add_up_across_decodes():
+    rng = random.Random(16)
+    data = [rng.randrange(8) for _ in range(200)]
+    payload = encode_stream(data, 8, CoderConfig("adaptive", "linear"))
+    once = DecodeStats()
+    decode_stream(payload, "log2", once)
+    twice = DecodeStats()
+    decode_stream(payload, "log2", twice)
+    decode_stream(payload, "log2", twice)
+    assert twice == DecodeStats(
+        **{f.name: getattr(once, f.name) + getattr(once, f.name)
+           for f in fields(DecodeStats)})
+
+
+def test_failed_decode_leaves_stats_untouched():
+    payload = encode_stream([0, 1, 2] * 20, 3, CoderConfig("adaptive", "linear"))
+    stats = DecodeStats()
+    decode_stream(payload, "log", stats)
+    with pytest.raises(StreamFormatError):
+        decode_stream(payload + b"\x00", "log", stats)
+    once = DecodeStats()
+    decode_stream(payload, "log", once)
+    assert stats == once
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,4 +1,5 @@
 import bisect
+import contextlib
 import hashlib
 import json
 from unittest import mock
@@ -6,20 +7,25 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rangekit import linear_model, search
+from rangekit import fenwick_model, linear_model, search
 from rangekit.datagen import GenSpec, gen_sequence
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import LinearModel
-from rangekit.rangecoder import CoderConfig, encode_stream, unpack_header
+from rangekit.rangecoder import (
+    CoderConfig, DecodeStats, Decoder, decode_stream, encode_stream,
+    unpack_header,
+)
 from rangekit.search import (
-    KERNELS, NO_CHILD, LookupTable, adapt_initial_split, best_split,
-    binary_indexed, binary_indexed_interval, bisection_depths,
-    build_search_tree, changed_slots, determine_initial_split,
-    exponential, linear_backward, linear_forward, log2_search, logarithmic,
-    tree_depths, tree_search,
+    KERNELS, NO_CHILD, STRATEGIES, LookupTable, adapt_initial_split,
+    best_split, binary_indexed, binary_indexed_interval, build_search_tree,
+    changed_slots, determine_initial_split, exponential, linear_backward,
+    linear_forward, log2_search, logarithmic, strategy_compatible,
+    tree_search,
 )
 
-from conftest import REF19_COUNTS, TOY_HK, TOY_TABLE, TOY_TABLE_AFTER
+from conftest import (
+    REF19_COUNTS, TOY_HK, TOY_TABLE, TOY_TABLE_AFTER, ReferenceSearch,
+)
 
 
 def oracle_symbol(c, hk):
@@ -57,18 +63,6 @@ def test_logarithmic_iteration_bound():
         assert iters <= 6  # ceil(log2 19) + 1
 
 
-def test_bisection_depths_match_logarithmic():
-    # one count per symbol: c = p - 1 has insertion point p for every p
-    for k in range(1, 301):
-        hk = list(range(k + 1))
-        depth = bisection_depths(k)
-        # code value c = sym decodes to sym
-        assert list(depth) == [logarithmic(sym, hk)[1] for sym in range(k)]
-        # one shared table per K, which no kernel can change
-        assert isinstance(depth, tuple)
-        assert bisection_depths(k) is depth
-
-
 def test_best_split_balances_mass():
     # boundaries 0,3,5,6,10: j=2 splits 5 vs 5 exactly
     assert best_split(TOY_HK, 0, 4) == 2
@@ -88,31 +82,6 @@ def brute_force_split(hk, bottom, top):
 plateau_counts = st.lists(
     st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 1000)),
     min_size=2, max_size=40)
-
-
-BISECT_REFERENCES = {
-    "lin-fwd": linear_forward,
-    "lin-bwd": linear_backward,
-    "log": logarithmic,
-}
-
-
-@pytest.mark.parametrize("strategy", BISECT_REFERENCES)
-@settings(deadline=None, max_examples=150)
-@given(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 50)),
-                min_size=1, max_size=300))
-def test_bisect_kernel_matches_reference(strategy, counts):
-    """bisect_right plus the depth table gives the reference search's
-    symbol and iteration count for every code value, zero-count plateaus
-    included."""
-    if not any(counts):
-        counts[-1] = 1
-    model = LinearModel(counts, adaptive=False)
-    hk = model.hk
-    find, on_update = KERNELS[strategy][2](model, False)
-    assert on_update is None
-    for c in range(model.total_count):
-        assert find(c, hk) == BISECT_REFERENCES[strategy](c, hk)
 
 
 @given(plateau_counts, st.data())
@@ -173,36 +142,103 @@ def test_build_tree_skewed_does_not_recurse():
         assert tree_search(c, hk, tree)[0] == oracle_symbol(c, hk)
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 50)),
-                min_size=1, max_size=300))
-def test_tree_kernel_matches_tree_search(counts):
-    """bisect_right plus the depth table gives tree_search's symbol and
-    iteration count for every code value, zero-count plateaus included."""
-    if not any(counts):
-        counts[-1] = 1
-    model = LinearModel(counts, adaptive=False)
-    hk = model.hk
-    tree = build_search_tree(hk)
-    find, on_update = KERNELS["tree"][2](model, False)
-    assert on_update is None
-    for c in range(model.total_count):
-        assert find(c, hk) == tree_search(c, hk, tree)
+# every runnable (strategy, mode) cell; tree is static-only
+DECODE_CELLS = [(s, mode) for s in STRATEGIES for mode in ("static", "adaptive")
+                if strategy_compatible(s, KERNELS[s][0], mode) is None]
 
 
-def test_tree_depths_skip_zero_mass_ranges():
-    k = 256
-    hk = LinearModel([5, 3, 0, 1, 7] + [0] * (k - 5), adaptive=False).hk
-    with mock.patch.object(search, "best_split",
-                           wraps=search.best_split) as split:
-        depth = tree_depths(hk)
-    assert all(hk[top] > hk[bottom] for (_, bottom, top), _ in
-               split.call_args_list)
-    visited = sum(1 for d in depth if d)
-    assert visited < k
-    tree = build_search_tree(hk)
-    for sym in (0, 1, 3, 4):
-        assert depth[sym] == tree_search(hk[sym], hk, tree)[1]
+def reference_decode(payload, strategy):
+    """Decoder plus the strategy's reference search on every code value,
+    counting as the paper does: one histogram entry per search."""
+    header, offset = unpack_header(payload)
+    adaptive = header.mode == "adaptive"
+    counts = list(header.counts or [1] * header.k)
+    if header.model == "fenwick":
+        model = FenwickModel(counts, adaptive=adaptive,
+                             rescale_variant=header.rescale)
+    else:
+        model = LinearModel(counts, adaptive=adaptive)
+    search = ReferenceSearch(strategy, model, adaptive)
+    dec = Decoder(payload[offset:])
+    stats = DecodeStats()
+    out = []
+    for pos in range(header.n):
+        c = dec.decode_target(model.total_count)
+        sym, iters = search.find(c)
+        dec.consume(model.cum(sym), model.count(sym))
+        out.append(sym)
+        stats.symbols += 1
+        stats.search_iterations += iters
+        stats.iteration_histogram[iters] += 1
+        if adaptive:
+            model.update(sym)
+            interval = header.rescale_interval
+            if interval and (pos + 1) % interval == 0:
+                model.rescale()
+            search.after(sym)
+    stats.update_accesses = model.update_accesses
+    stats.rescale_accesses = model.rescale_accesses
+    return out, stats
+
+
+def count_cap(cap):
+    """Context in which both models rescale once their total reaches
+    ``cap``; None leaves the cap alone."""
+    if cap is None:
+        return contextlib.nullcontext()
+    stack = contextlib.ExitStack()
+    for module in (linear_model, fenwick_model):
+        stack.enter_context(mock.patch.object(module, "MAX_TOTALCOUNT", cap))
+    return stack
+
+
+@pytest.mark.parametrize("strategy,mode", DECODE_CELLS)
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(st.integers(1, 40), st.just(64)), st.integers(0, 12),
+       st.one_of(st.none(), st.integers(0, 60)), st.data())
+def test_decode_stats_match_reference_decode(strategy, mode, k, interval,
+                                             headroom, data):
+    """Decoding with bisect_right and counting afterwards gives the
+    reference searches' symbols and every DecodeStats field.
+
+    Static streams leave some symbols unused, so ``hk`` has zero-count
+    plateaus.  Adaptive streams rescale periodically and, with a lowered
+    count cap, on reaching the cap; K = 64 stores an adaptive ``hk`` as
+    an array.
+    """
+    family = KERNELS[strategy][0]
+    if mode == "static":
+        used = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                  max_size=k, unique=True))
+        cap = None
+    else:
+        used = range(k)
+        cap = None if headroom is None else k + headroom
+    symbols = data.draw(st.lists(st.sampled_from(used), min_size=1,
+                                 max_size=150))
+    cfg = CoderConfig(mode, family, "orig",
+                      interval if mode == "adaptive" else 0)
+    with count_cap(cap):
+        payload = encode_stream(symbols, k, cfg)
+        want_out, want = reference_decode(payload, strategy)
+        stats = DecodeStats()
+        _, out = decode_stream(payload, strategy, stats)
+    assert want_out == out == symbols
+    assert stats == want
+
+
+@pytest.mark.parametrize("strategy,mode", DECODE_CELLS)
+def test_decode_counts_only_when_asked(strategy, mode):
+    family, static_only, factory, count = KERNELS[strategy]
+    spy = mock.Mock(wraps=count)
+    payload = encode_stream([0, 1, 2, 1, 0] * 40, 3,
+                            CoderConfig(mode, family, "orig", 16))
+    with mock.patch.dict(KERNELS,
+                         {strategy: (family, static_only, factory, spy)}):
+        decode_stream(payload, strategy)
+        spy.assert_not_called()
+        decode_stream(payload, strategy, DecodeStats())
+        spy.assert_called_once()
 
 
 def test_determine_initial_split():
@@ -335,7 +371,7 @@ def test_lookup_table_update_picks_cheaper_repair(counts, sym, inserts):
 
 def table_seen_by(find, model):
     """The whole table as the kernel's ``find`` reads it."""
-    t = [find(c, model.hk)[0] for c in range(model.total_count)]
+    t = [find(c, model.hk) for c in range(model.total_count)]
     with pytest.raises(IndexError):  # and not one slot more
         find(model.total_count, model.hk)
     return t
@@ -392,8 +428,9 @@ def test_binary_indexed_reference(ref19_counts):
 
 def assert_descent_interval(fm):
     """The descent's (sym, low, freq) is (sym, cum(sym), count(sym))."""
+    iters = fm.top_lev_idx.bit_length()
     for c in range(fm.total_count):
-        sym, low, freq, iters = binary_indexed_interval(c, fm)
+        sym, low, freq = binary_indexed_interval(c, fm)
         assert (low, freq) == (fm.cum(sym), fm.count(sym))
         assert low <= c < low + freq
         assert binary_indexed(c, fm) == (sym, low, iters)
