@@ -2,6 +2,7 @@ import bisect
 import contextlib
 import hashlib
 import json
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -18,9 +19,9 @@ from rangekit.rangecoder import (
 from rangekit.search import (
     KERNELS, NO_CHILD, STRATEGIES, LookupTable, adapt_initial_split,
     best_split, binary_indexed, binary_indexed_interval, build_search_tree,
-    changed_slots, determine_initial_split, exponential, linear_backward,
-    linear_forward, log2_search, logarithmic, strategy_compatible,
-    tree_search,
+    changed_slots, count_iterations, determine_initial_split, exponential,
+    linear_backward, linear_forward, log2_search, logarithmic,
+    strategy_compatible, tree_search,
 )
 
 from conftest import (
@@ -63,6 +64,16 @@ def test_logarithmic_iteration_bound():
         assert iters <= 6  # ceil(log2 19) + 1
 
 
+def test_bisection_depths_match_logarithmic():
+    # one count per symbol: code value c = sym decodes to sym
+    for k in range(1, 301):
+        model = LinearModel([1] * k, adaptive=False)
+        hk = model.hk
+        for sym in range(k):
+            assert (count_iterations("log", model, False, [sym])
+                    == Counter({logarithmic(sym, hk)[1]: 1}))
+
+
 def test_best_split_balances_mass():
     # boundaries 0,3,5,6,10: j=2 splits 5 vs 5 exactly
     assert best_split(TOY_HK, 0, 4) == 2
@@ -82,6 +93,44 @@ def brute_force_split(hk, bottom, top):
 plateau_counts = st.lists(
     st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 1000)),
     min_size=2, max_size=40)
+
+
+BISECT_REFERENCES = {
+    "lin-fwd": linear_forward,
+    "lin-bwd": linear_backward,
+    "log": logarithmic,
+}
+
+
+def assert_kernel_matches(strategy, model, reference):
+    """For every code value c, the decode kernel finds the symbol that
+    ``reference(c)`` finds, and counting that symbol after decoding gives
+    the iterations ``reference`` took at c."""
+    hk = model.hk
+    find, on_update = KERNELS[strategy][2](model, False)
+    assert on_update is None
+    counted = {}
+    for c in range(model.total_count):
+        sym, iters = reference(c)
+        assert find(c, hk) == sym
+        if sym not in counted:
+            counted[sym] = count_iterations(strategy, model, False, [sym])
+        assert counted[sym] == Counter({iters: 1})
+
+
+@pytest.mark.parametrize("strategy", BISECT_REFERENCES)
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 50)),
+                min_size=1, max_size=300))
+def test_bisect_kernel_matches_reference(strategy, counts):
+    """bisect_right plus counting after decoding gives the reference
+    search's symbol and iteration count for every code value, zero-count
+    plateaus included."""
+    if not any(counts):
+        counts[-1] = 1
+    model = LinearModel(counts, adaptive=False)
+    reference = BISECT_REFERENCES[strategy]
+    assert_kernel_matches(strategy, model, lambda c: reference(c, model.hk))
 
 
 @given(plateau_counts, st.data())
@@ -140,6 +189,39 @@ def test_build_tree_skewed_does_not_recurse():
     tree = build_search_tree(hk)
     for c in (0, 1, 5, 3999, 4000, hk[-1] - 1):
         assert tree_search(c, hk, tree)[0] == oracle_symbol(c, hk)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 50)),
+                min_size=1, max_size=300))
+def test_tree_kernel_matches_tree_search(counts):
+    """bisect_right plus counting after decoding gives tree_search's
+    symbol and iteration count for every code value, zero-count plateaus
+    included."""
+    if not any(counts):
+        counts[-1] = 1
+    model = LinearModel(counts, adaptive=False)
+    tree = build_search_tree(model.hk)
+    assert_kernel_matches("tree", model,
+                          lambda c: tree_search(c, model.hk, tree))
+
+
+def test_tree_depths_skip_zero_mass_ranges():
+    """Counting searches the decoded symbols only, never the zero-count
+    tail, and a symbol next to a zero-mass range gets its depth in the
+    full tree."""
+    k = 256
+    model = LinearModel([5, 3, 0, 1, 7] + [0] * (k - 5), adaptive=False)
+    hk = model.hk
+    tree = build_search_tree(hk)
+    decoded = [0, 1, 3, 4, 4, 0, 4]
+    with mock.patch.object(search, "tree_search",
+                           wraps=search.tree_search) as walk:
+        hist = count_iterations("tree", model, False, decoded)
+    assert sorted(call.args[0] for call in walk.call_args_list) == [
+        hk[sym] for sym in (0, 1, 3, 4)]
+    assert hist == Counter(tree_search(hk[sym], hk, tree)[1]
+                           for sym in decoded)
 
 
 # every runnable (strategy, mode) cell; tree is static-only
