@@ -10,6 +10,7 @@ exact rather than a rejection approximation.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -102,7 +103,9 @@ def read_symbols(path) -> tuple[int, np.ndarray]:
         magic, k, n = struct.unpack(_ISY_FMT, head)
         if magic != ISY_MAGIC:
             raise ValueError("bad magic")
+        # the header's n is untrusted: check it against the file's size
+        # before asking for 2n bytes
+        if os.fstat(fh.fileno()).st_size - _ISY_SIZE < 2 * n:
+            raise ValueError("truncated symbol file")
         data = fh.read(2 * n)
-    if len(data) < 2 * n:
-        raise ValueError("truncated symbol file")
     return k, np.frombuffer(data, dtype="<u2").astype(np.uint16)

@@ -18,6 +18,7 @@ which spares two method calls per symbol; they must stay bit-identical.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -265,7 +266,9 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     """Compress a symbol sequence into a self-describing stream."""
     if not 1 <= k <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
-    symbols = list(symbols)
+    # a numpy array's items are fixed-width integers, whose index
+    # arithmetic (``sym + 1``) wraps or overflows: convert to ints once
+    symbols = symbols.tolist() if hasattr(symbols, "tolist") else list(symbols)
     n = len(symbols)
     if n and (min(symbols) < 0 or max(symbols) >= k):
         bad = next(s for s in symbols if not 0 <= s < k)
@@ -322,9 +325,13 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
 
 def decode_stream(payload: bytes, strategy: str | None = None,
                   stats: DecodeStats | None = None) -> tuple[StreamHeader, list[int]]:
-    """Decompress a stream; the strategy only affects speed, never output.
+    """Decompress a stream; the strategy never changes the output.
 
-    ``stats``, when given, gets the work counters added after decoding.
+    Decode depends on the model family alone: a linear stream decodes
+    with ``bisect_right`` and a fenwick stream with the descent of
+    ``binary_indexed_interval``, which find the symbol every strategy of
+    the family finds.  The strategy is checked against the stream, and
+    ``stats``, when given, gets its work counters added after decoding.
     """
     header, offset = unpack_header(payload)
     if strategy is None:
@@ -345,7 +352,7 @@ def decode_stream(payload: bytes, strategy: str | None = None,
     fenwick = header.model == "fenwick"
     hk = None if fenwick else model.hk
     h = None if fenwick else model.h
-    find, on_update = _search.KERNELS[strategy][2](model, adaptive)
+    descend = _search.binary_indexed_interval
     append = symbols.append
 
     # Decoder.__init__, decode_target and consume, registers in locals; the
@@ -360,9 +367,9 @@ def decode_stream(payload: bytes, strategy: str | None = None,
         if c >= total:
             c = total - 1
         if fenwick:
-            sym, low, freq = find(c, model)
+            sym, low, freq = descend(c, model)
         else:
-            sym = find(c, hk)
+            sym = bisect_right(hk, c) - 1
             low = hk[sym]
             freq = h[sym]
         code -= r * low
@@ -379,12 +386,9 @@ def decode_stream(payload: bytes, strategy: str | None = None,
             rng <<= 8  # rng < 2**24 here, so no mask is needed
         append(sym)
         if adaptive:
-            rescaled = model.update(sym)
+            model.update(sym)
             if interval and (i + 1) % interval == 0:
                 model.rescale()
-                rescaled = True
-            if on_update is not None:
-                on_update(sym, rescaled)
     if pos != len(payload):
         raise StreamFormatError("trailing bytes after the last symbol")
     if stats is not None:

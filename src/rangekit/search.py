@@ -10,24 +10,26 @@ reference searches: their iteration counts are the work the paper
 compares.
 
 ``KERNELS`` is the one place that knows each strategy: which model it
-runs on, whether it needs a static model, how to set up its decode for
-one stream, and how to count its iterations.
+runs on, whether it needs a static model, and how to count its
+iterations.
 
-Decoding and counting are separate.  Every comparison search probes
-``c < hk[i]``.  For a code value c in symbol s's nonempty interval that
-probe holds exactly when i > s, so every comparison search (``lin-fwd``,
-``lin-bwd``, ``log``, ``log2``, ``exp``, ``tree``) finds the symbol that
-decode finds with the C-level ``bisect_right``; ``table`` decodes with
-its lookup table and ``bi`` with its descent.  The same fact makes a
-comparison search's path, and its iteration count, depend on s alone
-(and, for ``log2``, on its first probe), so ``count_iterations`` derives
-the iteration histogram from the decoded symbols, after decoding and
-only when asked.
+Decoding and counting are separate, and decode depends on the model
+family alone.  Every comparison search probes ``c < hk[i]``.  For a code
+value c in symbol s's nonempty interval that probe holds exactly when
+i > s, so every comparison search (``lin-fwd``, ``lin-bwd``, ``log``,
+``log2``, ``exp``, ``tree``) finds the symbol that the C-level
+``bisect_right`` finds, and so does the lookup table (``table``), which
+maps c to s by construction.  A linear stream therefore decodes with
+``bisect_right`` whatever its strategy, and a Fenwick stream with
+``binary_indexed_interval``.  The same fact makes a comparison search's
+path, and its iteration count, depend on s alone (and, for ``log2``, on
+its first probe), so ``count_iterations`` derives the iteration
+histogram from the decoded symbols, after decoding and only when asked.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -222,25 +224,15 @@ def exponential(c: int, hk) -> tuple[int, int]:
             return bottom - 1, iters
 
 
-#: A list insert moves one table slot in about 0.5 ns.  One interpreted
-#: last-slot write takes 42-64 ns when ``hk`` is a list and 74-109 ns when
-#: it is an ``array('q')``, whose item reads are slower (CPython 3.11 on an
-#: Intel Xeon core).  Adaptive models store ``hk`` as an array from
-#: ``linear_model._ARRAY_MIN_K`` symbols up, where the rewrite runs long,
-#: so a write is taken to cost as much as moving roughly this many slots.
-_INSERT_SLOTS_PER_WRITE = 200
-
-
 class LookupTable:
     """Code-value-to-symbol map: O(1) lookup, O(K - sym) update.
 
     Symbol i occupies h[i] consecutive slots, so the table holds
     ``total_count`` entries.  An adaptive increment adds one slot to the
-    symbol's run.  The repair either rewrites the last slot of every run
-    from the symbol up (K - sym interpreted writes) or inserts the slot
-    with one C-level list move of every slot above it; it picks the
-    cheaper one from the table size, so the cost stays bounded by the
-    K - sym writes however far ``total_count`` grows between rescales.
+    symbol's run, and the repair rewrites the last slot of every run from
+    the symbol up: the K - sym writes the paper charges the table with.
+    This is the reference of that upkeep; decode finds the same symbols
+    with ``bisect_right`` and keeps no table.
     """
 
     __slots__ = ("t",)
@@ -267,18 +259,12 @@ class LookupTable:
         ``hk`` must already reflect the increment, and every count must be
         >= 1, as in adaptive mode.  Exactly the last slot of each run from
         ``sym`` up changes, K - sym slots, the last of them appended.
-        Inserting one slot at the end of ``sym``'s run gives the same
-        table, because it shifts every later run up by one.
         """
         t = self.t
-        idx = hk[sym + 1] - 1
         k = len(hk) - 1
-        if len(t) - idx <= _INSERT_SLOTS_PER_WRITE * (k - sym):
-            t.insert(idx, sym)
-        else:
-            for i in range(sym, k - 1):
-                t[hk[i + 1] - 1] = i
-            t.append(k - 1)
+        for i in range(sym, k - 1):
+            t[hk[i + 1] - 1] = i
+        t.append(k - 1)
 
 
 def changed_slots(before, after) -> list[int]:
@@ -326,34 +312,6 @@ def binary_indexed(c: int, model: FenwickModel) -> tuple[int, int, int]:
     return sym, low, model.top_lev_idx.bit_length()
 
 
-def _bisect_find(c: int, hk) -> int:
-    return bisect_right(hk, c) - 1
-
-
-def _bisect_decode(model, adaptive):
-    return _bisect_find, None
-
-
-def _table_decode(model, adaptive):
-    table = LookupTable.create(model.h)
-
-    def find(c, hk):
-        return table.t[c]
-
-    def on_update(sym, rescaled):
-        nonlocal table
-        if rescaled:
-            table = LookupTable.create(model.h)
-        else:
-            table.update(model.hk, sym)
-
-    return find, on_update if adaptive else None
-
-
-def _bi_decode(model, adaptive):
-    return binary_indexed_interval, None
-
-
 def _reference_count(search):
     """Counting entry of a reference search ``search(c, hk)``."""
     return lambda model, adaptive: (lambda c: search(c, model.hk)[1], None)
@@ -388,27 +346,25 @@ def _bi_count(model, adaptive):
     return lambda c: binary_indexed(c, model)[2], None
 
 
-#: Strategy name -> (model family, static_only, factory, count).
+#: Strategy name -> (model family, static_only, count).
 #:
-#: ``factory(model, adaptive)`` is called once per decoded stream and
-#: returns ``(find, on_update)``.  ``find(c, hk)`` returns the symbol;
-#: for the fenwick family it is ``find(c, model)`` returning
-#: ``(symbol, lower_bound, frequency)``.  ``on_update(sym, rescaled)``,
-#: when not None, runs after each adaptive model update.
+#: Decode reads only the family: a linear stream decodes with
+#: ``bisect_right`` and a fenwick stream with ``binary_indexed_interval``,
+#: whatever the strategy.
 #:
 #: ``count(model, adaptive)`` is called by ``count_iterations`` only and
 #: returns ``(iterations, on_symbol)``: ``iterations(c)`` is the reference
 #: search's iteration count at code value c, and ``on_symbol(sym)``, when
 #: not None, moves the search's state on after each symbol.
 KERNELS = {
-    "lin-fwd": ("linear", False, _bisect_decode, _reference_count(linear_forward)),
-    "lin-bwd": ("linear", False, _bisect_decode, _reference_count(linear_backward)),
-    "log": ("linear", False, _bisect_decode, _reference_count(logarithmic)),
-    "log2": ("linear", False, _bisect_decode, _log2_count),
-    "exp": ("linear", False, _bisect_decode, _reference_count(exponential)),
-    "tree": ("linear", True, _bisect_decode, _tree_count),
-    "table": ("linear", False, _table_decode, _table_count),
-    "bi": ("fenwick", False, _bi_decode, _bi_count),
+    "lin-fwd": ("linear", False, _reference_count(linear_forward)),
+    "lin-bwd": ("linear", False, _reference_count(linear_backward)),
+    "log": ("linear", False, _reference_count(logarithmic)),
+    "log2": ("linear", False, _log2_count),
+    "exp": ("linear", False, _reference_count(exponential)),
+    "tree": ("linear", True, _tree_count),
+    "table": ("linear", False, _table_count),
+    "bi": ("fenwick", False, _bi_count),
 }
 
 #: Stable strategy identifiers for the CLI and CSV output.
@@ -419,7 +375,7 @@ def strategy_compatible(strategy: str, model: str, mode: str) -> str | None:
     """None if the cell is runnable, else a human-readable skip reason."""
     if strategy not in KERNELS:
         return f"unknown strategy {strategy!r}"
-    family, static_only, _, _ = KERNELS[strategy]
+    family, static_only, _ = KERNELS[strategy]
     if model != family:
         return f"{strategy} search needs the {family} model"
     if static_only and mode != "static":
@@ -438,7 +394,7 @@ def count_iterations(strategy: str, model, adaptive: bool, symbols) -> Counter:
     runs once per distinct symbol, weighted by how often it occurs; one
     that does (adaptive ``log2``) replays every symbol in order.
     """
-    iterations, on_symbol = KERNELS[strategy][3](model, adaptive)
+    iterations, on_symbol = KERNELS[strategy][2](model, adaptive)
     cum = model.cum
     hist = Counter()
     if on_symbol is None:

@@ -156,6 +156,20 @@ def test_encode_out_of_alphabet_symbol_reports_error(tmp_path, mode):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("n", (1 << 63, 1 << 40))
+def test_encode_forged_symbol_count_reports_error(tmp_path, n):
+    # the ISY header announces n symbols, the body holds three
+    raw = tmp_path / "forged.isy"
+    write_symbols(raw, 4, [0, 1, 2])
+    data = bytearray(raw.read_bytes())
+    data[8:16] = n.to_bytes(8, "little")
+    raw.write_bytes(data)
+    proc = _cli_in_subprocess("encode", "-i", raw, "-o", tmp_path / "out.irc")
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_gen_rejects_alphabet_above_uint16(tmp_path, capsys):
     assert main(["gen", "--dist", "flat", "--k", "70000", "--n", "10",
                  "-o", str(tmp_path / "seq.isy")]) == 1

@@ -1,6 +1,9 @@
 import random
+import signal
+from contextlib import contextmanager
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -235,6 +238,38 @@ def test_stream_round_trip_all_configs(cfg):
     assert header.mode == cfg.mode
     assert header.model == cfg.model
     assert header.n == 2000
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so a
+    loop that never ends fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("dtype", (np.uint8, np.uint16))
+@pytest.mark.parametrize("mode,model", [
+    (mode, model) for mode in ("static", "adaptive")
+    for model in ("linear", "fenwick")])
+def test_encode_numpy_symbols_as_ints(mode, model, dtype):
+    """A numpy array encodes as the list of its ints, also when it holds
+    the largest symbol its dtype can store (K = 2**bits)."""
+    k = np.iinfo(dtype).max + 1
+    symbols = np.array([0, k - 1, 3, k - 1, 1], dtype=dtype)
+    cfg = CoderConfig(mode, model, "orig", 2 if mode == "adaptive" else 0)
+    with time_limit(10):
+        payload = encode_stream(symbols, k, cfg)
+    assert payload == encode_stream(symbols.tolist(), k, cfg)
+    assert decode_stream(payload)[1] == symbols.tolist()
 
 
 def test_round_trip_every_strategy():

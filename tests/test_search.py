@@ -103,16 +103,14 @@ BISECT_REFERENCES = {
 
 
 def assert_kernel_matches(strategy, model, reference):
-    """For every code value c, the decode kernel finds the symbol that
-    ``reference(c)`` finds, and counting that symbol after decoding gives
-    the iterations ``reference`` took at c."""
+    """For every code value c, decode's rule ``bisect_right(hk, c) - 1``
+    finds the symbol that ``reference(c)`` finds, and counting that symbol
+    after decoding gives the iterations ``reference`` took at c."""
     hk = model.hk
-    find, on_update = KERNELS[strategy][2](model, False)
-    assert on_update is None
     counted = {}
     for c in range(model.total_count):
         sym, iters = reference(c)
-        assert find(c, hk) == sym
+        assert bisect.bisect_right(hk, c) - 1 == sym
         if sym not in counted:
             counted[sym] = count_iterations(strategy, model, False, [sym])
         assert counted[sym] == Counter({iters: 1})
@@ -311,16 +309,32 @@ def test_decode_stats_match_reference_decode(strategy, mode, k, interval,
 
 @pytest.mark.parametrize("strategy,mode", DECODE_CELLS)
 def test_decode_counts_only_when_asked(strategy, mode):
-    family, static_only, factory, count = KERNELS[strategy]
+    family, static_only, count = KERNELS[strategy]
     spy = mock.Mock(wraps=count)
     payload = encode_stream([0, 1, 2, 1, 0] * 40, 3,
                             CoderConfig(mode, family, "orig", 16))
-    with mock.patch.dict(KERNELS,
-                         {strategy: (family, static_only, factory, spy)}):
+    with mock.patch.dict(KERNELS, {strategy: (family, static_only, spy)}):
         decode_stream(payload, strategy)
         spy.assert_not_called()
         decode_stream(payload, strategy, DecodeStats())
         spy.assert_called_once()
+
+
+@pytest.mark.parametrize("strategy,mode", [
+    (s, mode) for s, mode in DECODE_CELLS if KERNELS[s][0] == "linear"])
+def test_decode_builds_no_search_structure(strategy, mode):
+    """Without stats, a linear stream decodes by bisection alone, whatever
+    its strategy: no lookup table and no search tree is built or kept."""
+    payload = encode_stream([0, 1, 2, 1, 0, 3] * 40, 4,
+                            CoderConfig(mode, "linear", "orig", 16))
+    with mock.patch.object(LookupTable, "create") as create, \
+            mock.patch.object(LookupTable, "update") as update, \
+            mock.patch.object(search, "build_search_tree") as build:
+        _, out = decode_stream(payload, strategy)
+    assert out == [0, 1, 2, 1, 0, 3] * 40
+    create.assert_not_called()
+    update.assert_not_called()
+    build.assert_not_called()
 
 
 def test_determine_initial_split():
@@ -410,83 +424,36 @@ def test_lookup_table_tracks_model(k, data):
     assert table.t == LookupTable.create(m.h).t
 
 
-@pytest.mark.parametrize("slots_per_write", [0, 10**9],
-                         ids=["rewrite", "insert"])
-@given(st.lists(st.integers(1, 300), min_size=1, max_size=12), st.data())
-def test_lookup_table_update_both_repairs(slots_per_write, counts, data):
-    """Rewriting last slots and inserting one slot give the same table."""
-    k = len(counts)
-    m = LinearModel(counts)
-    table = LookupTable.create(m.h)
-    with mock.patch.object(search, "_INSERT_SLOTS_PER_WRITE",
-                           slots_per_write):
-        for sym in data.draw(st.lists(st.integers(0, k - 1), max_size=20)):
-            m.update(sym)
-            before = list(table.t)
-            table.update(m.hk, sym)
-            assert table.t == LookupTable.create(m.h).t
-            assert changed_slots(before, table.t) == [
-                m.hk[i + 1] - 1 for i in range(sym, k)]
-
-
-class InsertCountingList(list):
-    inserts = 0
-
-    def insert(self, i, v):
-        self.inserts += 1
-        super().insert(i, v)
-
-
-@pytest.mark.parametrize("counts, sym, inserts", [
-    ([1, 1, 1, 10_000], 0, 0),   # 10 002 slots to move vs 4 writes
-    ([10_000, 1, 1, 1], 1, 1),   # 2 slots to move vs 3 writes
-    ([1, 1, 1, 10_000], 3, 1),   # last symbol: an append either way
-])
-def test_lookup_table_update_picks_cheaper_repair(counts, sym, inserts):
-    m = LinearModel(counts)
-    table = LookupTable(InsertCountingList(LookupTable.create(m.h).t))
-    m.update(sym)
-    table.update(m.hk, sym)
-    assert table.t.inserts == inserts
-    assert table.t == LookupTable.create(m.h).t
-
-
-def table_seen_by(find, model):
-    """The whole table as the kernel's ``find`` reads it."""
-    t = [find(c, model.hk) for c in range(model.total_count)]
-    with pytest.raises(IndexError):  # and not one slot more
-        find(model.total_count, model.hk)
-    return t
-
-
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.integers(1, 8), min_size=1, max_size=12),
        st.integers(0, 12), st.integers(0, 60), st.data())
 def test_table_kernel_tracks_model(counts, interval, headroom, data):
-    """Adaptive updates with periodic and cap-triggered rescales.
+    """The table follows adaptive updates with periodic and cap-triggered
+    rescales: a rescale rebuilds it, an update repairs it.
 
     The count cap is lowered so the cap rescale fires within a few dozen
-    symbols; the kernel sees it only through ``rescaled``.
+    symbols.
     """
     k = len(counts)
     model = LinearModel(counts)
+    table = LookupTable.create(model.h)
     syms = data.draw(st.lists(st.integers(0, k - 1), max_size=80))
     with mock.patch.object(linear_model, "MAX_TOTALCOUNT",
                            sum(counts) + headroom):
-        find, on_update = KERNELS["table"][2](model, True)
         for pos, sym in enumerate(syms):
-            before = table_seen_by(find, model)
+            before = list(table.t)
             rescaled = model.update(sym)
             if interval and (pos + 1) % interval == 0:
                 model.rescale()
                 rescaled = True
-            on_update(sym, rescaled)
-            after = table_seen_by(find, model)
-            assert after == LookupTable.create(model.h).t
-            if not rescaled:
+            if rescaled:
+                table = LookupTable.create(model.h)
+            else:
+                table.update(model.hk, sym)
                 # the paper's repair: the last slot of every run from sym up
-                assert changed_slots(before, after) == [
+                assert changed_slots(before, table.t) == [
                     model.hk[i + 1] - 1 for i in range(sym, k)]
+            assert table.t == LookupTable.create(model.h).t
 
 
 def test_binary_indexed_toy(toy_counts):
