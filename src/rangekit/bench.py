@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import product
 
 import numpy as np
 
-from .datagen import MAX_ALPHABET, GenSpec, gen_sequence
+from .datagen import GenSpec, check_symbols, gen_sequence
 from .linear_model import LinearModel
 from .rangecoder import (
     CoderConfig, DecodeStats, decode_stream, encode_stream, strategy_compatible,
@@ -63,7 +65,23 @@ class GridSpec:
     timing_reps: int = 5
 
     def __post_init__(self):
-        # the timed minimum needs a repetition; fail before any cell runs
+        # build every cell's data and coder spec, so that a grid that
+        # cannot run fails here, before any of its cells runs
+        for axis in ("ks", "distributions", "modes", "models", "searches", "rescales"):
+            if not getattr(self, axis):
+                raise ValueError(f"grid axis {axis} is empty")
+        for dist, k in product(self.distributions, self.ks):
+            GenSpec(dist, k, self.n, self.seed)
+        for mode, model, rescale in product(self.modes, self.models, self.rescales):
+            CoderConfig(mode, model, rescale, self.rescale_interval)
+        for strategy in self.searches:
+            if strategy not in _search.STRATEGIES:
+                raise ValueError(f"unknown strategy {strategy!r}")
+        if all(strategy_compatible(strategy, model, mode)
+               for mode, model, strategy
+               in product(self.modes, self.models, self.searches)):
+            raise ValueError("grid has no runnable (mode, model, search) cell")
+        # the timed minimum needs a repetition
         if self.timing_reps < 1:
             raise ValueError(
                 f"timing repetitions must be at least 1, got {self.timing_reps}")
@@ -171,19 +189,13 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
     reason = strategy_compatible(strategy, "linear", "static")
     if reason is not None:
         raise ValueError(f"unsupported strategy for histogram: {reason}")
-    if not 1 <= k <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
-    sequence = list(sequence)
+    sequence = check_symbols(sequence, k)
     if not sequence:
         raise ValueError("empty sequence")
-    if min(sequence) < 0 or max(sequence) >= k:
-        bad = next(s for s in sequence if not 0 <= s < k)
-        raise ValueError(f"symbol {bad} outside alphabet of size {k}")
-    counts = [0] * k
-    for s in sequence:
-        counts[s] += 1
-    model = LinearModel(counts, adaptive=False)
-    hist = _search.count_iterations(strategy, model, False, sequence)
+    # one count of the sequence gives the model and the search weights
+    weights = Counter(sequence)
+    model = LinearModel([weights[s] for s in range(k)], adaptive=False)
+    hist = _search.count_iterations(strategy, model, False, sequence, weights)
 
     n = len(sequence)
     average = sum(it * cnt for it, cnt in hist.items()) / n

@@ -40,7 +40,7 @@ def _cmd_gen(args) -> int:
 def _cmd_encode(args) -> int:
     k, symbols = datagen.read_symbols(args.input)
     cfg = CoderConfig(args.mode, args.model, args.rescale, args.rescale_interval)
-    payload = encode_stream(symbols.tolist(), k, cfg)
+    payload = encode_stream(symbols, k, cfg)
     with open(args.output, "wb") as fh:
         fh.write(payload)
     return 0

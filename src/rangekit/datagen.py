@@ -27,6 +27,18 @@ _ISY_FMT = "<4sIQ"
 _ISY_SIZE = struct.calcsize(_ISY_FMT)
 
 
+def check_symbols(symbols, k: int) -> list[int]:
+    """``symbols`` as ints checked against an alphabet of size k; a numpy
+    array, whose fixed-width items wrap in index arithmetic, is converted once."""
+    if not 1 <= k <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
+    symbols = symbols.tolist() if hasattr(symbols, "tolist") else list(symbols)
+    if symbols and (min(symbols) < 0 or max(symbols) >= k):
+        bad = next(s for s in symbols if not 0 <= s < k)
+        raise ValueError(f"symbol {bad} outside alphabet of size {k}")
+    return symbols
+
+
 @dataclass(frozen=True)
 class GenSpec:
     distribution: str  # "flat" | "geometric"

@@ -3,7 +3,9 @@
 Cumulative counts are stored implicitly in a hierarchical array ``v``:
 each entry covers a power-of-two span and a cumulative count is the sum
 of ``v`` along the chain obtained by repeatedly clearing the lowest set
-bit.  Queries and updates are O(log K) instead of O(K).
+bit.  Queries and updates are O(log K) instead of O(K).  The array is built
+in O(K), as ``v[i] = hk[i] - hk[i & (i - 1)]`` (``v[0]`` is 0), from the
+prefix sums of ``linear_model.prefix_sums``, the one check of the counts.
 
 Two rescaling procedures are provided.  The original one halves each
 symbol count and pushes the correction through the update chain; the
@@ -14,7 +16,7 @@ round differently and are NOT interchangeable mid-stream.
 
 from __future__ import annotations
 
-from .linear_model import MAX_TOTALCOUNT
+from .linear_model import MAX_TOTALCOUNT, prefix_sums
 
 
 def top_level_index(k: int) -> int:
@@ -53,45 +55,22 @@ class FenwickModel:
     )
 
     def __init__(self, counts, adaptive: bool = True, rescale_variant: str = "orig"):
-        counts = list(counts)
-        if not counts:
-            raise ValueError("alphabet must contain at least one symbol")
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be non-negative")
-        if adaptive and any(c == 0 for c in counts):
-            raise ValueError("adaptive mode requires every count >= 1")
+        counts, hk = prefix_sums(counts, adaptive)
         if rescale_variant not in ("orig", "new"):
             raise ValueError(f"unknown rescale variant: {rescale_variant!r}")
-        total = sum(counts)
-        if total > MAX_TOTALCOUNT:
-            raise OverflowError(
-                f"total count {total} exceeds MAX_TOTALCOUNT={MAX_TOTALCOUNT}"
-            )
         self.k = len(counts)
-        self.v = [0] * (self.k + 1)
-        self.total_count = total
+        self.v = [hk[i] - hk[i & (i - 1)] for i in range(self.k + 1)]
+        self.total_count = hk[-1]
         self.top_lev_idx = top_level_index(self.k)
         self.adaptive = adaptive
         self.rescale_variant = rescale_variant
         self.query_accesses = 0
         self.update_accesses = 0
         self.rescale_accesses = 0
-        # one canonical mutation path: K generalized chain additions
-        for sym, c in enumerate(counts):
-            if c:
-                self._add(sym, c)
 
     @classmethod
     def flat(cls, k: int, rescale_variant: str = "orig") -> "FenwickModel":
         return cls([1] * k, rescale_variant=rescale_variant)
-
-    def _add(self, sym: int, delta: int) -> None:
-        i = sym + 1
-        v = self.v
-        k = self.k
-        while i <= k:
-            v[i] += delta
-            i += i & -i
 
     def cum(self, i: int) -> int:
         """Cumulative count ``h_k[i]``: sum of v along the parent chain."""

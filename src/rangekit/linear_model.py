@@ -31,6 +31,24 @@ MAX_TOTALCOUNT = 1 << 20
 _ARRAY_MIN_K = 64
 
 
+def prefix_sums(counts, adaptive: bool) -> tuple[list[int], list[int]]:
+    """Checked counts and their exclusive prefix sums ``hk`` (K+1 entries):
+    the one check of a count vector, which both count models build from."""
+    counts = list(counts)
+    if not counts:
+        raise ValueError("alphabet must contain at least one symbol")
+    least = min(counts)
+    if least < 0:
+        raise ValueError("counts must be non-negative")
+    if adaptive and least == 0:
+        raise ValueError("adaptive mode requires every count >= 1")
+    hk = list(accumulate(counts, initial=0))
+    if hk[-1] > MAX_TOTALCOUNT:
+        raise OverflowError(f"total count {hk[-1]} exceeds MAX_TOTALCOUNT="
+                            f"{MAX_TOTALCOUNT}; caller must pre-normalize")
+    return counts, hk
+
+
 class LinearModel:
     """Symbol counts plus their exclusive prefix sums.
 
@@ -45,6 +63,7 @@ class LinearModel:
 
     In adaptive mode every count stays >= 1 so no subinterval collapses;
     static models may carry zero counts for symbols known to be absent.
+    ``prefix_sums`` checks the counts.
     """
 
     __slots__ = (
@@ -53,21 +72,7 @@ class LinearModel:
     )
 
     def __init__(self, counts, adaptive: bool = True):
-        counts = list(counts)
-        if not counts:
-            raise ValueError("alphabet must contain at least one symbol")
-        least = min(counts)
-        if least < 0:
-            raise ValueError("counts must be non-negative")
-        if adaptive and least == 0:
-            raise ValueError("adaptive mode requires every count >= 1")
-        hk = list(accumulate(counts, initial=0))
-        total = hk[-1]
-        if total > MAX_TOTALCOUNT:
-            raise OverflowError(
-                f"total count {total} exceeds MAX_TOTALCOUNT={MAX_TOTALCOUNT}; "
-                "caller must pre-normalize"
-            )
+        counts, hk = prefix_sums(counts, adaptive)
         self.k = len(counts)
         self._view = None
         if adaptive and self.k >= _ARRAY_MIN_K:
@@ -75,7 +80,7 @@ class LinearModel:
             self._view = np.frombuffer(hk, dtype=np.int64)
         self.h = counts
         self.hk = hk
-        self.total_count = total
+        self.total_count = hk[-1]
         self.adaptive = adaptive
         # instrumentation: one tick per statement touching h/hk
         self.update_accesses = 0
@@ -84,8 +89,6 @@ class LinearModel:
     @classmethod
     def flat(cls, k: int) -> "LinearModel":
         """Adaptive starting point: every symbol gets a count of one."""
-        if k < 1:
-            raise ValueError("invalid alphabet size")
         return cls([1] * k)
 
     def cum(self, i: int) -> int:

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .datagen import MAX_ALPHABET
+from .datagen import MAX_ALPHABET, check_symbols
 from .fenwick_model import FenwickModel
 from .linear_model import MAX_TOTALCOUNT, LinearModel
 from . import search as _search
@@ -34,8 +34,8 @@ MASK32 = 0xFFFFFFFF
 MAGIC = b"IRC1"
 VERSION = 1
 
-#: Static-mode counts are scaled so the total fits in 16 bits; keeps the
-#: header small and totals far below the renormalization threshold.
+#: Static-mode counts are scaled to a total below this limit plus K (see
+#: ``normalize_counts``), within MAX_TOTALCOUNT.
 STATIC_TOTAL_LIMIT = 1 << 16
 
 _MODES = ("static", "adaptive")
@@ -233,10 +233,11 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
 
 
 def normalize_counts(counts) -> list[int]:
-    """Scale first-pass counts so the total fits in 16 bits.
+    """Divide first-pass counts so their total fits in STATIC_TOTAL_LIMIT.
 
     Nonzero counts never drop below one, so every observed symbol keeps a
-    valid interval.
+    valid interval; that adds at most one per symbol, so the scaled total
+    stays below ``STATIC_TOTAL_LIMIT + K``.
     """
     total = sum(counts)
     if total <= STATIC_TOTAL_LIMIT:
@@ -245,13 +246,12 @@ def normalize_counts(counts) -> list[int]:
     return [max(1, c // s) if c else 0 for c in counts]
 
 
-def _make_model(header_or_cfg, k: int, counts=None):
-    adaptive = header_or_cfg.mode == "adaptive"
-    if counts is None:
-        counts = [1] * k
-    if header_or_cfg.model == "fenwick":
+def _make_model(header: StreamHeader):
+    adaptive = header.mode == "adaptive"
+    counts = [1] * header.k if adaptive else header.counts
+    if header.model == "fenwick":
         return FenwickModel(counts, adaptive=adaptive,
-                            rescale_variant=header_or_cfg.rescale)
+                            rescale_variant=header.rescale)
     # the linear model has a single rescale rule (count halving, identical
     # to the fenwick "orig" rounding); the variant field is carried in the
     # header for symmetry but does not change linear behaviour
@@ -264,62 +264,54 @@ def default_strategy(model: str) -> str:
 
 def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     """Compress a symbol sequence into a self-describing stream."""
-    if not 1 <= k <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
-    # a numpy array's items are fixed-width integers, whose index
-    # arithmetic (``sym + 1``) wraps or overflows: convert to ints once
-    symbols = symbols.tolist() if hasattr(symbols, "tolist") else list(symbols)
+    symbols = check_symbols(symbols, k)
     n = len(symbols)
-    if n and (min(symbols) < 0 or max(symbols) >= k):
-        bad = next(s for s in symbols if not 0 <= s < k)
-        raise ValueError(f"symbol {bad} outside alphabet of size {k}")
     counts = None
     if config.mode == "static":
         raw = [0] * k
         for s in symbols:
             raw[s] += 1
-        counts = normalize_counts(raw)
+        counts = tuple(normalize_counts(raw))
     header = StreamHeader(config.mode, config.model, config.rescale,
                           config.rescale_interval if config.mode == "adaptive" else 0,
-                          k, n, tuple(counts) if counts is not None else None)
+                          k, n, counts)
     enc = Encoder()
-    if n:
-        model = _make_model(header, k, counts)
-        fenwick = header.model == "fenwick"
-        hk = None if fenwick else model.hk
-        h = None if fenwick else model.h
-        adaptive = header.mode == "adaptive"
-        interval = header.rescale_interval
-        # Encoder.encode and Encoder._shift_low, registers in locals; every
-        # count is >= 1 (data-derived static counts, adaptive counts), so
-        # the zero-width check cannot fire here
-        low, rng, cache, cache_size = enc.low, enc.range, enc.cache, enc.cache_size
-        out = enc.out
-        for pos, s in enumerate(symbols):
-            r = rng // model.total_count
-            if fenwick:
-                low += r * model.cum(s)
-                rng = r * model.count(s)
+    model = _make_model(header)
+    fenwick = header.model == "fenwick"
+    hk = None if fenwick else model.hk
+    h = None if fenwick else model.h
+    adaptive = header.mode == "adaptive"
+    interval = header.rescale_interval
+    # Encoder.encode and Encoder._shift_low, registers in locals; every
+    # count is >= 1 (data-derived static counts, adaptive counts), so
+    # the zero-width check cannot fire here
+    low, rng, cache, cache_size = enc.low, enc.range, enc.cache, enc.cache_size
+    out = enc.out
+    for pos, s in enumerate(symbols):
+        r = rng // model.total_count
+        if fenwick:
+            low += r * model.cum(s)
+            rng = r * model.count(s)
+        else:
+            low += r * hk[s]
+            rng = r * h[s]
+        while rng < TOP:
+            if low < 0xFF000000 or low > MASK32:
+                carry = low >> 32
+                out.append((cache + carry) & 0xFF)
+                if cache_size > 1:
+                    out += (b"\x00" if carry else b"\xff") * (cache_size - 1)
+                    cache_size = 1
+                cache = (low >> 24) & 0xFF
             else:
-                low += r * hk[s]
-                rng = r * h[s]
-            while rng < TOP:
-                if low < 0xFF000000 or low > MASK32:
-                    carry = low >> 32
-                    out.append((cache + carry) & 0xFF)
-                    if cache_size > 1:
-                        out += (b"\x00" if carry else b"\xff") * (cache_size - 1)
-                        cache_size = 1
-                    cache = (low >> 24) & 0xFF
-                else:
-                    cache_size += 1
-                low = (low << 8) & MASK32
-                rng <<= 8  # rng < 2**24 here, so no mask is needed
-            if adaptive:
-                model.update(s)
-                if interval and (pos + 1) % interval == 0:
-                    model.rescale()
-        enc.low, enc.range, enc.cache, enc.cache_size = low, rng, cache, cache_size
+                cache_size += 1
+            low = (low << 8) & MASK32
+            rng <<= 8  # rng < 2**24 here, so no mask is needed
+        if adaptive:
+            model.update(s)
+            if interval and (pos + 1) % interval == 0:
+                model.rescale()
+    enc.low, enc.range, enc.cache, enc.cache_size = low, rng, cache, cache_size
     return pack_header(header) + enc.finish()
 
 
@@ -339,20 +331,16 @@ def decode_stream(payload: bytes, strategy: str | None = None,
     reason = strategy_compatible(strategy, header.model, header.mode)
     if reason is not None:
         raise ValueError(reason)
-    symbols: list[int] = []
-    if header.n == 0:
-        if len(payload) != offset + 5:
-            raise StreamFormatError("an empty stream carries exactly 5 payload bytes")
-        return header, symbols
     if len(payload) < offset + 5:
         raise StreamFormatError("truncated payload")
-    model = _make_model(header, header.k, header.counts)
+    model = _make_model(header)
     interval = header.rescale_interval
     adaptive = header.mode == "adaptive"
     fenwick = header.model == "fenwick"
     hk = None if fenwick else model.hk
     h = None if fenwick else model.h
     descend = _search.binary_indexed_interval
+    symbols: list[int] = []
     append = symbols.append
 
     # Decoder.__init__, decode_target and consume, registers in locals; the

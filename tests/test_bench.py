@@ -70,6 +70,31 @@ def test_run_suite_rescale_axis_only_for_adaptive_fenwick():
     assert {r.rescale for r in records} == {"orig", "new"}
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"models": ("huffman",)}, "unknown model: 'huffman'"),
+    ({"searches": ("log", "nope")}, "unknown strategy 'nope'"),
+    ({"distributions": ("zipf",)}, "unknown distribution"),
+    ({"modes": ("streaming",)}, "unknown mode"),
+    ({"rescales": ("half",)}, "unknown rescale variant"),
+    ({"rescales": ()}, "rescales is empty"),
+    ({"searches": ()}, "searches is empty"),
+    ({"ks": ()}, "ks is empty"),
+    ({"ks": (4, 0)}, "alphabet size must be in"),
+    ({"ks": (MAX_ALPHABET + 1,)}, "alphabet size must be in"),
+    ({"n": -1}, "sequence length"),
+    ({"rescale_interval": -1}, "rescale interval"),
+    ({"rescale_interval": 1 << 32}, "rescale interval"),
+    ({"modes": ("adaptive",), "searches": ("tree",)}, "no runnable"),
+])
+def test_grid_spec_rejects_unrunnable_grid(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        GridSpec(**kwargs)
+
+
+def test_grid_spec_accepts_axis_bounds():
+    GridSpec(ks=(1, MAX_ALPHABET), n=0, rescale_interval=(1 << 32) - 1)
+
+
 @pytest.mark.parametrize("timing_reps", [0, -1])
 def test_grid_spec_rejects_no_timing_reps(timing_reps):
     with pytest.raises(ValueError, match="at least 1"):

@@ -170,6 +170,15 @@ def test_encode_forged_symbol_count_reports_error(tmp_path, n):
     assert "Traceback" not in proc.stderr
 
 
+def test_bench_bad_grid_reports_error_and_writes_no_csv(tmp_path):
+    out = tmp_path / "out.csv"
+    proc = _cli_in_subprocess("bench", "--n", -1, "--csv", out)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_gen_rejects_alphabet_above_uint16(tmp_path, capsys):
     assert main(["gen", "--dist", "flat", "--k", "70000", "--n", "10",
                  "-o", str(tmp_path / "seq.isy")]) == 1

@@ -3,9 +3,22 @@ import pytest
 from scipy import stats as sstats
 
 from rangekit.datagen import (
-    GenSpec, gen_sequence, geom_params, geometric_probs, read_symbols,
-    splitmix64, write_symbols,
+    MAX_ALPHABET, GenSpec, check_symbols, gen_sequence, geom_params,
+    geometric_probs, read_symbols, splitmix64, write_symbols,
 )
+
+
+def test_check_symbols():
+    out = check_symbols(np.array([0, 255, 3], dtype=np.uint8), 256)
+    assert out == [0, 255, 3]
+    assert all(type(s) is int for s in out)
+    assert check_symbols((), 1) == []
+    for k in (0, MAX_ALPHABET + 1):
+        with pytest.raises(ValueError, match="alphabet size must be in"):
+            check_symbols([0], k)
+    # the first symbol outside the alphabet is named
+    with pytest.raises(ValueError, match="symbol 9 outside alphabet of size 4"):
+        check_symbols([0, 9, -1, 5], 4)
 
 
 def test_spec_validation():

@@ -54,6 +54,32 @@ def test_build_single():
     assert FenwickModel([10]).v == [0, 10]
 
 
+def chain_addition_v(counts):
+    """Reference build: one chain addition per count, O(K log K)."""
+    k = len(counts)
+    v = [0] * (k + 1)
+    for sym, c in enumerate(counts):
+        i = sym + 1
+        while i <= k:
+            v[i] += c
+            i += i & -i
+    return v
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.booleans(), st.integers(1, 300), st.data())
+def test_build_matches_chain_additions(adaptive, k, data):
+    # static counts may be zero; draw zeros often enough to cover runs
+    count = (st.integers(1, 1000) if adaptive
+             else st.one_of(st.just(0), st.integers(1, 1000)))
+    counts = data.draw(st.lists(count, min_size=k, max_size=k))
+    m = FenwickModel(counts, adaptive=adaptive)
+    assert m.v == chain_addition_v(counts)
+    assert m.total_count == sum(counts)
+    # construction ticks no counter
+    assert (m.query_accesses, m.update_accesses, m.rescale_accesses) == (0, 0, 0)
+
+
 def test_cum(ref19_counts):
     m = FenwickModel(ref19_counts)
     assert m.cum(7) == 18

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rangekit import linear_model
+from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import MAX_TOTALCOUNT, LinearModel
 
 from conftest import REF19_COUNTS, REF19_HK, TOY_HK, forced_storage
@@ -242,7 +243,7 @@ def test_storage_follows_mode_and_alphabet_size():
     assert type(LinearModel([1] * 256, adaptive=False).hk) is list
 
 
-@pytest.mark.parametrize("counts,adaptive,exc,message", [
+INVALID_COUNTS = [
     ([], True, ValueError, "at least one symbol"),
     ([], False, ValueError, "at least one symbol"),
     ([3, -1, 2], False, ValueError, "non-negative"),
@@ -250,10 +251,21 @@ def test_storage_follows_mode_and_alphabet_size():
     ([3, 0, 2], True, ValueError, "every count >= 1"),
     ([MAX_TOTALCOUNT, 1], False, OverflowError, "exceeds MAX_TOTALCOUNT"),
     ([MAX_TOTALCOUNT // 2 + 1] * 2, True, OverflowError, "exceeds MAX_TOTALCOUNT"),
-])
+]
+
+
+@pytest.mark.parametrize("counts,adaptive,exc,message", INVALID_COUNTS)
 def test_construction_rejects_invalid_counts(counts, adaptive, exc, message):
     with pytest.raises(exc, match=message):
         LinearModel(counts, adaptive=adaptive)
+
+
+@pytest.mark.parametrize("counts,adaptive,exc,message", INVALID_COUNTS)
+def test_fenwick_construction_rejects_invalid_counts(counts, adaptive, exc,
+                                                     message):
+    # both models check their counts through linear_model.prefix_sums
+    with pytest.raises(exc, match=message):
+        FenwickModel(counts, adaptive=adaptive)
 
 
 def test_rescale_bounds_total():

@@ -12,10 +12,10 @@ from rangekit.fenwick_model import FenwickModel
 from rangekit import linear_model
 from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
-    MAGIC, MASK32, TOP, VERSION, CoderConfig, DecodeStats, Decoder, Encoder,
-    StreamFormatError, StreamHeader, ZeroCountError, decode_stream,
-    default_strategy, encode_stream, normalize_counts, pack_header,
-    strategy_compatible, unpack_header, _HEADER_SIZE,
+    MAGIC, MASK32, STATIC_TOTAL_LIMIT, TOP, VERSION, CoderConfig, DecodeStats,
+    Decoder, Encoder, StreamFormatError, StreamHeader, ZeroCountError,
+    decode_stream, default_strategy, encode_stream, normalize_counts,
+    pack_header, strategy_compatible, unpack_header, _HEADER_SIZE,
 )
 from rangekit.search import STRATEGIES
 
@@ -172,6 +172,21 @@ def test_normalize_counts_small_passthrough():
     assert normalize_counts([3, 0, 5]) == [3, 0, 5]
 
 
+def test_normalize_counts_total_bound():
+    # flooring nonzero counts at one lifts the total above the limit, but
+    # it stays below the limit plus K, which is within MAX_TOTALCOUNT
+    counts = [1] * 60000 + [60000]
+    scaled = normalize_counts(counts)
+    assert sum(scaled) == 90000
+    assert STATIC_TOTAL_LIMIT < sum(scaled) < STATIC_TOTAL_LIMIT + len(counts)
+    assert STATIC_TOTAL_LIMIT + MAX_ALPHABET <= linear_model.MAX_TOTALCOUNT
+    data = list(range(60000)) + [60000] * 60000
+    payload = encode_stream(data, 60001, CoderConfig("static", "linear"))
+    header, out = decode_stream(payload)
+    assert sum(header.counts) == 90000
+    assert out == data
+
+
 def test_normalize_counts_scaling():
     counts = [1 << 18, 1, 0, 3]
     scaled = normalize_counts(counts)
@@ -315,6 +330,22 @@ def test_empty_stream():
     header, out = decode_stream(payload)
     assert out == []
     assert header.n == 0
+
+
+@pytest.mark.parametrize("mode", ("static", "adaptive"))
+@pytest.mark.parametrize("model", ("linear", "fenwick"))
+def test_empty_stream_decodes_on_the_common_path(mode, model):
+    # the model comes from the header alone: an all-zero static table or
+    # flat adaptive counts; no symbol is decoded and none is counted
+    payload = encode_stream([], 5, CoderConfig(mode, model))
+    for strategy in STRATEGIES:
+        if strategy_compatible(strategy, model, mode) is None:
+            stats = DecodeStats()
+            assert decode_stream(payload, strategy, stats)[1] == []
+            assert stats == DecodeStats()
+    for bad in (payload + b"\0", payload[:-1]):
+        with pytest.raises(StreamFormatError):
+            decode_stream(bad)
 
 
 def test_single_symbol_alphabet():
