@@ -192,10 +192,11 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
     sequence = check_symbols(sequence, k)
     if not sequence:
         raise ValueError("empty sequence")
-    # one count of the sequence gives the model and the search weights
+    # one count of the sequence gives the model and, in place of the
+    # sequence, the weights of a static search (Counter copies a Counter)
     weights = Counter(sequence)
     model = LinearModel([weights[s] for s in range(k)], adaptive=False)
-    hist = _search.count_iterations(strategy, model, False, sequence, weights)
+    hist = _search.count_iterations(strategy, model, False, weights)
 
     n = len(sequence)
     average = sum(it * cnt for it, cnt in hist.items()) / n

@@ -383,8 +383,7 @@ def strategy_compatible(strategy: str, model: str, mode: str) -> str | None:
     return None
 
 
-def count_iterations(strategy: str, model, adaptive: bool, symbols,
-                     weights: Counter | None = None) -> Counter:
+def count_iterations(strategy: str, model, adaptive: bool, symbols) -> Counter:
     """Iteration histogram of ``strategy``'s reference search over ``symbols``.
 
     ``model`` is the model after the last of ``symbols`` was decoded.
@@ -394,7 +393,6 @@ def count_iterations(strategy: str, model, adaptive: bool, symbols,
     to that symbol took.  A search that keeps no state between symbols
     runs once per distinct symbol, weighted by how often it occurs; one
     that does (adaptive ``log2``) replays every symbol in order.
-    ``weights``, when given, is ``Counter(symbols)`` counted by the caller.
     """
     if not symbols:  # nothing to count; an empty static model has no code values
         return Counter()
@@ -402,7 +400,7 @@ def count_iterations(strategy: str, model, adaptive: bool, symbols,
     cum = model.cum
     hist = Counter()
     if on_symbol is None:
-        for sym, n in (Counter(symbols) if weights is None else weights).items():
+        for sym, n in Counter(symbols).items():
             hist[iterations(cum(sym))] += n
     else:
         for sym in symbols:
