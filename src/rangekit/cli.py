@@ -100,12 +100,13 @@ def _cmd_selftest(_args) -> int:
            failures)
     _check("repaired table", tuple(table.t), REF_TOY_TABLE_AFTER, failures)
 
-    # round trip smoke across model families
+    # round trip smoke across modes and model families
     data = [i % 7 for i in range(500)]
-    for model in ("linear", "fenwick"):
-        cfg = CoderConfig("adaptive", model, "orig", 128)
-        _, out = decode_stream(encode_stream(data, 7, cfg))
-        _check(f"adaptive round trip ({model})", out, data, failures)
+    for mode in ("static", "adaptive"):
+        for model in ("linear", "fenwick"):
+            cfg = CoderConfig(mode, model, "orig", 128)  # static ignores 128
+            _, out = decode_stream(encode_stream(data, 7, cfg))
+            _check(f"{mode} round trip ({model})", out, data, failures)
 
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)

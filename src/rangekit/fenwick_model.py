@@ -7,6 +7,10 @@ bit.  Queries and updates are O(log K) instead of O(K).  The array is built
 in O(K), as ``v[i] = hk[i] - hk[i & (i - 1)]`` (``v[0]`` is 0), from the
 prefix sums of ``linear_model.prefix_sums``, the one check of the counts.
 
+An adaptive stream codes a symbol with one call that also updates,
+``decode_walk`` or ``encode_walk``; ``cum``, ``count`` and ``update`` are
+their reference.
+
 Two rescaling procedures are provided.  The original one halves each
 symbol count and pushes the correction through the update chain; the
 cheaper single-pass variant halves the ``v`` entries directly, clamping
@@ -120,6 +124,55 @@ class FenwickModel:
         self.update_accesses += n
         self.total_count += 1
         return rescaled
+
+    def decode_walk(self, c: int) -> tuple[int, int, int]:
+        """``binary_indexed_interval(c)`` plus ``update(symbol)`` in one
+        descent: the probes it does not take are the nodes ``update``
+        raises.  At the count cap, where ``update`` rescales first, the
+        descent raises nothing and ``update`` follows."""
+        v = self.v
+        k = self.k
+        step = self.top_lev_idx
+        total = self.total_count
+        inc = 1 if total < MAX_TOTALCOUNT and self.adaptive else 0
+        bottom = low = n = 0
+        high = total
+        while step:
+            test = bottom + step
+            if test <= k:
+                x = v[test]
+                if c >= x:
+                    bottom = test
+                    c -= x
+                    low += x
+                else:
+                    high = low + x
+                    v[test] = x + inc
+                    n += 1
+            step >>= 1
+        if inc:
+            self.update_accesses += n
+            self.total_count = total + 1
+        else:
+            self.update(bottom)
+        return bottom, low, high - low
+
+    def encode_walk(self, sym: int) -> tuple[int, int]:
+        """``(cum(sym), count(sym))`` from one walk, then ``update(sym)``:
+        ``count``'s walk down to the parent of ``sym + 1`` starts ``cum``'s."""
+        v = self.v
+        parent = (sym + 1) & sym
+        j = sym
+        low = 0
+        while j != parent:
+            low += v[j]
+            j &= j - 1
+        freq = v[sym + 1] - low
+        while j:
+            low += v[j]
+            j &= j - 1
+        self.update(sym)
+        return low, freq
 
     def rescale(self) -> None:
         if self.rescale_variant == "new":

@@ -247,15 +247,16 @@ def normalize_counts(counts) -> list[int]:
 
 
 def _make_model(header: StreamHeader):
-    adaptive = header.mode == "adaptive"
-    counts = [1] * header.k if adaptive else header.counts
+    # a static model never updates, so every static stream codes through
+    # the prefix sums; the Fenwick array serves adaptive streams alone
+    if header.mode == "static":
+        return LinearModel(header.counts, adaptive=False)
     if header.model == "fenwick":
-        return FenwickModel(counts, adaptive=adaptive,
-                            rescale_variant=header.rescale)
+        return FenwickModel([1] * header.k, rescale_variant=header.rescale)
     # the linear model has a single rescale rule (count halving, identical
     # to the fenwick "orig" rounding); the variant field is carried in the
     # header for symmetry but does not change linear behaviour
-    return LinearModel(counts, adaptive=adaptive)
+    return LinearModel([1] * header.k)
 
 
 def default_strategy(model: str) -> str:
@@ -277,9 +278,9 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
                           k, n, counts)
     enc = Encoder()
     model = _make_model(header)
-    fenwick = header.model == "fenwick"
-    hk = None if fenwick else model.hk
-    h = None if fenwick else model.h
+    # one walk per symbol, which also updates, or the prefix sums
+    walk = model.encode_walk if isinstance(model, FenwickModel) else None
+    hk, h = (None, None) if walk else (model.hk, model.h)
     adaptive = header.mode == "adaptive"
     interval = header.rescale_interval
     # Encoder.encode and Encoder._shift_low, registers in locals; every
@@ -289,9 +290,10 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     out = enc.out
     for pos, s in enumerate(symbols):
         r = rng // model.total_count
-        if fenwick:
-            low += r * model.cum(s)
-            rng = r * model.count(s)
+        if walk is not None:
+            cum_low, freq = walk(s)
+            low += r * cum_low
+            rng = r * freq
         else:
             low += r * hk[s]
             rng = r * h[s]
@@ -308,7 +310,8 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
             low = (low << 8) & MASK32
             rng <<= 8  # rng < 2**24 here, so no mask is needed
         if adaptive:
-            model.update(s)
+            if walk is None:  # a walk has updated the model already
+                model.update(s)
             if interval and (pos + 1) % interval == 0:
                 model.rescale()
     enc.low, enc.range, enc.cache, enc.cache_size = low, rng, cache, cache_size
@@ -319,10 +322,10 @@ def decode_stream(payload: bytes, strategy: str | None = None,
                   stats: DecodeStats | None = None) -> tuple[StreamHeader, list[int]]:
     """Decompress a stream; the strategy never changes the output.
 
-    Decode depends on the model family alone: a linear stream decodes
-    with ``bisect_right`` and a fenwick stream with the descent of
-    ``binary_indexed_interval``, which find the symbol every strategy of
-    the family finds.  The strategy is checked against the stream, and
+    An adaptive fenwick stream decodes with ``FenwickModel.decode_walk``,
+    ``binary_indexed_interval``'s descent fused with the update, and every
+    other stream with ``bisect_right`` on the prefix sums: the symbol every
+    strategy finds.  The strategy is checked against the stream, and
     ``stats``, when given, gets its work counters added after decoding.
     """
     header, offset = unpack_header(payload)
@@ -336,10 +339,8 @@ def decode_stream(payload: bytes, strategy: str | None = None,
     model = _make_model(header)
     interval = header.rescale_interval
     adaptive = header.mode == "adaptive"
-    fenwick = header.model == "fenwick"
-    hk = None if fenwick else model.hk
-    h = None if fenwick else model.h
-    descend = _search.binary_indexed_interval
+    walk = model.decode_walk if isinstance(model, FenwickModel) else None
+    hk, h = (None, None) if walk else (model.hk, model.h)
     symbols: list[int] = []
     append = symbols.append
 
@@ -354,8 +355,8 @@ def decode_stream(payload: bytes, strategy: str | None = None,
         c = code // r
         if c >= total:
             c = total - 1
-        if fenwick:
-            sym, low, freq = descend(c, model)
+        if walk is not None:
+            sym, low, freq = walk(c)
         else:
             sym = bisect_right(hk, c) - 1
             low = hk[sym]
@@ -374,7 +375,8 @@ def decode_stream(payload: bytes, strategy: str | None = None,
             rng <<= 8  # rng < 2**24 here, so no mask is needed
         append(sym)
         if adaptive:
-            model.update(sym)
+            if walk is None:  # a walk has updated the model already
+                model.update(sym)
             if interval and (i + 1) % interval == 0:
                 model.rescale()
     if pos != len(payload):

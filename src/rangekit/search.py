@@ -19,9 +19,9 @@ value c in symbol s's nonempty interval that probe holds exactly when
 i > s, so every comparison search (``lin-fwd``, ``lin-bwd``, ``log``,
 ``log2``, ``exp``, ``tree``) finds the symbol that the C-level
 ``bisect_right`` finds, and so does the lookup table (``table``), which
-maps c to s by construction.  A linear stream therefore decodes with
-``bisect_right`` whatever its strategy, and a Fenwick stream with
-``binary_indexed_interval``.  The same fact makes a comparison search's
+maps c to s by construction.  So every stream but an adaptive Fenwick
+one decodes with ``bisect_right`` whatever its strategy; that one uses
+``FenwickModel.decode_walk``.  The same fact makes a comparison search's
 path, and its iteration count, depend on s alone (and, for ``log2``, on
 its first probe), so ``count_iterations`` derives the iteration
 histogram from the decoded symbols, after decoding and only when asked.
@@ -33,7 +33,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .fenwick_model import FenwickModel
+from .fenwick_model import FenwickModel, top_level_index
 
 NO_CHILD = -1
 
@@ -343,14 +343,15 @@ def _table_count(model, adaptive):
 
 
 def _bi_count(model, adaptive):
-    return lambda c: binary_indexed(c, model)[2], None
+    iters = top_level_index(model.k).bit_length()  # K alone: any model
+    return lambda c: iters, None
 
 
 #: Strategy name -> (model family, static_only, count).
 #:
-#: Decode reads only the family: a linear stream decodes with
-#: ``bisect_right`` and a fenwick stream with ``binary_indexed_interval``,
-#: whatever the strategy.
+#: Decode reads no row: an adaptive fenwick stream decodes with
+#: ``FenwickModel.decode_walk`` and every other stream with
+#: ``bisect_right``, whatever the strategy.
 #:
 #: ``count(model, adaptive)`` is called by ``count_iterations`` only and
 #: returns ``(iterations, on_symbol)``: ``iterations(c)`` is the reference

@@ -1,8 +1,9 @@
+import contextlib
 from unittest import mock
 
 import pytest
 
-from rangekit import linear_model
+from rangekit import fenwick_model, linear_model
 from rangekit.search import (
     LookupTable, adapt_initial_split, binary_indexed, build_search_tree,
     determine_initial_split, exponential, linear_backward, linear_forward,
@@ -30,6 +31,17 @@ def ref19_counts():
 @pytest.fixture
 def toy_counts():
     return list(TOY_COUNTS)
+
+
+def count_cap(cap):
+    """Context in which both models rescale once their total reaches
+    ``cap``; None leaves the cap alone."""
+    if cap is None:
+        return contextlib.nullcontext()
+    stack = contextlib.ExitStack()
+    for module in (linear_model, fenwick_model):
+        stack.enter_context(mock.patch.object(module, "MAX_TOTALCOUNT", cap))
+    return stack
 
 
 def forced_storage(storage):

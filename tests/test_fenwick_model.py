@@ -8,8 +8,9 @@ from rangekit.fenwick_model import (
     FenwickModel, forward_step, parent_index, top_level_index,
 )
 from rangekit.linear_model import LinearModel
+from rangekit.search import binary_indexed_interval
 
-from conftest import REF19_COUNTS, REF19_HK, REF19_V
+from conftest import REF19_COUNTS, REF19_HK, REF19_V, count_cap
 
 # (i, lowest set bit, parent) for i = 1..11
 BIT_ROWS = [
@@ -246,3 +247,49 @@ def test_rescale_access_counters():
         m2.rescale_new()
         assert m2.rescale_accesses <= 3 * k + 8
         assert m2.rescale_accesses < m.rescale_accesses
+
+
+def model_state(m):
+    return list(m.v), m.total_count, m.update_accesses, m.rescale_accesses
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 300), st.sampled_from(("orig", "new")),
+       st.one_of(st.none(), st.integers(0, 40)), st.data())
+def test_walks_match_separate_calls(k, variant, headroom, data):
+    """decode_walk is binary_indexed_interval then update, and encode_walk
+    is cum + count + update: same results, array, total and counters.
+
+    Periodic rescales are interleaved; with a lowered count cap the walks
+    also reach the cap, where update rescales before it increments.
+    """
+    counts = data.draw(st.lists(st.integers(1, 50), min_size=k, max_size=k))
+    ref = FenwickModel(counts, rescale_variant=variant)
+    fused = FenwickModel(counts, rescale_variant=variant)
+    cap = None if headroom is None else sum(counts) + headroom
+    with count_cap(cap):
+        for _ in range(data.draw(st.integers(1, 30))):
+            op = data.draw(st.sampled_from(("decode", "encode", "rescale")))
+            if op == "decode":
+                c = data.draw(st.integers(0, ref.total_count - 1))
+                want = binary_indexed_interval(c, ref)
+                ref.update(want[0])
+                assert fused.decode_walk(c) == want
+            elif op == "encode":
+                sym = data.draw(st.integers(0, k - 1))
+                want = ref.cum(sym), ref.count(sym)
+                ref.update(sym)
+                assert fused.encode_walk(sym) == want
+            else:
+                ref.rescale()
+                fused.rescale()
+            assert model_state(fused) == model_state(ref)
+
+
+def test_walks_leave_a_static_model_alone(ref19_counts):
+    m = FenwickModel(ref19_counts, adaptive=False)
+    with pytest.raises(ValueError):
+        m.decode_walk(5)
+    with pytest.raises(ValueError):
+        m.encode_walk(3)
+    assert m.v == REF19_V and m.total_count == sum(ref19_counts)

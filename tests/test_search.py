@@ -1,5 +1,4 @@
 import bisect
-import contextlib
 import hashlib
 import json
 from collections import Counter
@@ -8,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rangekit import fenwick_model, linear_model, search
+from rangekit import linear_model, search
 from rangekit.datagen import GenSpec, gen_sequence
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import LinearModel
@@ -26,6 +25,7 @@ from rangekit.search import (
 
 from conftest import (
     REF19_COUNTS, TOY_HK, TOY_TABLE, TOY_TABLE_AFTER, ReferenceSearch,
+    count_cap,
 )
 
 
@@ -259,17 +259,6 @@ def reference_decode(payload, strategy):
     stats.update_accesses = model.update_accesses
     stats.rescale_accesses = model.rescale_accesses
     return out, stats
-
-
-def count_cap(cap):
-    """Context in which both models rescale once their total reaches
-    ``cap``; None leaves the cap alone."""
-    if cap is None:
-        return contextlib.nullcontext()
-    stack = contextlib.ExitStack()
-    for module in (linear_model, fenwick_model):
-        stack.enter_context(mock.patch.object(module, "MAX_TOTALCOUNT", cap))
-    return stack
 
 
 @pytest.mark.parametrize("strategy,mode", DECODE_CELLS)
