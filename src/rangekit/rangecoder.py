@@ -323,8 +323,10 @@ def decode_stream(payload: bytes, strategy: str | None = None,
     """Decompress a stream; the strategy never changes the output.
 
     An adaptive fenwick stream decodes with ``FenwickModel.decode_walk``,
-    ``binary_indexed_interval``'s descent fused with the update, and every
-    other stream with ``bisect_right`` on the prefix sums: the symbol every
+    ``binary_indexed_interval``'s descent fused with the update.  A static
+    stream, of either model, reads its symbol from ``search.code_table``,
+    built once after the header; an adaptive linear stream bisects the
+    prefix sums with ``bisect_right``.  Each finds the symbol every
     strategy finds.  The strategy is checked against the stream, and
     ``stats``, when given, gets its work counters added after decoding.
     """
@@ -341,6 +343,9 @@ def decode_stream(payload: bytes, strategy: str | None = None,
     adaptive = header.mode == "adaptive"
     walk = model.decode_walk if isinstance(model, FenwickModel) else None
     hk, h = (None, None) if walk else (model.hk, model.h)
+    # a static model never updates, so its code-value table is built once;
+    # encode and count_iterations build static models and never pay for it
+    table = None if adaptive else _search.code_table(h)
     symbols: list[int] = []
     append = symbols.append
 
@@ -357,6 +362,10 @@ def decode_stream(payload: bytes, strategy: str | None = None,
             c = total - 1
         if walk is not None:
             sym, low, freq = walk(c)
+        elif table is not None:  # c < total == len(table) after the clamp
+            sym = table[c]
+            low = hk[sym]
+            freq = h[sym]
         else:
             sym = bisect_right(hk, c) - 1
             low = hk[sym]

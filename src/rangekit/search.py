@@ -19,9 +19,11 @@ value c in symbol s's nonempty interval that probe holds exactly when
 i > s, so every comparison search (``lin-fwd``, ``lin-bwd``, ``log``,
 ``log2``, ``exp``, ``tree``) finds the symbol that the C-level
 ``bisect_right`` finds, and so does the lookup table (``table``), which
-maps c to s by construction.  So every stream but an adaptive Fenwick
-one decodes with ``bisect_right`` whatever its strategy; that one uses
-``FenwickModel.decode_walk``.  The same fact makes a comparison search's
+maps c to s by construction.  So decode picks its search by the stream
+alone, whatever the strategy: an adaptive Fenwick stream decodes with
+``FenwickModel.decode_walk``, a static stream reads its ``code_table``,
+which never needs upkeep, and an adaptive linear stream bisects with
+``bisect_right``.  The same fact makes a comparison search's
 path, and its iteration count, depend on s alone (and, for ``log2``, on
 its first probe), so ``count_iterations`` derives the iteration
 histogram from the decoded symbols, after decoding and only when asked.
@@ -29,9 +31,12 @@ histogram from the decoded symbols, after decoding and only when asked.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fenwick_model import FenwickModel, top_level_index
 
@@ -231,8 +236,8 @@ class LookupTable:
     ``total_count`` entries.  An adaptive increment adds one slot to the
     symbol's run, and the repair rewrites the last slot of every run from
     the symbol up: the K - sym writes the paper charges the table with.
-    This is the reference of that upkeep; decode finds the same symbols
-    with ``bisect_right`` and keeps no table.
+    This is the reference of that upkeep; decode keeps no adaptive table,
+    and a static stream decodes through ``code_table``, the same map.
     """
 
     __slots__ = ("t",)
@@ -265,6 +270,18 @@ class LookupTable:
         for i in range(sym, k - 1):
             t[hk[i + 1] - 1] = i
         t.append(k - 1)
+
+
+def code_table(counts) -> array:
+    """``LookupTable.create(counts).t`` as an ``array('H')``, built in C.
+
+    Symbol i fills ``counts[i]`` consecutive slots, so a zero-count symbol
+    fills none and the table has one entry per code value in [0, total).
+    Every symbol index fits in 16 bits, as K <= ``MAX_ALPHABET`` = 65536.
+    A static stream decodes through this table: one read per symbol.
+    """
+    return array("H", np.repeat(np.arange(len(counts), dtype=np.uint16),
+                                counts).tobytes())
 
 
 def changed_slots(before, after) -> list[int]:
@@ -350,8 +367,9 @@ def _bi_count(model, adaptive):
 #: Strategy name -> (model family, static_only, count).
 #:
 #: Decode reads no row: an adaptive fenwick stream decodes with
-#: ``FenwickModel.decode_walk`` and every other stream with
-#: ``bisect_right``, whatever the strategy.
+#: ``FenwickModel.decode_walk``, a static stream with its ``code_table``
+#: and an adaptive linear stream with ``bisect_right``, whatever the
+#: strategy.
 #:
 #: ``count(model, adaptive)`` is called by ``count_iterations`` only and
 #: returns ``(iterations, on_symbol)``: ``iterations(c)`` is the reference

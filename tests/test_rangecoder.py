@@ -1,11 +1,12 @@
 import random
 import signal
+import struct
 from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rangekit.datagen import MAX_ALPHABET
 from rangekit.fenwick_model import FenwickModel
@@ -146,6 +147,18 @@ def test_decode_stops_at_end_of_payload(model):
     with pytest.raises(StreamFormatError):
         decode_stream(pack_header(header) + b"\x00" * 5, stats=stats)
     assert stats.symbols < 1000  # bounded by the payload, not by n
+
+
+@pytest.mark.parametrize("model", ("linear", "fenwick"))
+def test_decode_rejects_largest_static_table_quickly(model):
+    """The largest count table a header may carry, total 2**20 at K =
+    65536, builds a 2 MiB code-value table; with a 5-byte payload the
+    decode still fails on running out of bytes, within a generous limit."""
+    k = MAX_ALPHABET
+    header = StreamHeader("static", model, "orig", 0, k, 1 << 16,
+                          (linear_model.MAX_TOTALCOUNT // k,) * k)
+    with time_limit(10), pytest.raises(StreamFormatError):
+        decode_stream(pack_header(header) + b"\x00" * 5)
 
 
 @pytest.mark.parametrize("n", (0, 300))
@@ -542,3 +555,72 @@ def test_stream_functions_match_reference_across_storage_crossover(strategy, bel
     stats = DecodeStats()
     assert decode_stream(want, strategy, stats)[1] == syms
     assert stats == want_stats
+
+
+@pytest.mark.parametrize("mode,model", [
+    (mode, model) for mode in ("static", "adaptive")
+    for model in ("linear", "fenwick")])
+def test_decode_clamps_code_value_past_total(mode, model):
+    """A forged payload of 0xFF bytes makes the first code value equal
+    the total; decode clamps it to the last symbol, as
+    ``Decoder.decode_target`` does, instead of reading past the table."""
+    counts = (1, 1, 1) if mode == "static" else None
+    payload = pack_header(StreamHeader(mode, model, "orig", 0, 3, 1, counts))
+    payload += b"\xff" * 5
+    assert Decoder(payload[unpack_header(payload)[1]:]).decode_target(3) == 2
+    assert decode_stream(payload)[1] == [2]
+
+
+# header field offsets of the "<4sBBBBIIQ" layout
+_K_AT, _N_AT = 12, 16
+
+
+def _mutate(payload, kind, data):
+    """``payload`` with one mutation of ``kind`` applied."""
+    out = bytearray(payload)
+    if kind == "truncate":
+        return bytes(out[:data.draw(st.integers(0, len(out) - 1))])
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(out) - 1))
+        out[at] ^= data.draw(st.integers(1, 255))
+    elif kind == "k":
+        struct.pack_into("<I", out, _K_AT,
+                         data.draw(st.integers(0, MAX_ALPHABET + 1)))
+    elif kind == "count":
+        k = struct.unpack_from("<I", out, _K_AT)[0]
+        at = _HEADER_SIZE + 4 * data.draw(st.integers(0, k - 1))
+        struct.pack_into("<I", out, at, data.draw(st.one_of(
+            st.integers(0, 3), st.integers(0, linear_model.MAX_TOTALCOUNT + 1))))
+    else:  # "n"
+        struct.pack_into("<Q", out, _N_AT, data.draw(st.integers(0, 1 << 16)))
+    return bytes(out)
+
+
+@pytest.mark.parametrize("mode,model,kind", [
+    (mode, model, kind) for mode in ("static", "adaptive")
+    for model in ("linear", "fenwick")
+    for kind in ("truncate", "flip", "k", "count", "n")
+    if kind != "count" or mode == "static"])
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_mutated_streams_decode_or_raise_format_error(mode, model, kind, data):
+    """A valid stream, truncated, with one byte flipped, or with a forged
+    K, static count or symbol count, either decodes or raises
+    StreamFormatError; no other exception escapes (an IndexError from the
+    code-value table read would)."""
+    k = data.draw(st.one_of(st.integers(1, 20), st.just(300)))
+    hot = data.draw(st.integers(0, k - 1))
+    syms = data.draw(st.lists(
+        st.one_of(st.just(hot), st.integers(0, k - 1)), max_size=200))
+    interval = data.draw(st.sampled_from((0, 7))) if mode == "adaptive" else 0
+    payload = encode_stream(syms, k, CoderConfig(mode, model, "orig", interval))
+    bad = _mutate(payload, kind, data)
+    # run time is bounded by the payload only for streams that cost bits;
+    # a symbol count above 2**16 waits for an explicit symbol limit
+    assume(len(bad) < _HEADER_SIZE
+           or struct.unpack_from("<Q", bad, _N_AT)[0] <= 1 << 16)
+    with time_limit(10):
+        try:
+            decode_stream(bad)
+        except StreamFormatError:
+            pass
