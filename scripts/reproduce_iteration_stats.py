@@ -9,6 +9,7 @@ histogram (percent of symbols per iteration count) and the average.
 """
 
 import argparse
+import sys
 
 from rangekit.bench import iteration_histogram
 from rangekit.datagen import GenSpec, gen_sequence
@@ -25,11 +26,15 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    seq = gen_sequence(GenSpec("geometric", args.k, args.n, args.seed)).tolist()
+    try:
+        seq = gen_sequence(GenSpec("geometric", args.k, args.n, args.seed)).tolist()
+        rows = [(strat, iteration_histogram(strat, seq, args.k))
+                for strat in REPLAY_STRATEGIES]
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
     print(f"K={args.k}  N={args.n}  seed={args.seed}  (truncated geometric)\n")
     print(f"{'strategy':<8}  {'ave.':>6}  histogram (iterations: %)")
-    for strat in REPLAY_STRATEGIES:
-        stats = iteration_histogram(strat, seq, args.k)
+    for strat, stats in rows:
         hist = "  ".join(f"{it}: {pct:.2f}" for it, pct in
                          sorted(stats.histogram.items())[:8])
         more = "  ..." if len(stats.histogram) > 8 else ""

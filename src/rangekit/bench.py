@@ -1,10 +1,12 @@
 """Instrumented benchmark harness.
 
-Reports two kinds of numbers per grid cell: deterministic work counters
-(search iterations, model-array accesses, rescale accesses) that are exact
-and reproducible, and wall-clock throughput that is informative only.
-Timing keeps the minimum of several repetitions; counters come from a
-single instrumented pass.
+One row per runnable (mode, model, search), 320 for the default axes; a
+pair ``strategy_compatible`` rejects gets no row.  A row holds exact,
+reproducible work counters (search iterations, model-array accesses,
+rescale accesses) and wall-clock throughput, which is informative only.
+Each stream is generated and encoded once.  Decode never depends on the
+search, so the timing columns (minimum of several repetitions) are per
+stream, the same on all of its rows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .datagen import GenSpec, check_symbols, gen_sequence
-from .linear_model import LinearModel
+from .linear_model import MAX_TOTALCOUNT, LinearModel
 from .rangecoder import (
     CoderConfig, DecodeStats, decode_stream, encode_stream, strategy_compatible,
 )
@@ -45,7 +47,6 @@ class BenchRecord:
     rescale_access_count: int
     output_bytes: int
     entropy_bits_per_symbol: float
-    skip_reason: str = ""
 
 
 CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
@@ -103,43 +104,46 @@ def empirical_entropy(symbols, k: int) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _skip_record(mode, dist, k, n, model, strategy, rescale, interval, seed, reason):
-    return BenchRecord(mode, dist, k, n, model, strategy, rescale, interval,
-                       seed, 0.0, 0.0, 0.0, 0.0, 0, 0, 0.0, reason)
+def run_stream(mode: str, distribution: str, k: int, model: str,
+               strategies, rescale: str, n: int, seed: int,
+               rescale_interval: int, timing_reps: int = 5) -> list[BenchRecord]:
+    """One record per search in ``strategies``, all off one encoded stream.
+
+    Each search's counters come from one untimed decode, checked against
+    the symbols; ``decode_stream`` rejects an incompatible search.
+    """
+    interval = rescale_interval if mode == "adaptive" else 0
+    symbols = gen_sequence(GenSpec(distribution, k, n, seed)).tolist()
+    cfg = CoderConfig(mode, model, rescale, interval)
+    payload = encode_stream(symbols, k, cfg)
+    counted = []
+    for strategy in strategies:
+        stats = DecodeStats()
+        _, decoded = decode_stream(payload, strategy, stats)
+        if decoded != symbols:
+            raise AssertionError("round trip failed in bench cell")
+        counted.append((strategy, stats))
+
+    n_eff = max(1, n)
+    enc_ns = min(_time_ns(lambda: encode_stream(symbols, k, cfg))
+                 for _ in range(timing_reps)) / n_eff
+    dec_ns = min(_time_ns(lambda: decode_stream(payload))
+                 for _ in range(timing_reps)) / n_eff
+    entropy = empirical_entropy(symbols, k)
+    return [BenchRecord(mode, distribution, k, n, model, strategy, rescale,
+                        interval, seed, enc_ns, dec_ns,
+                        stats.search_iterations / n_eff,
+                        stats.update_accesses / n_eff,
+                        stats.rescale_accesses, len(payload), entropy)
+            for strategy, stats in counted]
 
 
 def run_cell(mode: str, distribution: str, k: int, model: str, strategy: str,
              rescale: str, n: int, seed: int, rescale_interval: int,
              timing_reps: int = 5) -> BenchRecord:
-    interval = rescale_interval if mode == "adaptive" else 0
-    reason = strategy_compatible(strategy, model, mode)
-    if reason is not None:
-        return _skip_record(mode, distribution, k, n, model, strategy, rescale,
-                            interval, seed, reason)
-    symbols = gen_sequence(GenSpec(distribution, k, n, seed)).tolist()
-    cfg = CoderConfig(mode, model, rescale, interval)
-
-    payload = encode_stream(symbols, k, cfg)
-    stats = DecodeStats()
-    _, decoded = decode_stream(payload, strategy, stats)
-    if decoded != symbols:
-        raise AssertionError("round trip failed in bench cell")
-
-    enc_ns = min(_time_ns(lambda: encode_stream(symbols, k, cfg))
-                 for _ in range(timing_reps))
-    dec_ns = min(_time_ns(lambda: decode_stream(payload, strategy))
-                 for _ in range(timing_reps))
-
-    n_eff = max(1, n)
-    return BenchRecord(
-        mode, distribution, k, n, model, strategy, rescale, interval, seed,
-        enc_ns / n_eff, dec_ns / n_eff,
-        stats.search_iterations / n_eff,
-        stats.update_accesses / n_eff,
-        stats.rescale_accesses,
-        len(payload),
-        empirical_entropy(symbols, k),
-    )
+    """``run_stream`` with a single search."""
+    return run_stream(mode, distribution, k, model, (strategy,), rescale, n,
+                      seed, rescale_interval, timing_reps)[0]
 
 
 def _time_ns(fn) -> int:
@@ -149,25 +153,24 @@ def _time_ns(fn) -> int:
 
 
 def run_suite(grid: GridSpec) -> list[BenchRecord]:
-    """One record per (K x distribution x mode x model x search x rescale).
+    """Every runnable search of each distribution x K x mode x model cell.
 
     The rescale variant only changes adaptive fenwick cells; every other
     cell runs once, with the first entry of ``grid.rescales``.
     """
     records = []
-    for dist in grid.distributions:
-        for k in grid.ks:
-            for mode in grid.modes:
-                for model in grid.models:
-                    rescales = (grid.rescales
-                                if (mode, model) == ("adaptive", "fenwick")
-                                else grid.rescales[:1])
-                    for strategy in grid.searches:
-                        for rescale in rescales:
-                            records.append(run_cell(
-                                mode, dist, k, model, strategy, rescale,
-                                grid.n, grid.seed, grid.rescale_interval,
-                                grid.timing_reps))
+    for dist, k, mode, model in product(grid.distributions, grid.ks,
+                                        grid.modes, grid.models):
+        strategies = [s for s in grid.searches
+                      if strategy_compatible(s, model, mode) is None]
+        if not strategies:
+            continue
+        rescales = (grid.rescales if (mode, model) == ("adaptive", "fenwick")
+                    else grid.rescales[:1])
+        for rescale in rescales:
+            records += run_stream(mode, dist, k, model, strategies, rescale,
+                                  grid.n, grid.seed, grid.rescale_interval,
+                                  grid.timing_reps)
     return records
 
 
@@ -190,15 +193,14 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
     if reason is not None:
         raise ValueError(f"unsupported strategy for histogram: {reason}")
     sequence = check_symbols(sequence, k)
-    if not sequence:
-        raise ValueError("empty sequence")
+    n = len(sequence)
+    if not 0 < n <= MAX_TOTALCOUNT:
+        raise ValueError(f"sequence length must be in [1, {MAX_TOTALCOUNT}]")
     # one count of the sequence gives the model and, in place of the
     # sequence, the weights of a static search (Counter copies a Counter)
     weights = Counter(sequence)
     model = LinearModel([weights[s] for s in range(k)], adaptive=False)
     hist = _search.count_iterations(strategy, model, False, weights)
-
-    n = len(sequence)
     average = sum(it * cnt for it, cnt in hist.items()) / n
     pct = {it: 100.0 * cnt / n for it, cnt in sorted(hist.items())}
     return IterationStats(pct, average)

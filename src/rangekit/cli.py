@@ -55,15 +55,11 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.suite == "static":
-        modes = ("static",)
-    elif args.suite == "adaptive":
-        modes = ("adaptive",)
-    else:
-        modes = ("static", "adaptive")
-    grid = _bench.GridSpec(modes=modes, n=args.n, seed=args.seed,
-                           timing_reps=args.reps)
-    # open the output before the first cell, so a bad path fails at once
+    # GridSpec holds the defaults; pass it only the options given
+    given = {"modes": None if args.suite == "full" else (args.suite,),
+             "n": args.n, "seed": args.seed, "timing_reps": args.reps}
+    grid = _bench.GridSpec(**{k: v for k, v in given.items() if v is not None})
+    # open the output before the first stream, so a bad path fails at once
     out = (contextlib.nullcontext(sys.stdout) if args.csv == "-"
            else open(args.csv, "w", newline=""))
     with out as fh:
@@ -144,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the benchmark grid, emit CSV")
     p.add_argument("--suite", choices=("static", "adaptive", "full"), default="full")
-    p.add_argument("--n", type=int, default=10 ** 6)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--n", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--reps", type=int)
     p.add_argument("--csv", default="-")
     p.set_defaults(func=_cmd_bench)
 

@@ -1,6 +1,10 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +14,7 @@ from rangekit.bench import (
     run_suite, write_csv,
 )
 from rangekit.datagen import MAX_ALPHABET, GenSpec, gen_sequence
-from rangekit.linear_model import LinearModel
+from rangekit.linear_model import MAX_TOTALCOUNT, LinearModel
 from rangekit.rangecoder import Decoder, Encoder
 from rangekit.search import STRATEGIES, strategy_compatible
 
@@ -30,24 +34,21 @@ def test_entropy_known_values():
 def test_run_cell_basic():
     rec = run_cell("adaptive", "flat", 8, "linear", "log", "orig",
                    n=2000, seed=1, rescale_interval=0, timing_reps=1)
-    assert rec.skip_reason == ""
     assert rec.output_bytes > 0
     assert rec.avg_search_iterations > 0
     assert rec.encode_ns_per_symbol > 0
     assert 2.9 < rec.entropy_bits_per_symbol <= 3.0
 
 
-def test_run_cell_skips_incompatible():
-    rec = run_cell("adaptive", "flat", 8, "linear", "bi", "orig",
-                   n=100, seed=1, rescale_interval=0, timing_reps=1)
-    assert rec.skip_reason != ""
-    assert rec.output_bytes == 0
-    rec = run_cell("adaptive", "flat", 8, "fenwick", "tree", "orig",
-                   n=100, seed=1, rescale_interval=0, timing_reps=1)
-    assert rec.skip_reason != ""
-    rec = run_cell("adaptive", "flat", 8, "linear", "tree", "orig",
-                   n=100, seed=1, rescale_interval=0, timing_reps=1)
-    assert "static" in rec.skip_reason
+def test_run_cell_rejects_incompatible():
+    for model, strategy, mode in (("linear", "bi", "adaptive"),
+                                  ("fenwick", "tree", "adaptive"),
+                                  ("linear", "tree", "adaptive"),
+                                  ("fenwick", "log", "static")):
+        with pytest.raises(ValueError) as exc:
+            run_cell(mode, "flat", 8, model, strategy, "orig",
+                     n=100, seed=1, rescale_interval=0, timing_reps=1)
+        assert str(exc.value) == strategy_compatible(strategy, model, mode)
 
 
 def test_run_suite_small_grid():
@@ -55,19 +56,51 @@ def test_run_suite_small_grid():
                     models=("linear",), searches=("log", "bi"),
                     rescales=("orig",), n=300, seed=2, timing_reps=1)
     records = run_suite(grid)
-    assert len(records) == 4  # 2 ks x 2 searches
-    ok = [r for r in records if not r.skip_reason]
-    skipped = [r for r in records if r.skip_reason]
-    assert {r.search for r in ok} == {"log"}
-    assert {r.search for r in skipped} == {"bi"}
+    assert len(records) == 2  # 2 ks x the one runnable search
+    assert {r.search for r in records} == {"log"}
+    assert [r.k for r in records] == [4, 8]
 
 
 def test_run_suite_rescale_axis_only_for_adaptive_fenwick():
     records = run_suite(GridSpec(ks=(4,), n=50, timing_reps=1))
-    assert len(records) == 80
+    # per distribution: 7 static linear, 1 static fenwick, 6 adaptive
+    # linear and 1 adaptive fenwick search per rescale
+    assert len(records) == 32
     both = {(r.mode, r.model) for r in records if r.rescale == "new"}
     assert both == {("adaptive", "fenwick")}
     assert {r.rescale for r in records} == {"orig", "new"}
+
+
+def test_run_suite_codes_each_stream_cell_once(monkeypatch):
+    import rangekit.bench as bench
+
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(bench, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(bench, name, wrapper)
+
+    for name in ("gen_sequence", "encode_stream", "decode_stream"):
+        spy(name)
+    reps = 2
+    records = run_suite(GridSpec(ks=(4,), n=50, timing_reps=reps))
+    cells = 10  # 2 distributions x (2 static + 3 adaptive streams)
+    assert calls["gen_sequence"] == cells
+    # one untimed encode per stream, whatever its number of searches
+    assert calls["encode_stream"] == cells * (1 + reps)
+    # one counted decode per row, the timed ones once per stream
+    assert calls["decode_stream"] == len(records) + cells * reps
+    streams = Counter((r.distribution, r.mode, r.model, r.rescale)
+                      for r in records)
+    assert len(streams) == cells and max(streams.values()) == 7
+    # the timing columns are per stream
+    assert len({(r.distribution, r.mode, r.model, r.rescale,
+                 r.encode_ns_per_symbol, r.decode_ns_per_symbol)
+                for r in records}) == cells
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -131,6 +164,25 @@ def test_iteration_histogram_table_trivial():
     stats = iteration_histogram("table", [0, 1, 2, 1], 3)
     assert stats.histogram == {1: 100.0}
     assert stats.average == 1.0
+
+
+def test_iteration_histogram_caps_symbols_at_total_count():
+    assert iteration_histogram("log", [0] * MAX_TOTALCOUNT, 2).histogram
+    with pytest.raises(ValueError, match=f"must be in \\[1, {MAX_TOTALCOUNT}\\]"):
+        iteration_histogram("log", [0] * (MAX_TOTALCOUNT + 1), 2)
+
+
+def test_iteration_stats_script_reports_too_many_symbols():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_iteration_stats.py"),
+         "--n", str(MAX_TOTALCOUNT + 1)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert f"error: sequence length must be in [1, {MAX_TOTALCOUNT}]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_iteration_histogram_rejects_bad_input():

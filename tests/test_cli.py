@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -65,13 +66,28 @@ def test_bench_writes_csv(tmp_path, monkeypatch):
     assert len(lines) == 3
 
 
-def test_bench_rejects_zero_reps_before_running(tmp_path, monkeypatch, capsys):
+class StreamRan(Exception):
+    pass
+
+
+@pytest.fixture
+def no_stream(monkeypatch):
+    """Make the first stream the bench grid runs raise ``StreamRan``."""
     import rangekit.bench as bench
 
-    def no_cell(*args, **kw):
-        raise AssertionError("a cell ran before the options were checked")
+    def spy(*args, **kw):
+        raise StreamRan
 
-    monkeypatch.setattr(bench, "run_cell", no_cell)
+    monkeypatch.setattr(bench, "run_stream", spy)
+
+
+def test_bench_runs_streams_after_checking_options(tmp_path, no_stream):
+    # positive control for the two tests below: the spy does fire
+    with pytest.raises(StreamRan):
+        main(["bench", "--reps", "1", "--csv", str(tmp_path / "bench.csv")])
+
+
+def test_bench_rejects_zero_reps_before_running(tmp_path, no_stream, capsys):
     csv_path = tmp_path / "bench.csv"
     assert main(["bench", "--reps", "0", "--csv", str(csv_path)]) == 1
     err = capsys.readouterr().err
@@ -79,18 +95,36 @@ def test_bench_rejects_zero_reps_before_running(tmp_path, monkeypatch, capsys):
     assert not csv_path.exists()
 
 
-def test_bench_rejects_bad_csv_path_before_running(tmp_path, monkeypatch,
+def test_bench_rejects_bad_csv_path_before_running(tmp_path, no_stream,
                                                   capsys):
-    import rangekit.bench as bench
-
-    def no_cell(*args, **kw):
-        raise AssertionError("a cell ran before the output was opened")
-
-    monkeypatch.setattr(bench, "run_cell", no_cell)
     csv_path = tmp_path / "missing" / "bench.csv"
     assert main(["bench", "--csv", str(csv_path)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not csv_path.parent.exists()
+
+
+@pytest.mark.parametrize("argv,given", [
+    ([], {}),
+    (["--suite", "full"], {}),
+    (["--suite", "static", "--n", "7", "--seed", "3", "--reps", "2"],
+     {"modes": ("static",), "n": 7, "seed": 3, "timing_reps": 2}),
+])
+def test_bench_passes_only_given_options(tmp_path, monkeypatch, argv, given):
+    import rangekit.bench as bench
+
+    # other defaults than GridSpec's: the CLI must keep none of its own
+    @dataclasses.dataclass(frozen=True)
+    class OtherDefaults(bench.GridSpec):
+        modes: tuple = ("adaptive",)
+        n: int = 64
+        seed: int = 9
+        timing_reps: int = 3
+
+    grids = []
+    monkeypatch.setattr(bench, "GridSpec", OtherDefaults)
+    monkeypatch.setattr(bench, "run_suite", lambda grid: grids.append(grid) or [])
+    assert main(["bench", *argv, "--csv", str(tmp_path / "bench.csv")]) == 0
+    assert grids == [OtherDefaults(**given)]
 
 
 def test_selftest_passes(capsys):
