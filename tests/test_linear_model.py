@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rangekit import linear_model
+from rangekit.datagen import MAX_ALPHABET
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import MAX_TOTALCOUNT, LinearModel
 
@@ -137,25 +138,38 @@ def test_rescale_triggered_at_cap():
 
 @given(st.integers(1, 24), st.data())
 def test_prefix_sum_identity_after_random_updates(k, data):
-    m = LinearModel.flat(k)
-    ops = data.draw(st.lists(st.integers(0, k - 1), max_size=40))
-    for sym in ops:
-        m.update(sym)
-    assert m.hk[0] == 0
-    for i in range(k):
-        assert m.hk[i + 1] == m.hk[i] + m.h[i]
-    assert m.hk[k] == m.total_count
+    # None draws a rescale, so a tail view made before a rescale is used
+    # after it; K = 1 and sym = K - 1 update one-entry tails
+    ops = data.draw(st.lists(st.none() | st.integers(0, k - 1), max_size=40))
+    for storage in STORAGES:
+        with forced_storage(storage):
+            m = LinearModel.flat(k)
+        counts = [1] * k
+        for sym in ops:
+            if sym is None:
+                m.rescale()
+                counts = reference_rescale(counts)[0]
+            else:
+                m.update(sym)
+                counts[sym] += 1
+        assert m.hk[0] == 0
+        for i in range(k):
+            assert m.hk[i + 1] == m.hk[i] + m.h[i]
+        assert m.hk[k] == m.total_count
+        assert (m.h, list(m.hk), m.total_count) == reference_model(counts)
 
 
 def test_update_changes_exactly_tail_entries():
-    rng = random.Random(1)
-    m = LinearModel.flat(13)
-    for _ in range(50):
-        sym = rng.randrange(13)
-        before = list(m.hk)
-        m.update(sym)
-        changed = sum(1 for i in range(14) if m.hk[i] != before[i])
-        assert changed == 13 - sym
+    for storage in STORAGES:
+        rng = random.Random(1)
+        with forced_storage(storage):
+            m = LinearModel.flat(13)
+        for _ in range(50):
+            sym = rng.randrange(13)
+            before = list(m.hk)
+            m.update(sym)
+            changed = sum(1 for i in range(14) if m.hk[i] != before[i])
+            assert changed == 13 - sym
 
 
 def reference_model(counts):
@@ -241,6 +255,20 @@ def test_storage_follows_mode_and_alphabet_size():
     assert type(LinearModel([1] * crossover).hk) is array
     assert type(LinearModel.flat(256).hk) is array
     assert type(LinearModel([1] * 256, adaptive=False).hk) is list
+
+
+def test_tail_views_are_made_on_first_update():
+    # a forged header may announce the largest alphabet: construction
+    # makes no tail view, and each symbol's view is made once and kept
+    m = LinearModel.flat(MAX_ALPHABET)
+    assert all(t is None for t in m._tails)
+    m.update(7)
+    view = m._tails[7]
+    m.rescale()
+    m.update(7)
+    assert m._tails[7] is view
+    assert [i for i, t in enumerate(m._tails) if t is not None] == [7]
+    assert m.hk[8] - m.hk[7] == m.h[7] == 2
 
 
 INVALID_COUNTS = [

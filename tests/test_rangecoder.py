@@ -141,12 +141,14 @@ def test_unpack_rejects_hostile_static_counts(counts, model):
 @pytest.mark.parametrize("model", ("linear", "fenwick"))
 def test_decode_stops_at_end_of_payload(model):
     # 2**40 announced symbols, 5 payload bytes: the decoder must give up
-    # as soon as it needs a sixth byte instead of inventing zeros
-    header = StreamHeader("adaptive", model, "orig", 0, 2, 1 << 40, None)
-    stats = DecodeStats()
-    with pytest.raises(StreamFormatError):
-        decode_stream(pack_header(header) + b"\x00" * 5, stats=stats)
-    assert stats.symbols < 1000  # bounded by the payload, not by n
+    # as soon as it needs a sixth byte instead of inventing zeros; at the
+    # largest alphabet, building the flat model must stay cheap too
+    for k in (2, MAX_ALPHABET):
+        header = StreamHeader("adaptive", model, "orig", 0, k, 1 << 40, None)
+        stats = DecodeStats()
+        with time_limit(2), pytest.raises(StreamFormatError):
+            decode_stream(pack_header(header) + b"\x00" * 5, stats=stats)
+        assert stats.symbols < 1000  # bounded by the payload, not by n
 
 
 @pytest.mark.parametrize("model", ("linear", "fenwick"))
