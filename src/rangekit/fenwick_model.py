@@ -9,7 +9,9 @@ prefix sums of ``linear_model.prefix_sums``, the one check of the counts.
 
 An adaptive stream codes a symbol with one call that also updates,
 ``decode_walk`` or ``encode_walk``; ``cum``, ``count`` and ``update`` are
-their reference.
+their reference.  The descent runs down a ladder of probe strides built
+once per model, and ``update`` raises a chain of indices cached per symbol
+on its first update, so neither keeps per-probe bookkeeping.
 
 Two rescaling procedures are provided.  The original one halves each
 symbol count and pushes the correction through the update chain; the
@@ -19,6 +21,8 @@ round differently and are NOT interchangeable mid-stream.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .linear_model import MAX_TOTALCOUNT, prefix_sums
 
@@ -47,15 +51,22 @@ class FenwickModel:
     symbol 0 never moves).  ``total_count`` mirrors the full prefix sum so
     the top of the array never has to be queried.
 
-    Instrumentation counters tick once per statement that reads or writes
-    ``v`` (repeated reads of the same slot inside one statement coalesce),
-    split by operation kind so the bench harness can report update and
-    rescale work separately.
+    Instrumentation counters are split by operation kind so the bench
+    harness can report update and rescale work separately.  A walk ticks
+    once per statement that reads or writes ``v`` (repeated reads of the
+    same slot inside one statement coalesce).  A rescale touches the same
+    slots whatever the counts, so it adds its per-K total, equal to the
+    per-statement tally of its loops, once.
+
+    ``_chains[sym]``, made on the first update of ``sym``, is its update
+    chain ``sym + 1, +lowbit, ...`` as an ``array('I')``; a chain holds
+    indices, not values, so it stays valid across rescales.
     """
 
     __slots__ = (
         "k", "v", "total_count", "top_lev_idx", "adaptive", "rescale_variant",
         "query_accesses", "update_accesses", "rescale_accesses",
+        "_steps", "_chains",
     )
 
     def __init__(self, counts, adaptive: bool = True, rescale_variant: str = "orig"):
@@ -66,6 +77,12 @@ class FenwickModel:
         self.v = [hk[i] - hk[i & (i - 1)] for i in range(self.k + 1)]
         self.total_count = hk[-1]
         self.top_lev_idx = top_level_index(self.k)
+        # the descent's probe strides: top_lev_idx, top_lev_idx / 2, ..., 1
+        self._steps = tuple(self.top_lev_idx >> s
+                            for s in range(self.top_lev_idx.bit_length()))
+        # all K chains take 7.25 MiB at K = 65536, so each is made on its
+        # symbol's first update
+        self._chains = [None] * self.k if adaptive else None
         self.adaptive = adaptive
         self.rescale_variant = rescale_variant
         self.query_accesses = 0
@@ -113,49 +130,64 @@ class FenwickModel:
         if self.total_count >= MAX_TOTALCOUNT:
             self.rescale()
             rescaled = True
-        i = sym + 1
+        chain = self._chains[sym]
+        if chain is None:
+            chain = self._chains[sym] = self._chain(sym)
         v = self.v
-        k = self.k
-        n = 0
-        while i <= k:
+        for i in chain:
             v[i] += 1
-            n += 1
-            i += i & -i
-        self.update_accesses += n
+        self.update_accesses += len(chain)
         self.total_count += 1
         return rescaled
+
+    def _chain(self, sym: int) -> array:
+        """The update chain of ``sym``: i = sym + 1, i + lowbit(i), ... <= K."""
+        k = self.k
+        # below 0 the chain would never end: lowbit(0) is 0
+        if not 0 <= sym < k:
+            raise IndexError("symbol out of range")
+        i = sym + 1
+        chain = []
+        while i <= k:
+            chain.append(i)
+            i += i & -i
+        # from a list, so the array is allocated at its exact size
+        return array("I", chain)
 
     def decode_walk(self, c: int) -> tuple[int, int, int]:
         """``binary_indexed_interval(c)`` plus ``update(symbol)`` in one
         descent: the probes it does not take are the nodes ``update``
         raises.  At the count cap, where ``update`` rescales first, the
-        descent raises nothing and ``update`` follows."""
+        descent raises nothing and ``update`` follows.
+
+        ``c`` drops by every probe taken, so the interval's low end is
+        what it dropped by; ``f`` is the width above ``c`` of the last
+        probe not taken (of ``total`` if none), so the frequency is
+        ``f + c`` with ``c`` as it ends."""
         v = self.v
         k = self.k
-        step = self.top_lev_idx
         total = self.total_count
         inc = 1 if total < MAX_TOTALCOUNT and self.adaptive else 0
-        bottom = low = n = 0
-        high = total
-        while step:
+        c0 = c
+        f = total - c
+        bottom = n = 0
+        for step in self._steps:
             test = bottom + step
             if test <= k:
                 x = v[test]
                 if c >= x:
                     bottom = test
                     c -= x
-                    low += x
                 else:
-                    high = low + x
+                    f = x - c
                     v[test] = x + inc
                     n += 1
-            step >>= 1
         if inc:
             self.update_accesses += n
             self.total_count = total + 1
         else:
             self.update(bottom)
-        return bottom, low, high - low
+        return bottom, c0 - c, f + c
 
     def encode_walk(self, sym: int) -> tuple[int, int]:
         """``(cum(sym), count(sym))`` from one walk, then ``update(sym)``:
@@ -189,32 +221,24 @@ class FenwickModel:
         """
         v = self.v
         k = self.k
-        acc = 0
-        for sym in range(k):
-            # inline count derivation so the access tally covers it
-            i = sym + 1
+        for i in range(1, k + 1):
+            # the count of symbol i - 1, by count's predecessor walk
             h = v[i]
-            acc += 1
             parent = i & (i - 1)
-            i -= 1
-            while parent != i:
-                h -= v[i]
-                acc += 1
-                i &= i - 1
+            j = i - 1
+            while j != parent:
+                h -= v[j]
+                j &= j - 1
             h >>= 1
-            i = sym + 1
-            while i <= k:
-                v[i] -= h
-                acc += 1
-                i += i & -i
-        s = 0
-        i = k
-        while i > 0:
-            s += v[i]
-            acc += 1
-            i &= i - 1
-        self.total_count = s
-        self.rescale_accesses += acc
+            j = i
+            while j <= k:
+                v[j] -= h
+                j += j & -j
+        self.total_count = self._total()
+        # per symbol: the read of v[i], one per step down to the parent
+        # (k - popcount(k) in all) and one per chain entry (node j is on
+        # the chains of lowbit(j) symbols); then the total's popcount(k)
+        self.rescale_accesses += 2 * k + _lowbit_sum(k)
 
     def rescale_new(self) -> None:
         """Single ascending pass that halves the v entries in place.
@@ -227,31 +251,38 @@ class FenwickModel:
         """
         v = self.v
         k = self.k
-        acc = 0
         for i in range(1, k + 1):
             if i & 1:
                 v[i] -= v[i] >> 1
-                acc += 1
             else:
                 test_val = v[i] - (v[i] >> 1)
-                acc += 1
+                # one more than the already-halved lower siblings: v[i - 1]
+                # and on, clearing low bits, down to the parent of i
+                parent = i - (i & -i)
                 j = i - 1
-                compare_val = 0
-                m = i
-                while True:
-                    compare_val += v[j]
-                    acc += 1
+                floor = 1
+                while j != parent:
+                    floor += v[j]
                     j &= j - 1
-                    m >>= 1
-                    if m & 1:
-                        break
-                v[i] = max(compare_val + 1, test_val)
-                acc += 1
+                v[i] = floor if floor > test_val else test_val
+        self.total_count = self._total()
+        # one per odd slot, two per even slot, one per sibling read
+        # (trailing-zeros(i) for slot i, k - popcount(k) in all) and the
+        # total's popcount(k) reads
+        self.rescale_accesses += (k + 1) // 2 + 2 * (k // 2) + k
+
+    def _total(self) -> int:
+        """``cum(K)``, untallied: a rescale's tally counts its reads."""
+        v = self.v
         s = 0
-        i = k
+        i = self.k
         while i > 0:
             s += v[i]
-            acc += 1
             i &= i - 1
-        self.total_count = s
-        self.rescale_accesses += acc
+        return s
+
+
+def _lowbit_sum(k: int) -> int:
+    """Sum of lowbit(j) for j = 1..k: k >> b - k >> (b + 1) of them have
+    lowbit 2**b."""
+    return sum(((k >> b) - (k >> (b + 1))) << b for b in range(k.bit_length()))

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rangekit.datagen import MAX_ALPHABET
 from rangekit.fenwick_model import (
     FenwickModel, forward_step, parent_index, top_level_index,
 )
@@ -154,33 +155,86 @@ def test_rescale_new_reference(ref19_counts):
 
 
 def _rescale_new_oracle(v, k):
-    """Independent plain-list interpreter of the single-pass rescale."""
+    """Independent plain-list interpreter of the single-pass rescale, with
+    its access tally: one tick per statement that reads or writes v."""
     v = list(v)
+    acc = 0
     for i in range(1, k + 1):
         if i % 2 == 1:
             v[i] = v[i] - v[i] // 2
+            acc += 1
         else:
             test_val = v[i] - v[i] // 2
+            acc += 1
             j = i - 1
             compare_val = 0
             m = i
             while True:
                 compare_val += v[j]
+                acc += 1
                 j &= j - 1
                 m >>= 1
                 if m % 2 == 1:
                     break
             v[i] = max(compare_val + 1, test_val)
-    return v
+            acc += 1
+    return v, acc + _total_reads(k)
+
+
+def _rescale_orig_oracle(v, k):
+    """Plain-list interpreter of the per-symbol rescale, tallied like
+    ``_rescale_new_oracle``."""
+    v = list(v)
+    acc = 0
+    for sym in range(k):
+        i = sym + 1
+        h = v[i]
+        acc += 1
+        parent = i & (i - 1)
+        i -= 1
+        while i != parent:
+            h -= v[i]
+            acc += 1
+            i &= i - 1
+        h //= 2
+        i = sym + 1
+        while i <= k:
+            v[i] -= h
+            acc += 1
+            i += i & -i
+    return v, acc + _total_reads(k)
+
+
+def _total_reads(k):
+    """The reads of the total's walk down from K."""
+    return bin(k).count("1")
 
 
 @given(st.lists(st.integers(1, 1000), min_size=1, max_size=40))
 def test_rescale_new_matches_oracle(counts):
     m = FenwickModel(counts, rescale_variant="new")
-    expected = _rescale_new_oracle(FenwickModel(counts).v, len(counts))
+    expected, accesses = _rescale_new_oracle(FenwickModel(counts).v, len(counts))
     m.rescale_new()
     assert m.v == expected
+    assert m.rescale_accesses == accesses
     assert all(m.count(s) >= 1 for s in range(m.k))
+
+
+def test_rescale_tallies_match_per_statement_oracles():
+    """A rescale adds its per-K total once; it equals the per-statement
+    tally of the loops, which does not depend on the counts."""
+    rng = random.Random(11)
+    for k in range(1, 301):
+        counts = [rng.randint(1, 1000) for _ in range(k)]
+        for variant, oracle in (("orig", _rescale_orig_oracle),
+                                ("new", _rescale_new_oracle)):
+            m = FenwickModel(counts, rescale_variant=variant)
+            expected, accesses = oracle(m.v, k)
+            m.rescale()
+            assert m.v == expected, (k, variant)
+            assert m.rescale_accesses == accesses, (k, variant)
+            m.rescale()
+            assert m.rescale_accesses == 2 * accesses, (k, variant)
 
 
 def test_rescale_new_flat_is_identity():
@@ -247,6 +301,28 @@ def test_rescale_access_counters():
         m2.rescale_new()
         assert m2.rescale_accesses <= 3 * k + 8
         assert m2.rescale_accesses < m.rescale_accesses
+
+
+def test_update_chains_are_made_on_first_update():
+    m = FenwickModel.flat(MAX_ALPHABET)
+    assert all(chain is None for chain in m._chains)
+    for variant in ("orig", "new"):
+        m = FenwickModel.flat(300, rescale_variant=variant)
+        m.update(4)
+        chain = m._chains[4]
+        assert list(chain) == [5, 6, 8, 16, 32, 64, 128, 256]
+        assert sum(c is not None for c in m._chains) == 1
+        # a chain holds indices, so both rescales leave it in use
+        m.rescale_orig()
+        m.rescale_new()
+        m.update(4)
+        assert m._chains[4] is chain
+        assert [m.count(s) for s in (3, 4, 5)] == [1, 2, 1]
+
+    m = FenwickModel.flat(4)
+    for sym in (-1, -4, 4):
+        with pytest.raises(IndexError):
+            m.update(sym)
 
 
 def model_state(m):

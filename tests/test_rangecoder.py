@@ -148,7 +148,7 @@ def test_decode_stops_at_end_of_payload(model):
         stats = DecodeStats()
         with time_limit(2), pytest.raises(StreamFormatError):
             decode_stream(pack_header(header) + b"\x00" * 5, stats=stats)
-        assert stats.symbols < 1000  # bounded by the payload, not by n
+        assert stats == DecodeStats()  # a decode that raises adds nothing
 
 
 @pytest.mark.parametrize("model", ("linear", "fenwick"))

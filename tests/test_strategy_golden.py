@@ -16,6 +16,8 @@ from rangekit.rangecoder import (
     CoderConfig, DecodeStats, decode_stream, encode_stream,
 )
 
+from conftest import count_cap
+
 K = 21
 SPEC = GenSpec("geometric", K, 3000, 9)
 INTERVAL = 256
@@ -89,6 +91,24 @@ GOLDEN = {
         13195, 572),
 }
 
+# the same fields for streams coded with no periodic rescale under a count
+# cap lowered to CAP, so every rescale is the one ``update`` runs at the cap
+CAP = 512
+CAPPED_GOLDEN = {
+    ("adaptive", "fenwick", "orig", "bi"): (
+        "406d0de4f4f55fcabb29b8edc40d8b951538e5f896f580d84ce626023736aad1",
+        3000, 15000, {5: 3000},
+        13195, 1089),
+    ("adaptive", "fenwick", "new", "bi"): (
+        "6a81d979feb4695921546636c11888e5d4ba167522631439d055a3d4b3c70dc4",
+        3000, 15000, {5: 3000},
+        13195, 572),
+    ("adaptive", "linear", "orig", "log"): (
+        "593d86fdaa3666538a8691091408f75d1ca0ad394cf49ce648ca603f46c13e8e",
+        3000, 14154, {4: 846, 5: 2154},
+        62971, 693),
+}
+
 
 @pytest.fixture(scope="module")
 def sequence():
@@ -111,6 +131,19 @@ def test_decode_matches_golden(cell, sequence):
     assert dict(stats.iteration_histogram) == histogram
     assert stats.update_accesses == updates
     assert stats.rescale_accesses == rescales
+
+
+@pytest.mark.parametrize("cell", sorted(CAPPED_GOLDEN), ids="-".join)
+def test_capped_decode_matches_golden(cell, sequence):
+    mode, model, rescale, strategy = cell
+    with count_cap(CAP):
+        payload = encode_stream(sequence, K, CoderConfig(mode, model, rescale, 0))
+        stats = DecodeStats()
+        _, out = decode_stream(payload, strategy, stats)
+    assert out == sequence
+    assert (hashlib.sha256(payload).hexdigest(), stats.symbols,
+            stats.search_iterations, dict(stats.iteration_histogram),
+            stats.update_accesses, stats.rescale_accesses) == CAPPED_GOLDEN[cell]
 
 
 @pytest.mark.parametrize(
