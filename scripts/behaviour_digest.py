@@ -5,8 +5,11 @@ A change that claims to keep behaviour must leave three things alone: the
 IRC1 bytes, the decoded symbols and every ``DecodeStats`` counter.  For
 each (data, K, mode, model, rescale, interval) cell this encodes one
 stream and decodes it with every compatible strategy, and hashes the
-payload, the decoded symbols and every field of the decode's
-``DecodeStats`` into the cell's SHA-256 digest.  The data is flat and
+payload, the decoded symbols and the ``STATS_FIELDS`` of the decode's
+``DecodeStats`` into the cell's SHA-256 digest.  Each cell is also decoded
+once without stats, which runs the compiled stream loop when it has
+loaded, and the script exits with an error if any counting decode returns
+other symbols.  The data is flat and
 truncated geometric, the stream of alphabet K is generated from seed K,
 and an adaptive stream rescales every 0 (at the cap only), 1, 7 or 500
 symbols.
@@ -21,13 +24,13 @@ same JSON:
     PYTHONPATH=src python scripts/behaviour_digest.py > digest.json
 
 The defaults (3000 symbols, eleven alphabet sizes up to 1000, 2816
-decodes) take about two minutes; ``--n 64 --k 1 5 33`` takes about a
-second.
+decodes) take about two minutes.  ``tests/data/behaviour_digest.json`` is
+the output at ``--n 256 --k 1 5 31 32 33 64 65 --cap 128`` (a few
+seconds), which ``tests/test_behaviour_digest.py`` recomputes.
 """
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import json
 import sys
@@ -47,6 +50,10 @@ CELLS = tuple((mode, model, rescale)
               for mode in ("static", "adaptive")
               for model in ("linear", "fenwick")
               for rescale in ("orig", "new"))
+#: The hashed ``DecodeStats`` fields, named so that a new field leaves the
+#: digests as they are
+STATS_FIELDS = ("symbols", "search_iterations", "iteration_histogram",
+                "update_accesses", "rescale_accesses")
 
 
 def lowered_cap(cap: int) -> contextlib.ExitStack:
@@ -58,23 +65,31 @@ def lowered_cap(cap: int) -> contextlib.ExitStack:
 
 
 def stats_fields(stats: DecodeStats) -> dict:
-    """Every field of ``stats``; the histogram as sorted pairs, so its
-    digest does not depend on the order the counts were added in."""
+    """The ``STATS_FIELDS`` of ``stats``; the histogram as sorted pairs, so
+    its digest does not depend on the order the counts were added in."""
     out = {}
-    for f in dataclasses.fields(stats):
-        value = getattr(stats, f.name)
-        out[f.name] = sorted(value.items()) if isinstance(value, dict) else value
+    for name in STATS_FIELDS:
+        value = getattr(stats, name)
+        out[name] = sorted(value.items()) if isinstance(value, dict) else value
     return out
 
 
 def cell_digests(data, k, mode, model, rescale, interval):
-    """Digest of each compatible strategy's decode of one encoded stream."""
+    """Digest of each compatible strategy's decode of one encoded stream.
+
+    Exits if a counting decode returns other symbols than the plain decode,
+    which runs the compiled stream loop when it has loaded."""
     payload = encode_stream(data, k, CoderConfig(mode, model, rescale, interval))
+    _, plain = decode_stream(payload)
     for strategy in STRATEGIES:
         if strategy_compatible(strategy, model, mode) is not None:
             continue
         stats = DecodeStats()
         _, out = decode_stream(payload, strategy, stats)
+        if out != plain:
+            sys.exit(f"error: K={k} {mode} {model} {rescale} interval "
+                     f"{interval}: the {strategy} counting decode differs "
+                     "from the plain decode")
         h = hashlib.sha256(payload)
         h.update(array("I", out).tobytes())
         h.update(json.dumps(stats_fields(stats)).encode())

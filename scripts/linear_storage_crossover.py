@@ -3,10 +3,15 @@
 
 ``linear_model._ARRAY_MIN_K`` is the smallest alphabet whose adaptive
 model keeps ``hk`` as an ``array('q')`` (a numpy add per update) rather
-than a list (an interpreted loop per update, cheaper reads).  For each
-(data, search, K) cell this codes one adaptive linear stream through
-``encode_stream``/``decode_stream`` with each storage, forced by patching
-``_ARRAY_MIN_K``, back to back in alternating order, ``--reps`` times.
+than a list (an interpreted loop per update, cheaper reads).  It tunes
+the Python stream loops, the reference and the fallback where the
+compiled loops did not load; the compiled loops copy the counts into
+arrays of their own.  So this script turns the compiled loops off, by
+setting ``rangekit._loops._lib`` to None, and measures the Python loops.
+For each (data, search, K) cell it codes one adaptive linear stream
+through ``encode_stream``/``decode_stream`` with each storage, forced by
+patching ``_ARRAY_MIN_K``, back to back in alternating order, ``--reps``
+times.
 Flat data is coded with ``table``, geometric data with ``log``; the
 stream rescales every 1024 symbols, and the stream of alphabet K is
 generated from seed 777 + K.
@@ -28,7 +33,7 @@ from unittest import mock
 
 import numpy as np
 
-from rangekit import linear_model
+from rangekit import _loops, linear_model
 from rangekit.datagen import GenSpec, gen_sequence
 from rangekit.rangecoder import CoderConfig, decode_stream, encode_stream
 
@@ -39,8 +44,10 @@ FLOORS = {"list": float("inf"), "array": 1}
 
 
 def time_storage(storage, data, k, cfg, strategy):
-    """(encode ns, decode ns) of one stream coded with ``storage``."""
-    with mock.patch.object(linear_model, "_ARRAY_MIN_K", FLOORS[storage]):
+    """(encode ns, decode ns) of one stream coded by the Python loops with
+    ``storage``."""
+    with mock.patch.object(_loops, "_lib", None), \
+            mock.patch.object(linear_model, "_ARRAY_MIN_K", FLOORS[storage]):
         t0 = time.perf_counter_ns()
         payload = encode_stream(data, k, cfg)
         t1 = time.perf_counter_ns()

@@ -1,0 +1,71 @@
+"""Loader of the compiled stream loops in ``_loops.c``.
+
+``lib()`` compiles the C source with ``cc -O2 -shared -fPIC`` on its first
+call and loads the result with ``ctypes``.  The shared object is cached in
+this package's ``__pycache__``, under a name keyed by a hash of the
+source, and written atomically, so later processes load it at once.  When
+compiling, writing or loading fails, ``lib()`` returns None and the stream
+functions run their Python loops, which stay the reference.  Setting
+``_lib`` to None turns the compiled loops off.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import zlib
+from pathlib import Path
+
+_SOURCE = Path(__file__).with_name("_loops.c")
+
+_P, _N = ctypes.c_void_p, ctypes.c_int64
+_DECODE = (ctypes.c_char_p, _N, _P, _N, _P, _P, _P, _P)
+_ENCODE = (_P, _N, _P, _N, ctypes.c_int, _P, _P, _P, _P)
+_ARGTYPES = {"linear_decode": _DECODE, "fenwick_decode": _DECODE,
+             "linear_encode": _ENCODE, "fenwick_encode": _ENCODE}
+
+_UNTRIED = object()
+_lib = _UNTRIED
+
+
+def lib() -> ctypes.CDLL | None:
+    """The loaded stream loops, or None if they could not be built."""
+    global _lib
+    if _lib is _UNTRIED:
+        _lib = _load(_SOURCE)
+    return _lib
+
+
+def _load(source: Path) -> ctypes.CDLL | None:
+    try:
+        # a CRC keys the cache: hashlib would load OpenSSL, about 3.5 MiB
+        path = (source.parent / "__pycache__"
+                / f"{source.stem}-{zlib.crc32(source.read_bytes()):08x}.so")
+        if not path.exists():
+            _compile(source, path)
+        loaded = ctypes.CDLL(str(path))
+        for name, argtypes in _ARGTYPES.items():
+            fn = getattr(loaded, name)
+            fn.argtypes, fn.restype = argtypes, _N
+    except (OSError, AttributeError):
+        return None
+    return loaded
+
+
+def _compile(source: Path, path: Path) -> None:
+    """Build ``path`` from ``source``, or raise OSError."""
+    import subprocess  # imported here: a cached build needs neither
+    import tempfile
+
+    path.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, str(source)],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, path)  # atomic: no process loads half a file
+    except subprocess.SubprocessError as exc:  # failed or hung
+        raise OSError(f"cc failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

@@ -6,7 +6,8 @@ reproducible work counters (search iterations, model-array accesses,
 rescale accesses) and wall-clock throughput, which is informative only.
 Each stream is generated and encoded once.  Decode never depends on the
 search, so the timing columns (minimum of several repetitions) are per
-stream, the same on all of its rows.
+stream, the same on all of its rows.  They time the stream loops that
+run: the compiled loops where ``_loops`` loaded them.
 """
 
 from __future__ import annotations

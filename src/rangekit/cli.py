@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from unittest import mock
 
+from . import _loops
 from . import bench as _bench
 from . import datagen
 from . import search as _search
@@ -96,13 +98,22 @@ def _cmd_selftest(_args) -> int:
            failures)
     _check("repaired table", tuple(table.t), REF_TOY_TABLE_AFTER, failures)
 
-    # round trip smoke across modes and model families
+    # round trip smoke across modes and model families, through the
+    # compiled loops when they loaded and through the Python loops
+    compiled = _loops.lib()
+    print("stream loops in use: " + ("compiled" if compiled else
+          "python (the compiled loops did not build or load)"))
     data = [i % 7 for i in range(500)]
-    for mode in ("static", "adaptive"):
-        for model in ("linear", "fenwick"):
-            cfg = CoderConfig(mode, model, "orig", 128)  # static ignores 128
-            _, out = decode_stream(encode_stream(data, 7, cfg))
-            _check(f"{mode} round trip ({model})", out, data, failures)
+    for loops, lib in (("compiled", compiled), ("python", None)):
+        if loops == "compiled" and lib is None:
+            continue
+        with mock.patch.object(_loops, "_lib", lib):
+            for mode in ("static", "adaptive"):
+                for model in ("linear", "fenwick"):
+                    cfg = CoderConfig(mode, model, "orig", 128)  # static ignores 128
+                    _, out = decode_stream(encode_stream(data, 7, cfg))
+                    _check(f"{mode} round trip ({model}, {loops} loop)", out,
+                           data, failures)
 
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)

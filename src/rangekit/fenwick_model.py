@@ -123,9 +123,16 @@ class FenwickModel:
         return h
 
     def update(self, sym: int) -> bool:
-        """Increment the count of ``sym``; returns True if a rescale fired."""
+        """Increment the count of ``sym``; returns True if a rescale fired.
+
+        A symbol outside [0, K) raises IndexError and leaves the model as
+        it was."""
         if not self.adaptive:
             raise ValueError("static model cannot be updated")
+        # a negative index would wrap to another symbol's cached chain, and
+        # below 0 a chain would never end: lowbit(0) is 0
+        if not 0 <= sym < self.k:
+            raise IndexError("symbol out of range")
         rescaled = False
         if self.total_count >= MAX_TOTALCOUNT:
             self.rescale()
@@ -141,11 +148,9 @@ class FenwickModel:
         return rescaled
 
     def _chain(self, sym: int) -> array:
-        """The update chain of ``sym``: i = sym + 1, i + lowbit(i), ... <= K."""
+        """The update chain of ``sym``: i = sym + 1, i + lowbit(i), ... <= K;
+        ``update`` has checked that ``sym`` is in [0, K)."""
         k = self.k
-        # below 0 the chain would never end: lowbit(0) is 0
-        if not 0 <= sym < k:
-            raise IndexError("symbol out of range")
         i = sym + 1
         chain = []
         while i <= k:

@@ -21,17 +21,19 @@ import numpy as np
 
 MAX_TOTALCOUNT = 1 << 20
 
-#: Smallest alphabet whose adaptive model keeps ``hk`` as an array.  An
-#: update's ``np.add`` on a cached tail view costs about 0.4-0.7 us at any
-#: length against about 50 ns per interpreted ``hk[j] += 1``, but an array
-#: item read costs about twice a list read.  Measured end to end by
-#: ``scripts/linear_storage_crossover.py`` (encode plus decode, 8192
+#: Smallest alphabet whose adaptive model keeps ``hk`` as an array.  This
+#: tunes the Python stream loops, the reference and the fallback where the
+#: compiled loops did not load; the compiled loops run on copies of their
+#: own.  An update's ``np.add`` on a cached tail view costs about 0.4-0.7
+#: us at any length against about 50 ns per interpreted ``hk[j] += 1``, but
+#: an array item read costs about twice a list read.  Measured end to end
+#: by ``scripts/linear_storage_crossover.py`` (encode plus decode, 8192
 #: symbols, rescale every 1024, CPython 3.11 on an Intel Xeon core), the
-#: array/list time (ratio of mins / median ratio of 15 rounds) on flat
-#: data with ``table`` search is 1.40/1.29 at K=8, 1.07/1.01 at K=16,
-#: 0.92/0.90 at K=24 (1.00/0.97 in a second run) and 0.85/0.91 at K=32;
-#: on geometric data with ``log`` search the array already wins at K=16
-#: (0.90/0.87).  From K=32 up the array is faster on both.
+#: array/list time (ratio of mins / median ratio of 15 rounds) on flat data
+#: with ``table`` search is 1.40/1.29 at K=8, 1.07/1.01 at K=16, 0.92/0.90
+#: at K=24 (1.00/0.97 in a second run) and 0.85/0.91 at K=32; on geometric
+#: data with ``log`` search the array already wins at K=16 (0.90/0.87).
+#: From K=32 up the array is faster on both.
 _ARRAY_MIN_K = 32
 
 # ``update``'s increment: a read-only 0-d int64 one, which ``np.add``
@@ -116,10 +118,15 @@ class LinearModel:
 
         All boundaries above the symbol move up by one, so the cost is
         K - sym writes.  When the total has reached MAX_TOTALCOUNT the
-        model is rescaled before the increment.
+        model is rescaled before the increment.  A symbol outside [0, K)
+        raises IndexError and leaves the model as it was.
         """
         if not self.adaptive:
             raise ValueError("static model cannot be updated")
+        # a negative index would wrap, and the tail loop would then raise
+        # every boundary, hk[0] included
+        if not 0 <= sym < self.k:
+            raise IndexError("symbol out of range")
         rescaled = False
         if self.total_count >= MAX_TOTALCOUNT:
             self.rescale()

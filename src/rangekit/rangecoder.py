@@ -10,18 +10,25 @@ strategy is deliberately NOT part of the header because it does not
 affect the bitstream, only how fast the decoder finds each symbol.
 
 ``Encoder`` and ``Decoder`` are the step-by-step reference of the register
-discipline.  The stream functions ``encode_stream``/``decode_stream`` keep
-copies of the same registers in locals and repeat their arithmetic inline,
-which spares two method calls per symbol; they must stay bit-identical.
+discipline.  The stream functions ``encode_stream``/``decode_stream`` run
+the compiled loops of ``_loops.c`` when ``_loops`` has loaded them, and
+otherwise their Python loops, which keep copies of the same registers in
+locals and repeat their arithmetic inline, sparing two method calls per
+symbol.  A decode that counts always runs the Python loop.  All of them
+must stay bit-identical.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import _loops
+from . import fenwick_model as _fenwick
+from . import linear_model as _linear
 from .datagen import MAX_ALPHABET, check_symbols
 from .fenwick_model import FenwickModel
 from .linear_model import MAX_TOTALCOUNT, LinearModel
@@ -41,6 +48,10 @@ STATIC_TOTAL_LIMIT = 1 << 16
 _MODES = ("static", "adaptive")
 _MODELS = ("linear", "fenwick")
 _RESCALES = ("orig", "new")
+
+#: Symbols per call of a compiled stream loop.  A decode buffers at most
+#: this many before it appends them and calls again.
+CHUNK = 1 << 16
 
 _HEADER_FMT = "<4sBBBBIIQ"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
@@ -276,8 +287,16 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     header = StreamHeader(config.mode, config.model, config.rescale,
                           config.rescale_interval if config.mode == "adaptive" else 0,
                           k, n, counts)
-    enc = Encoder()
     model = _make_model(header)
+    lib = _loops.lib()
+    if lib is None:
+        return pack_header(header) + _encode_python(symbols, header, model)
+    return pack_header(header) + _encode_compiled(lib, symbols, header, model)
+
+
+def _encode_python(symbols: list[int], header: StreamHeader, model) -> bytes:
+    """The coded bytes of ``symbols``: the reference stream loop."""
+    enc = Encoder()
     # one walk per symbol, which also updates, or the prefix sums
     walk = model.encode_walk if isinstance(model, FenwickModel) else None
     hk, h = (None, None) if walk else (model.hk, model.h)
@@ -315,20 +334,18 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
             if interval and (pos + 1) % interval == 0:
                 model.rescale()
     enc.low, enc.range, enc.cache, enc.cache_size = low, rng, cache, cache_size
-    return pack_header(header) + enc.finish()
+    return enc.finish()
 
 
 def decode_stream(payload: bytes, strategy: str | None = None,
                   stats: DecodeStats | None = None) -> tuple[StreamHeader, list[int]]:
     """Decompress a stream; the strategy never changes the output.
 
-    An adaptive fenwick stream decodes with ``FenwickModel.decode_walk``,
-    ``binary_indexed_interval``'s descent fused with the update.  A static
-    stream, of either model, reads its symbol from ``search.code_table``,
-    built once after the header; an adaptive linear stream bisects the
-    prefix sums with ``bisect_right``.  Each finds the symbol every
-    strategy finds.  The strategy is checked against the stream, and
-    ``stats``, when given, gets its work counters added after decoding.
+    Without ``stats`` the stream decodes in the compiled loop of its
+    model family when ``_loops`` has loaded it, and in the Python loop
+    otherwise; both find the symbol every strategy finds.  The strategy
+    is checked against the stream, and ``stats``, when given, gets its
+    work counters, counted by the Python models, added after decoding.
     """
     header, offset = unpack_header(payload)
     if strategy is None:
@@ -339,6 +356,35 @@ def decode_stream(payload: bytes, strategy: str | None = None,
     if len(payload) < offset + 5:
         raise StreamFormatError("truncated payload")
     model = _make_model(header)
+    lib = _loops.lib() if stats is None else None
+    if lib is not None:
+        symbols, pos = _decode_compiled(lib, bytes(payload), offset, header, model)
+    else:
+        symbols, pos = _decode_python(payload, offset, header, model)
+    if pos != len(payload):
+        raise StreamFormatError("trailing bytes after the last symbol")
+    if stats is not None:
+        adaptive = header.mode == "adaptive"
+        hist = _search.count_iterations(strategy, model, adaptive, symbols)
+        stats.symbols += header.n
+        stats.search_iterations += sum(it * n for it, n in hist.items())
+        stats.iteration_histogram.update(hist)
+        stats.update_accesses += model.update_accesses
+        stats.rescale_accesses += model.rescale_accesses
+    return header, symbols
+
+
+def _decode_python(payload: bytes, offset: int, header: StreamHeader,
+                   model) -> tuple[list[int], int]:
+    """The reference stream loop: the decoded symbols and the position
+    after the last byte read.
+
+    An adaptive fenwick stream decodes with ``FenwickModel.decode_walk``,
+    ``binary_indexed_interval``'s descent fused with the update.  A static
+    stream, of either model, reads its symbol from ``search.code_table``,
+    built once after the header; an adaptive linear stream bisects the
+    prefix sums with ``bisect_right``.
+    """
     interval = header.rescale_interval
     adaptive = header.mode == "adaptive"
     walk = model.decode_walk if isinstance(model, FenwickModel) else None
@@ -388,13 +434,74 @@ def decode_stream(payload: bytes, strategy: str | None = None,
                 model.update(sym)
             if interval and (i + 1) % interval == 0:
                 model.rescale()
-    if pos != len(payload):
-        raise StreamFormatError("trailing bytes after the last symbol")
-    if stats is not None:
-        hist = _search.count_iterations(strategy, model, adaptive, symbols)
-        stats.symbols += header.n
-        stats.search_iterations += sum(it * n for it, n in hist.items())
-        stats.iteration_histogram.update(hist)
-        stats.update_accesses += model.update_accesses
-        stats.rescale_accesses += model.rescale_accesses
-    return header, symbols
+    return symbols, pos
+
+
+def _compiled_loop(lib, kind: str, header: StreamHeader, model):
+    """The compiled ``kind`` loop, "encode" or "decode", of ``model``'s
+    family, and the buffers it takes after the symbols: uint32 copies of
+    the model's arrays, which it updates in place (``h`` and ``hk``, or
+    ``v`` and None), and the stream's settings in its ``cfg`` order.  The
+    count cap is read from the model's module, so a ``MAX_TOTALCOUNT``
+    patched there applies."""
+    if isinstance(model, FenwickModel):
+        family, arrays = "fenwick", (array("I", model.v), None)
+        cap = _fenwick.MAX_TOTALCOUNT
+    else:
+        family, arrays = "linear", (array("I", model.h), array("I", model.hk))
+        cap = _linear.MAX_TOTALCOUNT
+    adaptive = header.mode == "adaptive"
+    cfg = array("q", (model.k, adaptive, header.rescale_interval if adaptive else 0,
+                      cap, header.rescale == "new"))
+    return getattr(lib, f"{family}_{kind}"), (*arrays, cfg)
+
+
+def _address(buf: array | None) -> int | None:
+    return None if buf is None else buf.buffer_info()[0]
+
+
+def _encode_compiled(lib, symbols: list[int], header: StreamHeader,
+                     model) -> bytes:
+    """``_encode_python`` in the compiled loop, ``CHUNK`` symbols a call."""
+    loop, buffers = _compiled_loop(lib, "encode", header, model)
+    data = array("I", symbols)
+    # before a symbol the range is at least 2**24 and the total at most
+    # 2**20, so the symbol leaves a range of at least 16 and shifts out
+    # at most three bytes; the flush shifts out five
+    out = array("B", bytes(3 * len(data) + 5))
+    # range, low, bytes out, symbols coded, total, cache, cache size
+    state = array("q", (MASK32, 0, 0, 0, model.total_count, 0, 1))
+    args = [_address(x) for x in (data, *buffers)]
+    done = 0
+    while True:
+        step = min(len(data) - done, CHUNK)
+        done += step
+        size = loop(_address(out), len(out), _address(state), step,
+                    done == len(data), *args)
+        if size < 0:
+            raise RuntimeError("compiled encode ran past its output bound")
+        if done == len(data):
+            return out[:size].tobytes()
+
+
+def _decode_compiled(lib, payload: bytes, offset: int, header: StreamHeader,
+                     model) -> tuple[list[int], int]:
+    """``_decode_python`` in the compiled loop, ``CHUNK`` symbols a call:
+    the buffer never grows with the header's symbol count, and signals
+    are handled between calls."""
+    loop, buffers = _compiled_loop(lib, "decode", header, model)
+    n = header.n
+    out = array("I", bytes(4 * min(n, CHUNK)))
+    # range, code, payload position, symbols decoded, total; the first
+    # payload byte is the flush artifact and falls out of 32 bits
+    code = int.from_bytes(payload[offset + 1:offset + 5], "big")
+    state = array("q", (MASK32, code, offset + 5, 0, model.total_count, 0, 0))
+    args = [_address(x) for x in (out, *buffers)]
+    symbols: list[int] = []
+    while len(symbols) < n:
+        got = loop(payload, len(payload), _address(state),
+                   min(n - len(symbols), CHUNK), *args)
+        if got < 0:
+            raise StreamFormatError("payload ends before the last symbol")
+        symbols += out[:got].tolist()
+    return symbols, state[2]

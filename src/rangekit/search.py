@@ -21,9 +21,9 @@ i > s, so every comparison search (``lin-fwd``, ``lin-bwd``, ``log``,
 ``bisect_right`` finds, and so does the lookup table (``table``), which
 maps c to s by construction.  So decode picks its search by the stream
 alone, whatever the strategy: an adaptive Fenwick stream decodes with
-``FenwickModel.decode_walk``, a static stream reads its ``code_table``,
-which never needs upkeep, and an adaptive linear stream bisects with
-``bisect_right``.  The same fact makes a comparison search's
+``FenwickModel.decode_walk``'s descent and a linear stream bisects with
+``bisect_right``, except that the Python stream loop reads a static
+stream's ``code_table``, which never needs upkeep.  The same fact makes a comparison search's
 path, and its iteration count, depend on s alone (and, for ``log2``, on
 its first probe), so ``count_iterations`` derives the iteration
 histogram from the decoded symbols, after decoding and only when asked.
@@ -237,7 +237,8 @@ class LookupTable:
     symbol's run, and the repair rewrites the last slot of every run from
     the symbol up: the K - sym writes the paper charges the table with.
     This is the reference of that upkeep; decode keeps no adaptive table,
-    and a static stream decodes through ``code_table``, the same map.
+    and the Python stream loop decodes a static stream through
+    ``code_table``, the same map.
     """
 
     __slots__ = ("t",)
@@ -278,7 +279,8 @@ def code_table(counts) -> array:
     Symbol i fills ``counts[i]`` consecutive slots, so a zero-count symbol
     fills none and the table has one entry per code value in [0, total).
     Every symbol index fits in 16 bits, as K <= ``MAX_ALPHABET`` = 65536.
-    A static stream decodes through this table: one read per symbol.
+    The Python stream loop decodes a static stream through this table:
+    one read per symbol.
     """
     return array("H", np.repeat(np.arange(len(counts), dtype=np.uint16),
                                 counts).tobytes())
@@ -366,10 +368,8 @@ def _bi_count(model, adaptive):
 
 #: Strategy name -> (model family, static_only, count).
 #:
-#: Decode reads no row: an adaptive fenwick stream decodes with
-#: ``FenwickModel.decode_walk``, a static stream with its ``code_table``
-#: and an adaptive linear stream with ``bisect_right``, whatever the
-#: strategy.
+#: Decode reads no row: it picks its search by the stream alone (see the
+#: module docstring), whatever the strategy.
 #:
 #: ``count(model, adaptive)`` is called by ``count_iterations`` only and
 #: returns ``(iterations, on_symbol)``: ``iterations(c)`` is the reference

@@ -1,9 +1,14 @@
 import contextlib
+import signal
+import struct
 from unittest import mock
 
 import pytest
+from hypothesis import strategies as st
 
-from rangekit import fenwick_model, linear_model
+from rangekit import _loops, fenwick_model, linear_model
+from rangekit.datagen import MAX_ALPHABET
+from rangekit.rangecoder import _HEADER_SIZE
 from rangekit.search import (
     LookupTable, adapt_initial_split, binary_indexed, build_search_tree,
     determine_initial_split, exponential, linear_backward, linear_forward,
@@ -49,6 +54,53 @@ def forced_storage(storage):
     ``"list"`` or an ``"array"`` whatever their alphabet size."""
     floor = {"list": float("inf"), "array": 1}[storage]
     return mock.patch.object(linear_model, "_ARRAY_MIN_K", floor)
+
+
+def python_loops():
+    """Context in which the stream functions run their Python loops, as
+    when the compiled loops could not be built."""
+    return mock.patch.object(_loops, "_lib", None)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so a
+    loop that never ends fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# header field offsets of the "<4sBBBBIIQ" layout
+K_AT, N_AT = 12, 16
+
+
+def mutate(payload, kind, data):
+    """``payload`` with one mutation of ``kind`` applied."""
+    out = bytearray(payload)
+    if kind == "truncate":
+        return bytes(out[:data.draw(st.integers(0, len(out) - 1))])
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(out) - 1))
+        out[at] ^= data.draw(st.integers(1, 255))
+    elif kind == "k":
+        struct.pack_into("<I", out, K_AT,
+                         data.draw(st.integers(0, MAX_ALPHABET + 1)))
+    elif kind == "count":
+        k = struct.unpack_from("<I", out, K_AT)[0]
+        at = _HEADER_SIZE + 4 * data.draw(st.integers(0, k - 1))
+        struct.pack_into("<I", out, at, data.draw(st.one_of(
+            st.integers(0, 3), st.integers(0, linear_model.MAX_TOTALCOUNT + 1))))
+    else:  # "n"
+        struct.pack_into("<Q", out, N_AT, data.draw(st.integers(0, 1 << 16)))
+    return bytes(out)
 
 
 class ReferenceSearch:

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import rangekit
+from rangekit import _loops
 from rangekit.cli import main
 from rangekit.datagen import read_symbols, write_symbols
 from rangekit.rangecoder import StreamHeader, pack_header
+
+from conftest import python_loops
 
 
 def test_gen_encode_decode_round_trip(tmp_path):
@@ -132,6 +135,20 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "all selftests passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_names_the_stream_loops_in_use(capsys):
+    assert main(["selftest"]) == 0
+    out = capsys.readouterr().out
+    if _loops.lib() is not None:
+        assert "stream loops in use: compiled" in out
+        assert "ok: adaptive round trip (fenwick, compiled loop)" in out
+    with python_loops():
+        assert main(["selftest"]) == 0
+    out = capsys.readouterr().out
+    assert "stream loops in use: python" in out
+    assert "compiled loop)" not in out
+    assert "ok: adaptive round trip (fenwick, python loop)" in out
 
 
 def test_decode_bad_magic_reports_error(tmp_path, capsys):

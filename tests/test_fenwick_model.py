@@ -325,6 +325,23 @@ def test_update_chains_are_made_on_first_update():
             m.update(sym)
 
 
+@pytest.mark.parametrize("variant", ("orig", "new"))
+def test_update_rejects_symbol_out_of_range(variant):
+    """A symbol outside [0, K) raises IndexError and changes nothing, also
+    once the mirrored symbol has a chain and at the count cap.
+    ``update(3)`` then ``update(-1)`` used to raise symbol 3's chain again
+    and leave the counts at [1, 1, 1, 3]."""
+    with count_cap(5):
+        m = FenwickModel.flat(4, rescale_variant=variant)
+        m.update(3)  # the total reaches the cap
+        before = model_state(m)
+        for sym in (-1, -4, 4, 9):
+            with pytest.raises(IndexError):
+                m.update(sym)
+            assert model_state(m) == before
+        assert [m.count(s) for s in range(4)] == [1, 1, 1, 2]
+
+
 def model_state(m):
     return list(m.v), m.total_count, m.update_accesses, m.rescale_accesses
 

@@ -10,7 +10,7 @@ from rangekit.datagen import MAX_ALPHABET
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import MAX_TOTALCOUNT, LinearModel
 
-from conftest import REF19_COUNTS, REF19_HK, TOY_HK, forced_storage
+from conftest import REF19_COUNTS, REF19_HK, TOY_HK, count_cap, forced_storage
 
 STORAGES = ("list", "array")
 
@@ -304,3 +304,26 @@ def test_rescale_bounds_total():
     m.rescale()
     assert min(m.h) >= 1
     assert m.total_count <= -(-old_total // 2) + 10
+
+
+def linear_state(m):
+    return (list(m.h), list(m.hk), m.total_count, m.update_accesses,
+            m.rescale_accesses)
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+@pytest.mark.parametrize("k", (4, 40))
+def test_update_rejects_symbol_out_of_range(storage, k):
+    """A symbol outside [0, K) raises IndexError and changes nothing, not
+    even at the count cap, where an update rescales first.  ``update(-1)``
+    used to wrap: on ``flat(40)`` it raised every boundary, ``hk[0]``
+    included, and the total went to 41."""
+    with forced_storage(storage), count_cap(k + 1):
+        m = LinearModel.flat(k)
+        m.update(k - 1)  # the total reaches the cap
+        before = linear_state(m)
+        for sym in (-1, -k, k, k + 5):
+            with pytest.raises(IndexError):
+                m.update(sym)
+            assert linear_state(m) == before
+        assert m.hk[0] == 0

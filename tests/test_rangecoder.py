@@ -1,7 +1,5 @@
 import random
-import signal
 import struct
-from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -20,7 +18,7 @@ from rangekit.rangecoder import (
 )
 from rangekit.search import STRATEGIES
 
-from conftest import count_cap, forced_storage
+from conftest import N_AT, count_cap, forced_storage, mutate, time_limit
 
 
 def test_encoder_initial_registers():
@@ -268,22 +266,6 @@ def test_stream_round_trip_all_configs(cfg):
     assert header.mode == cfg.mode
     assert header.model == cfg.model
     assert header.n == 2000
-
-
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block once ``seconds`` have passed, so a
-    loop that never ends fails the test instead of hanging the suite."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("dtype", (np.uint8, np.uint16))
@@ -573,31 +555,6 @@ def test_decode_clamps_code_value_past_total(mode, model):
     assert decode_stream(payload)[1] == [2]
 
 
-# header field offsets of the "<4sBBBBIIQ" layout
-_K_AT, _N_AT = 12, 16
-
-
-def _mutate(payload, kind, data):
-    """``payload`` with one mutation of ``kind`` applied."""
-    out = bytearray(payload)
-    if kind == "truncate":
-        return bytes(out[:data.draw(st.integers(0, len(out) - 1))])
-    if kind == "flip":
-        at = data.draw(st.integers(0, len(out) - 1))
-        out[at] ^= data.draw(st.integers(1, 255))
-    elif kind == "k":
-        struct.pack_into("<I", out, _K_AT,
-                         data.draw(st.integers(0, MAX_ALPHABET + 1)))
-    elif kind == "count":
-        k = struct.unpack_from("<I", out, _K_AT)[0]
-        at = _HEADER_SIZE + 4 * data.draw(st.integers(0, k - 1))
-        struct.pack_into("<I", out, at, data.draw(st.one_of(
-            st.integers(0, 3), st.integers(0, linear_model.MAX_TOTALCOUNT + 1))))
-    else:  # "n"
-        struct.pack_into("<Q", out, _N_AT, data.draw(st.integers(0, 1 << 16)))
-    return bytes(out)
-
-
 @pytest.mark.parametrize("mode,model,kind", [
     (mode, model, kind) for mode in ("static", "adaptive")
     for model in ("linear", "fenwick")
@@ -616,11 +573,11 @@ def test_mutated_streams_decode_or_raise_format_error(mode, model, kind, data):
         st.one_of(st.just(hot), st.integers(0, k - 1)), max_size=200))
     interval = data.draw(st.sampled_from((0, 7))) if mode == "adaptive" else 0
     payload = encode_stream(syms, k, CoderConfig(mode, model, "orig", interval))
-    bad = _mutate(payload, kind, data)
+    bad = mutate(payload, kind, data)
     # run time is bounded by the payload only for streams that cost bits;
     # a symbol count above 2**16 waits for an explicit symbol limit
     assume(len(bad) < _HEADER_SIZE
-           or struct.unpack_from("<Q", bad, _N_AT)[0] <= 1 << 16)
+           or struct.unpack_from("<Q", bad, N_AT)[0] <= 1 << 16)
     with time_limit(10):
         try:
             decode_stream(bad)

@@ -1,4 +1,5 @@
 import bisect
+import contextlib
 import hashlib
 import json
 from collections import Counter
@@ -7,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rangekit import linear_model, search
+from rangekit import _loops, linear_model, search
 from rangekit.datagen import GenSpec, gen_sequence
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import LinearModel
@@ -25,7 +26,7 @@ from rangekit.search import (
 
 from conftest import (
     REF19_COUNTS, TOY_HK, TOY_TABLE, TOY_TABLE_AFTER, ReferenceSearch,
-    count_cap,
+    count_cap, python_loops,
 )
 
 
@@ -313,21 +314,25 @@ def test_decode_counts_only_when_asked(strategy, mode):
 def test_decode_builds_no_search_structure(strategy, mode):
     """Without stats, decode builds none of the reference structures,
     whatever the strategy: no lookup table is created or repaired and no
-    search tree is built.  A static stream builds its code-value table
-    once; an adaptive one builds none."""
+    search tree is built.  On the Python loop a static stream builds its
+    code-value table once; the compiled loop bisects the prefix sums and
+    builds none, and an adaptive stream builds none on either loop."""
     payload = encode_stream([0, 1, 2, 1, 0, 3] * 40, 4,
                             CoderConfig(mode, KERNELS[strategy][0], "orig", 16))
-    with mock.patch.object(LookupTable, "create") as create, \
-            mock.patch.object(LookupTable, "update") as update, \
-            mock.patch.object(search, "build_search_tree") as build, \
-            mock.patch.object(search, "code_table",
-                              wraps=search.code_table) as table:
-        _, out = decode_stream(payload, strategy)
-    assert out == [0, 1, 2, 1, 0, 3] * 40
-    create.assert_not_called()
-    update.assert_not_called()
-    build.assert_not_called()
-    assert table.call_count == (1 if mode == "static" else 0)
+    for loops in (contextlib.nullcontext, python_loops):
+        python = loops is python_loops or _loops.lib() is None
+        with loops(), \
+                mock.patch.object(LookupTable, "create") as create, \
+                mock.patch.object(LookupTable, "update") as update, \
+                mock.patch.object(search, "build_search_tree") as build, \
+                mock.patch.object(search, "code_table",
+                                  wraps=search.code_table) as table:
+            _, out = decode_stream(payload, strategy)
+        assert out == [0, 1, 2, 1, 0, 3] * 40
+        create.assert_not_called()
+        update.assert_not_called()
+        build.assert_not_called()
+        assert table.call_count == (1 if mode == "static" and python else 0)
 
 
 def test_determine_initial_split():
