@@ -1,12 +1,13 @@
 /* Compiled stream loops of rangekit's range coder, built and loaded by
    _loops.py.  One decode and one encode loop per model family, each
-   running the algorithms of rangecoder.py's Python loops unchanged: the
-   register discipline of Encoder/Decoder; the linear model's
-   bisect_right search, K - sym tail update and count halving; and
-   FenwickModel's decode_walk descent, encode_walk chain walk, update
-   chain and both rescales.  At the count cap a model rescales before the
-   increment.  No work counters are kept: a decode that counts runs the
-   Python loop.
+   running the algorithms of rangecoder.py's Python loops: the register
+   discipline of Encoder/Decoder; the linear model's bisect_right search,
+   K - sym tail update and count halving; and FenwickModel's update chain
+   and both rescales.  The Fenwick loops fuse two steps of the Python loop
+   into one walk: the decode's descent is binary_indexed_interval +
+   update, and the encode's walk is cum + count.  At the count cap a
+   model rescales before the increment.  No work counters are kept: a
+   decode that counts runs the Python loop.
 
    The arrays are uint32 copies of the model's (no count or total passes
    MAX_TOTALCOUNT = 2^20): h and hk for the linear model, v for the
@@ -150,7 +151,8 @@ i64 fenwick_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
     while (top <= cfg[K] >> 1)
         top <<= 1;
     DECODE_BEGIN
-        /* decode_walk: raise each probe not taken, unless at the cap */
+        /* binary_indexed_interval + update: raise each probe not taken,
+           unless at the cap, where update rescales first */
         u32 r, c0 = target(&d, m.total, &r);
         i64 c = c0, f = m.total - c, bottom = 0, inc = m.total < m.cap;
         for (i64 step = top; step; step >>= 1) {
@@ -238,7 +240,7 @@ i64 linear_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
 i64 fenwick_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
                    const u32 *syms, u32 *a, u32 *b, const i64 *cfg) {
     ENCODE_BEGIN
-        /* encode_walk: count's walk down to the parent of s + 1 starts cum's */
+        /* cum + count: count's walk down to the parent of s + 1 starts cum's */
         i64 parent = (s + 1) & s, j = s, low = 0;
         for (; j != parent; j &= j - 1)
             low += m.v[j];

@@ -7,11 +7,9 @@ bit.  Queries and updates are O(log K) instead of O(K).  The array is built
 in O(K), as ``v[i] = hk[i] - hk[i & (i - 1)]`` (``v[0]`` is 0), from the
 prefix sums of ``linear_model.prefix_sums``, the one check of the counts.
 
-An adaptive stream codes a symbol with one call that also updates,
-``decode_walk`` or ``encode_walk``; ``cum``, ``count`` and ``update`` are
-their reference.  The descent runs down a ladder of probe strides built
-once per model, and ``update`` raises a chain of indices cached per symbol
-on its first update, so neither keeps per-probe bookkeeping.
+An adaptive stream encodes a symbol with ``cum`` and ``count`` and
+decodes it with ``search.binary_indexed_interval``, then ``update`` raises
+the symbol's chain ``sym + 1, + lowbit, ...``.
 
 Two rescaling procedures are provided.  The original one halves each
 symbol count and pushes the correction through the update chain; the
@@ -21,8 +19,6 @@ round differently and are NOT interchangeable mid-stream.
 """
 
 from __future__ import annotations
-
-from array import array
 
 from .linear_model import MAX_TOTALCOUNT, prefix_sums
 
@@ -57,16 +53,11 @@ class FenwickModel:
     same slot inside one statement coalesce).  A rescale touches the same
     slots whatever the counts, so it adds its per-K total, equal to the
     per-statement tally of its loops, once.
-
-    ``_chains[sym]``, made on the first update of ``sym``, is its update
-    chain ``sym + 1, +lowbit, ...`` as an ``array('I')``; a chain holds
-    indices, not values, so it stays valid across rescales.
     """
 
     __slots__ = (
         "k", "v", "total_count", "top_lev_idx", "adaptive", "rescale_variant",
         "query_accesses", "update_accesses", "rescale_accesses",
-        "_steps", "_chains",
     )
 
     def __init__(self, counts, adaptive: bool = True, rescale_variant: str = "orig"):
@@ -77,12 +68,6 @@ class FenwickModel:
         self.v = [hk[i] - hk[i & (i - 1)] for i in range(self.k + 1)]
         self.total_count = hk[-1]
         self.top_lev_idx = top_level_index(self.k)
-        # the descent's probe strides: top_lev_idx, top_lev_idx / 2, ..., 1
-        self._steps = tuple(self.top_lev_idx >> s
-                            for s in range(self.top_lev_idx.bit_length()))
-        # all K chains take 7.25 MiB at K = 65536, so each is made on its
-        # symbol's first update
-        self._chains = [None] * self.k if adaptive else None
         self.adaptive = adaptive
         self.rescale_variant = rescale_variant
         self.query_accesses = 0
@@ -129,87 +114,25 @@ class FenwickModel:
         it was."""
         if not self.adaptive:
             raise ValueError("static model cannot be updated")
-        # a negative index would wrap to another symbol's cached chain, and
-        # below 0 a chain would never end: lowbit(0) is 0
+        # from a negative symbol the chain would climb to 0 and stay
+        # there: lowbit(0) is 0
         if not 0 <= sym < self.k:
             raise IndexError("symbol out of range")
         rescaled = False
         if self.total_count >= MAX_TOTALCOUNT:
             self.rescale()
             rescaled = True
-        chain = self._chains[sym]
-        if chain is None:
-            chain = self._chains[sym] = self._chain(sym)
         v = self.v
-        for i in chain:
-            v[i] += 1
-        self.update_accesses += len(chain)
-        self.total_count += 1
-        return rescaled
-
-    def _chain(self, sym: int) -> array:
-        """The update chain of ``sym``: i = sym + 1, i + lowbit(i), ... <= K;
-        ``update`` has checked that ``sym`` is in [0, K)."""
         k = self.k
         i = sym + 1
-        chain = []
+        n = 0
         while i <= k:
-            chain.append(i)
+            v[i] += 1
             i += i & -i
-        # from a list, so the array is allocated at its exact size
-        return array("I", chain)
-
-    def decode_walk(self, c: int) -> tuple[int, int, int]:
-        """``binary_indexed_interval(c)`` plus ``update(symbol)`` in one
-        descent: the probes it does not take are the nodes ``update``
-        raises.  At the count cap, where ``update`` rescales first, the
-        descent raises nothing and ``update`` follows.
-
-        ``c`` drops by every probe taken, so the interval's low end is
-        what it dropped by; ``f`` is the width above ``c`` of the last
-        probe not taken (of ``total`` if none), so the frequency is
-        ``f + c`` with ``c`` as it ends."""
-        v = self.v
-        k = self.k
-        total = self.total_count
-        inc = 1 if total < MAX_TOTALCOUNT and self.adaptive else 0
-        c0 = c
-        f = total - c
-        bottom = n = 0
-        for step in self._steps:
-            test = bottom + step
-            if test <= k:
-                x = v[test]
-                if c >= x:
-                    bottom = test
-                    c -= x
-                else:
-                    f = x - c
-                    v[test] = x + inc
-                    n += 1
-        if inc:
-            self.update_accesses += n
-            self.total_count = total + 1
-        else:
-            self.update(bottom)
-        return bottom, c0 - c, f + c
-
-    def encode_walk(self, sym: int) -> tuple[int, int]:
-        """``(cum(sym), count(sym))`` from one walk, then ``update(sym)``:
-        ``count``'s walk down to the parent of ``sym + 1`` starts ``cum``'s."""
-        v = self.v
-        parent = (sym + 1) & sym
-        j = sym
-        low = 0
-        while j != parent:
-            low += v[j]
-            j &= j - 1
-        freq = v[sym + 1] - low
-        while j:
-            low += v[j]
-            j &= j - 1
-        self.update(sym)
-        return low, freq
+            n += 1
+        self.update_accesses += n
+        self.total_count += 1
+        return rescaled
 
     def rescale(self) -> None:
         if self.rescale_variant == "new":

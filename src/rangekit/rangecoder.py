@@ -12,10 +12,9 @@ affect the bitstream, only how fast the decoder finds each symbol.
 ``Encoder`` and ``Decoder`` are the step-by-step reference of the register
 discipline.  The stream functions ``encode_stream``/``decode_stream`` run
 the compiled loops of ``_loops.c`` when ``_loops`` has loaded them, and
-otherwise their Python loops, which keep copies of the same registers in
-locals and repeat their arithmetic inline, sparing two method calls per
-symbol.  A decode that counts always runs the Python loop.  All of them
-must stay bit-identical.
+otherwise their Python loops, the plain reference, which code one symbol
+a step on an ``Encoder`` or a ``Decoder``.  A decode that counts always
+runs the Python loop.  Both must stay bit-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .datagen import MAX_ALPHABET, check_symbols
 from .fenwick_model import FenwickModel
 from .linear_model import MAX_TOTALCOUNT, LinearModel
 from . import search as _search
-from .search import strategy_compatible
+from .search import binary_indexed_interval, strategy_compatible
 
 TOP = 1 << 24
 MASK32 = 0xFFFFFFFF
@@ -297,43 +296,14 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
 def _encode_python(symbols: list[int], header: StreamHeader, model) -> bytes:
     """The coded bytes of ``symbols``: the reference stream loop."""
     enc = Encoder()
-    # one walk per symbol, which also updates, or the prefix sums
-    walk = model.encode_walk if isinstance(model, FenwickModel) else None
-    hk, h = (None, None) if walk else (model.hk, model.h)
     adaptive = header.mode == "adaptive"
     interval = header.rescale_interval
-    # Encoder.encode and Encoder._shift_low, registers in locals; every
-    # count is >= 1 (data-derived static counts, adaptive counts), so
-    # the zero-width check cannot fire here
-    low, rng, cache, cache_size = enc.low, enc.range, enc.cache, enc.cache_size
-    out = enc.out
     for pos, s in enumerate(symbols):
-        r = rng // model.total_count
-        if walk is not None:
-            cum_low, freq = walk(s)
-            low += r * cum_low
-            rng = r * freq
-        else:
-            low += r * hk[s]
-            rng = r * h[s]
-        while rng < TOP:
-            if low < 0xFF000000 or low > MASK32:
-                carry = low >> 32
-                out.append((cache + carry) & 0xFF)
-                if cache_size > 1:
-                    out += (b"\x00" if carry else b"\xff") * (cache_size - 1)
-                    cache_size = 1
-                cache = (low >> 24) & 0xFF
-            else:
-                cache_size += 1
-            low = (low << 8) & MASK32
-            rng <<= 8  # rng < 2**24 here, so no mask is needed
+        enc.encode(model.cum(s), model.count(s), model.total_count)
         if adaptive:
-            if walk is None:  # a walk has updated the model already
-                model.update(s)
+            model.update(s)
             if interval and (pos + 1) % interval == 0:
                 model.rescale()
-    enc.low, enc.range, enc.cache, enc.cache_size = low, rng, cache, cache_size
     return enc.finish()
 
 
@@ -379,62 +349,29 @@ def _decode_python(payload: bytes, offset: int, header: StreamHeader,
     """The reference stream loop: the decoded symbols and the position
     after the last byte read.
 
-    An adaptive fenwick stream decodes with ``FenwickModel.decode_walk``,
-    ``binary_indexed_interval``'s descent fused with the update.  A static
-    stream, of either model, reads its symbol from ``search.code_table``,
-    built once after the header; an adaptive linear stream bisects the
-    prefix sums with ``bisect_right``.
+    An adaptive fenwick stream finds its symbol with
+    ``binary_indexed_interval``; every linear stream, static or adaptive,
+    bisects the prefix sums with ``bisect_right``.
     """
     interval = header.rescale_interval
     adaptive = header.mode == "adaptive"
-    walk = model.decode_walk if isinstance(model, FenwickModel) else None
-    hk, h = (None, None) if walk else (model.hk, model.h)
-    # a static model never updates, so its code-value table is built once;
-    # encode and count_iterations build static models and never pay for it
-    table = None if adaptive else _search.code_table(h)
+    fenwick = isinstance(model, FenwickModel)
+    dec = Decoder(payload[offset:])
     symbols: list[int] = []
-    append = symbols.append
-
-    # Decoder.__init__, decode_target and consume, registers in locals; the
-    # first payload byte is the flush artifact and falls out of 32 bits
-    rng = MASK32
-    code = int.from_bytes(payload[offset + 1:offset + 5], "big")
-    pos = offset + 5
     for i in range(header.n):
-        total = model.total_count
-        r = rng // total
-        c = code // r
-        if c >= total:
-            c = total - 1
-        if walk is not None:
-            sym, low, freq = walk(c)
-        elif table is not None:  # c < total == len(table) after the clamp
-            sym = table[c]
-            low = hk[sym]
-            freq = h[sym]
+        c = dec.decode_target(model.total_count)
+        if fenwick:
+            sym, low, freq = binary_indexed_interval(c, model)
         else:
-            sym = bisect_right(hk, c) - 1
-            low = hk[sym]
-            freq = h[sym]
-        code -= r * low
-        rng = r * freq
-        while rng < TOP:
-            # a valid stream never reads past its last byte, so running out
-            # bounds the work a forged symbol count can cause
-            try:
-                code = ((code << 8) | payload[pos]) & MASK32
-            except IndexError:
-                raise StreamFormatError(
-                    "payload ends before the last symbol") from None
-            pos += 1
-            rng <<= 8  # rng < 2**24 here, so no mask is needed
-        append(sym)
+            sym = bisect_right(model.hk, c) - 1
+            low, freq = model.cum(sym), model.count(sym)
+        dec.consume(low, freq)
+        symbols.append(sym)
         if adaptive:
-            if walk is None:  # a walk has updated the model already
-                model.update(sym)
+            model.update(sym)
             if interval and (i + 1) % interval == 0:
                 model.rescale()
-    return symbols, pos
+    return symbols, offset + dec.pos
 
 
 def _compiled_loop(lib, kind: str, header: StreamHeader, model):

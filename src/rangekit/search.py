@@ -21,22 +21,19 @@ i > s, so every comparison search (``lin-fwd``, ``lin-bwd``, ``log``,
 ``bisect_right`` finds, and so does the lookup table (``table``), which
 maps c to s by construction.  So decode picks its search by the stream
 alone, whatever the strategy: an adaptive Fenwick stream decodes with
-``FenwickModel.decode_walk``'s descent and a linear stream bisects with
-``bisect_right``, except that the Python stream loop reads a static
-stream's ``code_table``, which never needs upkeep.  The same fact makes a comparison search's
-path, and its iteration count, depend on s alone (and, for ``log2``, on
-its first probe), so ``count_iterations`` derives the iteration
-histogram from the decoded symbols, after decoding and only when asked.
+``binary_indexed_interval``'s descent and a linear stream, static or
+adaptive, bisects with ``bisect_right``.  The same fact makes a
+comparison search's path, and its iteration count, depend on s alone
+(and, for ``log2``, on its first probe), so ``count_iterations`` derives
+the iteration histogram from the decoded symbols, after decoding and only
+when asked.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .fenwick_model import FenwickModel, top_level_index
 
@@ -236,9 +233,7 @@ class LookupTable:
     ``total_count`` entries.  An adaptive increment adds one slot to the
     symbol's run, and the repair rewrites the last slot of every run from
     the symbol up: the K - sym writes the paper charges the table with.
-    This is the reference of that upkeep; decode keeps no adaptive table,
-    and the Python stream loop decodes a static stream through
-    ``code_table``, the same map.
+    This is the reference of that upkeep; decode builds no table.
     """
 
     __slots__ = ("t",)
@@ -271,19 +266,6 @@ class LookupTable:
         for i in range(sym, k - 1):
             t[hk[i + 1] - 1] = i
         t.append(k - 1)
-
-
-def code_table(counts) -> array:
-    """``LookupTable.create(counts).t`` as an ``array('H')``, built in C.
-
-    Symbol i fills ``counts[i]`` consecutive slots, so a zero-count symbol
-    fills none and the table has one entry per code value in [0, total).
-    Every symbol index fits in 16 bits, as K <= ``MAX_ALPHABET`` = 65536.
-    The Python stream loop decodes a static stream through this table:
-    one read per symbol.
-    """
-    return array("H", np.repeat(np.arange(len(counts), dtype=np.uint16),
-                                counts).tobytes())
 
 
 def changed_slots(before, after) -> list[int]:

@@ -49,13 +49,6 @@ def count_cap(cap):
     return stack
 
 
-def forced_storage(storage):
-    """Context in which new adaptive LinearModels store ``hk`` as a
-    ``"list"`` or an ``"array"`` whatever their alphabet size."""
-    floor = {"list": float("inf"), "array": 1}[storage]
-    return mock.patch.object(linear_model, "_ARRAY_MIN_K", floor)
-
-
 def python_loops():
     """Context in which the stream functions run their Python loops, as
     when the compiled loops could not be built."""

@@ -1,18 +1,14 @@
 import random
-from array import array
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rangekit import linear_model
-from rangekit.datagen import MAX_ALPHABET
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import MAX_TOTALCOUNT, LinearModel
 
-from conftest import REF19_COUNTS, REF19_HK, TOY_HK, count_cap, forced_storage
-
-STORAGES = ("list", "array")
+from conftest import REF19_COUNTS, REF19_HK, TOY_HK, count_cap
 
 
 def test_flat_init():
@@ -138,38 +134,33 @@ def test_rescale_triggered_at_cap():
 
 @given(st.integers(1, 24), st.data())
 def test_prefix_sum_identity_after_random_updates(k, data):
-    # None draws a rescale, so a tail view made before a rescale is used
-    # after it; K = 1 and sym = K - 1 update one-entry tails
+    # None draws a rescale; K = 1 and sym = K - 1 update one-entry tails
     ops = data.draw(st.lists(st.none() | st.integers(0, k - 1), max_size=40))
-    for storage in STORAGES:
-        with forced_storage(storage):
-            m = LinearModel.flat(k)
-        counts = [1] * k
-        for sym in ops:
-            if sym is None:
-                m.rescale()
-                counts = reference_rescale(counts)[0]
-            else:
-                m.update(sym)
-                counts[sym] += 1
-        assert m.hk[0] == 0
-        for i in range(k):
-            assert m.hk[i + 1] == m.hk[i] + m.h[i]
-        assert m.hk[k] == m.total_count
-        assert (m.h, list(m.hk), m.total_count) == reference_model(counts)
+    m = LinearModel.flat(k)
+    counts = [1] * k
+    for sym in ops:
+        if sym is None:
+            m.rescale()
+            counts = reference_rescale(counts)[0]
+        else:
+            m.update(sym)
+            counts[sym] += 1
+    assert m.hk[0] == 0
+    for i in range(k):
+        assert m.hk[i + 1] == m.hk[i] + m.h[i]
+    assert m.hk[k] == m.total_count
+    assert (m.h, m.hk, m.total_count) == reference_model(counts)
 
 
 def test_update_changes_exactly_tail_entries():
-    for storage in STORAGES:
-        rng = random.Random(1)
-        with forced_storage(storage):
-            m = LinearModel.flat(13)
-        for _ in range(50):
-            sym = rng.randrange(13)
-            before = list(m.hk)
-            m.update(sym)
-            changed = sum(1 for i in range(14) if m.hk[i] != before[i])
-            assert changed == 13 - sym
+    rng = random.Random(1)
+    m = LinearModel.flat(13)
+    for _ in range(50):
+        sym = rng.randrange(13)
+        before = list(m.hk)
+        m.update(sym)
+        changed = sum(1 for i in range(14) if m.hk[i] != before[i])
+        assert changed == 13 - sym
 
 
 def reference_model(counts):
@@ -195,31 +186,24 @@ def reference_rescale(h):
 def test_construction_and_rescale_match_loop_reference(adaptive, data):
     low = 1 if adaptive else 0
     counts = data.draw(st.lists(st.integers(low, 5000), min_size=1, max_size=200))
-    for storage in STORAGES:
-        with forced_storage(storage):
-            m = LinearModel(counts, adaptive=adaptive)
-        # only adaptive models ever store hk as an array
-        assert type(m.hk) is (array if adaptive and storage == "array" else list)
-        assert (m.h, list(m.hk), m.total_count) == reference_model(counts)
-        assert m.rescale_accesses == 0
-        h, hk = m.h, m.hk
-        for rounds in range(1, 3):
-            want = reference_rescale(m.h)
-            m.rescale()
-            assert (m.h, list(m.hk), m.total_count) == want
-            assert m.rescale_accesses == 3 * len(counts) * rounds
-            # decode and the table kernel keep these arrays across a rescale
-            assert m.h is h and m.hk is hk
+    m = LinearModel(counts, adaptive=adaptive)
+    assert (m.h, m.hk, m.total_count) == reference_model(counts)
+    assert m.rescale_accesses == 0
+    h, hk = m.h, m.hk
+    for rounds in range(1, 3):
+        want = reference_rescale(m.h)
+        m.rescale()
+        assert (m.h, m.hk, m.total_count) == want
+        assert m.rescale_accesses == 3 * len(counts) * rounds
+        # decode and the table kernel keep these lists across a rescale
+        assert m.h is h and m.hk is hk
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_update_and_rescale_on_each_storage(storage):
+def test_update_and_rescale_counters():
     rng = random.Random(9)
     k = 90
     counts = [rng.randint(1, 9) for _ in range(k)]
-    with forced_storage(storage):
-        m = LinearModel(counts)
-    assert type(m.hk) is (array if storage == "array" else list)
+    m = LinearModel(counts)
     hk = m.hk
     cap_rescales = 0
     # a low cap makes some updates rescale first, besides the periodic ones
@@ -235,40 +219,17 @@ def test_update_and_rescale_on_each_storage(storage):
                 counts[sym] += 1
                 assert m.update_accesses - before[0] == k - sym + 1
                 assert m.rescale_accesses - before[1] == 3 * k * rescaled
-                assert (m.h, list(hk), m.total_count) == reference_model(counts)
+                assert (m.h, hk, m.total_count) == reference_model(counts)
             before = m.rescale_accesses
             m.rescale()
             counts = reference_rescale(counts)[0]
             assert m.rescale_accesses - before == 3 * k
             assert m.hk is hk
-            # an update after a rescale shows through hk, so the numpy view
-            # still aliases the array the callers hold
+            # an update after a rescale shows through the list callers hold
             m.update(5)
             counts[5] += 1
-            assert list(hk) == reference_model(counts)[1]
+            assert hk == reference_model(counts)[1]
     assert cap_rescales
-
-
-def test_storage_follows_mode_and_alphabet_size():
-    crossover = linear_model._ARRAY_MIN_K
-    assert type(LinearModel([1] * (crossover - 1)).hk) is list
-    assert type(LinearModel([1] * crossover).hk) is array
-    assert type(LinearModel.flat(256).hk) is array
-    assert type(LinearModel([1] * 256, adaptive=False).hk) is list
-
-
-def test_tail_views_are_made_on_first_update():
-    # a forged header may announce the largest alphabet: construction
-    # makes no tail view, and each symbol's view is made once and kept
-    m = LinearModel.flat(MAX_ALPHABET)
-    assert all(t is None for t in m._tails)
-    m.update(7)
-    view = m._tails[7]
-    m.rescale()
-    m.update(7)
-    assert m._tails[7] is view
-    assert [i for i, t in enumerate(m._tails) if t is not None] == [7]
-    assert m.hk[8] - m.hk[7] == m.h[7] == 2
 
 
 INVALID_COUNTS = [
@@ -311,14 +272,13 @@ def linear_state(m):
             m.rescale_accesses)
 
 
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("k", (4, 40))
-def test_update_rejects_symbol_out_of_range(storage, k):
+def test_update_rejects_symbol_out_of_range(k):
     """A symbol outside [0, K) raises IndexError and changes nothing, not
     even at the count cap, where an update rescales first.  ``update(-1)``
     used to wrap: on ``flat(40)`` it raised every boundary, ``hk[0]``
     included, and the total went to 41."""
-    with forced_storage(storage), count_cap(k + 1):
+    with count_cap(k + 1):
         m = LinearModel.flat(k)
         m.update(k - 1)  # the total reaches the cap
         before = linear_state(m)

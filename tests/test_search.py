@@ -6,9 +6,9 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rangekit import _loops, linear_model, search
+from rangekit import linear_model, search
 from rangekit.datagen import GenSpec, gen_sequence
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import LinearModel
@@ -19,7 +19,7 @@ from rangekit.rangecoder import (
 from rangekit.search import (
     KERNELS, NO_CHILD, STRATEGIES, LookupTable, adapt_initial_split,
     best_split, binary_indexed, binary_indexed_interval, build_search_tree,
-    changed_slots, code_table, count_iterations, determine_initial_split,
+    changed_slots, count_iterations, determine_initial_split,
     exponential, linear_backward, linear_forward, log2_search, logarithmic,
     strategy_compatible, tree_search,
 )
@@ -313,26 +313,20 @@ def test_decode_counts_only_when_asked(strategy, mode):
 @pytest.mark.parametrize("strategy,mode", DECODE_CELLS)
 def test_decode_builds_no_search_structure(strategy, mode):
     """Without stats, decode builds none of the reference structures,
-    whatever the strategy: no lookup table is created or repaired and no
-    search tree is built.  On the Python loop a static stream builds its
-    code-value table once; the compiled loop bisects the prefix sums and
-    builds none, and an adaptive stream builds none on either loop."""
+    whatever the strategy and on either loop: no lookup table is created
+    or repaired and no search tree is built."""
     payload = encode_stream([0, 1, 2, 1, 0, 3] * 40, 4,
                             CoderConfig(mode, KERNELS[strategy][0], "orig", 16))
     for loops in (contextlib.nullcontext, python_loops):
-        python = loops is python_loops or _loops.lib() is None
         with loops(), \
                 mock.patch.object(LookupTable, "create") as create, \
                 mock.patch.object(LookupTable, "update") as update, \
-                mock.patch.object(search, "build_search_tree") as build, \
-                mock.patch.object(search, "code_table",
-                                  wraps=search.code_table) as table:
+                mock.patch.object(search, "build_search_tree") as build:
             _, out = decode_stream(payload, strategy)
         assert out == [0, 1, 2, 1, 0, 3] * 40
         create.assert_not_called()
         update.assert_not_called()
         build.assert_not_called()
-        assert table.call_count == (1 if mode == "static" and python else 0)
 
 
 def test_determine_initial_split():
@@ -385,25 +379,6 @@ def test_lookup_table_create(toy_counts):
     assert LookupTable.create([0, 2]).t == [1, 1]
     with pytest.raises(ValueError):
         LookupTable.create([0, 0])
-
-
-# the largest alphabet, with symbol 65535 in the table
-_K65536_COUNTS = [i % 3 for i in range(65535)] + [2]
-
-
-@settings(deadline=None, max_examples=150)
-@given(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 50)),
-                min_size=1, max_size=300).filter(any))
-@example([5])
-@example([0, 0, 1])
-@example(_K65536_COUNTS)
-def test_code_table_matches_lookup_table(counts):
-    """The decode table is the reference table as 16-bit items: zero-count
-    symbols fill no slot, K = 1 fills one run, and at K = 65536 symbol
-    65535 still fits."""
-    table = code_table(counts)
-    assert table.itemsize == 2
-    assert table.tolist() == LookupTable.create(counts).t
 
 
 def test_lookup_table_lookup(toy_counts):
