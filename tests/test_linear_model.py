@@ -1,4 +1,5 @@
 import random
+from array import array
 from unittest import mock
 
 import pytest
@@ -9,6 +10,10 @@ from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import MAX_TOTALCOUNT, LinearModel
 
 from conftest import REF19_COUNTS, REF19_HK, TOY_HK, count_cap
+
+# the containers a count vector comes in: the model copies either into its
+# own lists, so callers' counts never change under updates and rescales
+COUNT_STORAGES = {"list": list, "array": lambda counts: array("I", counts)}
 
 
 def test_flat_init():
@@ -199,11 +204,15 @@ def test_construction_and_rescale_match_loop_reference(adaptive, data):
         assert m.h is h and m.hk is hk
 
 
-def test_update_and_rescale_counters():
+@pytest.mark.parametrize("storage", COUNT_STORAGES)
+def test_update_and_rescale_on_each_storage(storage):
     rng = random.Random(9)
     k = 90
     counts = [rng.randint(1, 9) for _ in range(k)]
-    m = LinearModel(counts)
+    given_counts = COUNT_STORAGES[storage](counts)
+    initial = list(counts)
+    m = LinearModel(given_counts)
+    assert type(m.h) is list and type(m.hk) is list
     hk = m.hk
     cap_rescales = 0
     # a low cap makes some updates rescale first, besides the periodic ones
@@ -230,6 +239,7 @@ def test_update_and_rescale_counters():
             counts[5] += 1
             assert hk == reference_model(counts)[1]
     assert cap_rescales
+    assert list(given_counts) == initial
 
 
 INVALID_COUNTS = [
@@ -272,14 +282,15 @@ def linear_state(m):
             m.rescale_accesses)
 
 
+@pytest.mark.parametrize("storage", COUNT_STORAGES)
 @pytest.mark.parametrize("k", (4, 40))
-def test_update_rejects_symbol_out_of_range(k):
+def test_update_rejects_symbol_out_of_range(k, storage):
     """A symbol outside [0, K) raises IndexError and changes nothing, not
     even at the count cap, where an update rescales first.  ``update(-1)``
     used to wrap: on ``flat(40)`` it raised every boundary, ``hk[0]``
     included, and the total went to 41."""
     with count_cap(k + 1):
-        m = LinearModel.flat(k)
+        m = LinearModel(COUNT_STORAGES[storage]([1] * k))
         m.update(k - 1)  # the total reaches the cap
         before = linear_state(m)
         for sym in (-1, -k, k, k + 5):
