@@ -4,12 +4,12 @@
 A change that claims to keep behaviour must leave three things alone: the
 IRC1 bytes, the decoded symbols and every ``DecodeStats`` counter.  For
 each (data, K, mode, model, rescale, interval) cell this encodes one
-stream and decodes it with every compatible strategy, and hashes the
-payload, the decoded symbols and the ``STATS_FIELDS`` of the decode's
-``DecodeStats`` into the cell's SHA-256 digest.  Each cell is also decoded
-once without stats, which runs the compiled stream loop when it has
-loaded, and the script exits with an error if any counting decode returns
-other symbols.  The data is flat and
+stream, counts every compatible strategy off one ``count_stream`` decode
+of it, and hashes the payload, the decoded symbols and the
+``STATS_FIELDS`` of each strategy's ``DecodeStats`` into a SHA-256
+digest.  Each cell is also decoded once without stats, which runs the
+compiled stream loop when it has loaded, and the script exits with an
+error if the counting decode returns other symbols.  The data is flat and
 truncated geometric, the stream of alphabet K is generated from seed K,
 and an adaptive stream rescales every 0 (at the cap only), 1, 7 or 500
 symbols.
@@ -17,15 +17,15 @@ symbols.
 The grid runs at the default count cap, and again, adaptive streams only,
 with ``MAX_TOTALCOUNT`` lowered to ``--cap`` in both models, so that
 rescales at the cap are covered as well.  Prints JSON: per cap, the number
-of decodes, one digest per (mode, model, rescale) and one of the whole
-grid.  Two source trees behave the same on the grid when they print the
-same JSON:
+of (cell, strategy) digests under ``decodes``, one digest per (mode, model,
+rescale) and one of the whole grid.  Two source trees behave the same on
+the grid when they print the same JSON:
 
     PYTHONPATH=src python scripts/behaviour_digest.py > digest.json
 
-The defaults (3000 symbols, eleven alphabet sizes up to 1000, 2816
-decodes) take about two minutes.  ``tests/data/behaviour_digest.json`` is
-the output at ``--n 256 --k 1 5 31 32 33 64 65 --cap 128`` (a few
+The defaults (3000 symbols, 11 alphabet sizes up to 1000, 2816 digests
+off 792 decodes) take about 30 s.  ``tests/data/behaviour_digest.json``
+is the output at ``--n 256 --k 1 5 31 32 33 64 65 --cap 128`` (a few
 seconds), which ``tests/test_behaviour_digest.py`` recomputes.
 """
 
@@ -40,7 +40,7 @@ from unittest import mock
 from rangekit import fenwick_model, linear_model
 from rangekit.datagen import GenSpec, gen_sequence
 from rangekit.rangecoder import (
-    CoderConfig, DecodeStats, decode_stream, encode_stream,
+    CoderConfig, DecodeStats, count_stream, decode_stream, encode_stream,
 )
 from rangekit.search import STRATEGIES, strategy_compatible
 
@@ -75,21 +75,19 @@ def stats_fields(stats: DecodeStats) -> dict:
 
 
 def cell_digests(data, k, mode, model, rescale, interval):
-    """Digest of each compatible strategy's decode of one encoded stream.
+    """Digests of each compatible strategy's counts off one counting decode.
 
-    Exits if a counting decode returns other symbols than the plain decode,
+    Exits if that decode returns other symbols than the plain decode,
     which runs the compiled stream loop when it has loaded."""
     payload = encode_stream(data, k, CoderConfig(mode, model, rescale, interval))
     _, plain = decode_stream(payload)
-    for strategy in STRATEGIES:
-        if strategy_compatible(strategy, model, mode) is not None:
-            continue
-        stats = DecodeStats()
-        _, out = decode_stream(payload, strategy, stats)
-        if out != plain:
-            sys.exit(f"error: K={k} {mode} {model} {rescale} interval "
-                     f"{interval}: the {strategy} counting decode differs "
-                     "from the plain decode")
+    counted = {strategy: DecodeStats() for strategy in STRATEGIES
+               if strategy_compatible(strategy, model, mode) is None}
+    _, out = count_stream(payload, counted)
+    if out != plain:
+        sys.exit(f"error: K={k} {mode} {model} {rescale} interval "
+                 f"{interval}: the counting decode differs from the plain decode")
+    for stats in counted.values():
         h = hashlib.sha256(payload)
         h.update(array("I", out).tobytes())
         h.update(json.dumps(stats_fields(stats)).encode())

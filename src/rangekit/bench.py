@@ -4,10 +4,10 @@ One row per runnable (mode, model, search), 320 for the default axes; a
 pair ``strategy_compatible`` rejects gets no row.  A row holds exact,
 reproducible work counters (search iterations, model-array accesses,
 rescale accesses) and wall-clock throughput, which is informative only.
-Each stream is generated and encoded once.  Decode never depends on the
-search, so the timing columns (minimum of several repetitions) are per
-stream, the same on all of its rows.  They time the stream loops that
-run: the compiled loops where ``_loops`` loaded them.
+Decode never depends on the search, so each stream is generated, encoded
+and counted once, and the timing columns (minimum of several repetitions)
+are per stream, the same on all of its rows.  They time the stream loops
+that run: the compiled loops where ``_loops`` loaded them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 from .datagen import GenSpec, check_symbols, gen_sequence
 from .linear_model import MAX_TOTALCOUNT, LinearModel
 from .rangecoder import (
-    CoderConfig, DecodeStats, decode_stream, encode_stream, strategy_compatible,
+    CoderConfig, DecodeStats, count_stream, decode_stream, encode_stream,
+    strategy_compatible,
 )
 from . import search as _search
 
@@ -110,20 +111,16 @@ def run_stream(mode: str, distribution: str, k: int, model: str,
                rescale_interval: int, timing_reps: int = 5) -> list[BenchRecord]:
     """One record per search in ``strategies``, all off one encoded stream.
 
-    Each search's counters come from one untimed decode, checked against
-    the symbols; ``decode_stream`` rejects an incompatible search.
+    Every search's counters come from one untimed counting decode, checked
+    against the symbols; ``count_stream`` rejects an incompatible search.
     """
     interval = rescale_interval if mode == "adaptive" else 0
     symbols = gen_sequence(GenSpec(distribution, k, n, seed)).tolist()
     cfg = CoderConfig(mode, model, rescale, interval)
     payload = encode_stream(symbols, k, cfg)
-    counted = []
-    for strategy in strategies:
-        stats = DecodeStats()
-        _, decoded = decode_stream(payload, strategy, stats)
-        if decoded != symbols:
-            raise AssertionError("round trip failed in bench cell")
-        counted.append((strategy, stats))
+    counted = {strategy: DecodeStats() for strategy in strategies}
+    if count_stream(payload, counted)[1] != symbols:
+        raise AssertionError("round trip failed in bench cell")
 
     n_eff = max(1, n)
     enc_ns = min(_time_ns(lambda: encode_stream(symbols, k, cfg))
@@ -133,10 +130,10 @@ def run_stream(mode: str, distribution: str, k: int, model: str,
     entropy = empirical_entropy(symbols, k)
     return [BenchRecord(mode, distribution, k, n, model, strategy, rescale,
                         interval, seed, enc_ns, dec_ns,
-                        stats.search_iterations / n_eff,
-                        stats.update_accesses / n_eff,
-                        stats.rescale_accesses, len(payload), entropy)
-            for strategy, stats in counted]
+                        counted[strategy].search_iterations / n_eff,
+                        counted[strategy].update_accesses / n_eff,
+                        counted[strategy].rescale_accesses, len(payload), entropy)
+            for strategy in strategies]
 
 
 def run_cell(mode: str, distribution: str, k: int, model: str, strategy: str,

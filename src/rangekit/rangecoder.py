@@ -309,32 +309,40 @@ def _encode_python(symbols: list[int], header: StreamHeader, model) -> bytes:
 
 def decode_stream(payload: bytes, strategy: str | None = None,
                   stats: DecodeStats | None = None) -> tuple[StreamHeader, list[int]]:
-    """Decompress a stream; the strategy never changes the output.
+    """Decompress a stream, the one-strategy case of ``count_stream``:
+    the strategy is checked but never changes the output."""
+    return count_stream(payload, {strategy: stats})
 
-    Without ``stats`` the stream decodes in the compiled loop of its
-    model family when ``_loops`` has loaded it, and in the Python loop
-    otherwise; both find the symbol every strategy finds.  The strategy
-    is checked against the stream, and ``stats``, when given, gets its
-    work counters, counted by the Python models, added after decoding.
+
+def count_stream(payload: bytes, counted: dict) -> tuple[StreamHeader, list[int]]:
+    """Decode a stream once and add each strategy's counters to its stats.
+
+    ``counted`` maps strategies (None: the stream's default) to
+    ``DecodeStats`` (None: count nothing), all checked before any decode
+    work.  With stats to fill, the stream decodes in the Python loop and
+    ``search.count_iterations`` counts each strategy off it; otherwise in
+    the compiled loop, where ``_loops`` loaded it.
     """
     header, offset = unpack_header(payload)
-    if strategy is None:
-        strategy = default_strategy(header.model)
-    reason = strategy_compatible(strategy, header.model, header.mode)
-    if reason is not None:
-        raise ValueError(reason)
+    counted = {default_strategy(header.model) if strategy is None else strategy: stats
+               for strategy, stats in counted.items()}
+    for strategy in counted:
+        reason = strategy_compatible(strategy, header.model, header.mode)
+        if reason is not None:
+            raise ValueError(reason)
     if len(payload) < offset + 5:
         raise StreamFormatError("truncated payload")
     model = _make_model(header)
-    lib = _loops.lib() if stats is None else None
+    counted = {s: stats for s, stats in counted.items() if stats is not None}
+    lib = None if counted else _loops.lib()
     if lib is not None:
         symbols, pos = _decode_compiled(lib, bytes(payload), offset, header, model)
     else:
         symbols, pos = _decode_python(payload, offset, header, model)
     if pos != len(payload):
         raise StreamFormatError("trailing bytes after the last symbol")
-    if stats is not None:
-        adaptive = header.mode == "adaptive"
+    adaptive = header.mode == "adaptive"
+    for strategy, stats in counted.items():
         hist = _search.count_iterations(strategy, model, adaptive, symbols)
         stats.symbols += header.n
         stats.search_iterations += sum(it * n for it, n in hist.items())
@@ -428,7 +436,7 @@ def _decode_compiled(lib, payload: bytes, offset: int, header: StreamHeader,
     are handled between calls."""
     loop, buffers = _compiled_loop(lib, "decode", header, model)
     n = header.n
-    out = array("I", bytes(4 * min(n, CHUNK)))
+    out = array("I", [0]) * min(n, CHUNK)
     # range, code, payload position, symbols decoded, total; the first
     # payload byte is the flush artifact and falls out of 32 bits
     code = int.from_bytes(payload[offset + 1:offset + 5], "big")
@@ -440,5 +448,7 @@ def _decode_compiled(lib, payload: bytes, offset: int, header: StreamHeader,
                    min(n - len(symbols), CHUNK), *args)
         if got < 0:
             raise StreamFormatError("payload ends before the last symbol")
+        if got == n:  # one call decoded the whole stream
+            return out.tolist(), state[2]
         symbols += out[:got].tolist()
     return symbols, state[2]

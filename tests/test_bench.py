@@ -84,7 +84,7 @@ def test_run_suite_codes_each_stream_cell_once(monkeypatch):
             return real(*args, **kw)
         monkeypatch.setattr(bench, name, wrapper)
 
-    for name in ("gen_sequence", "encode_stream", "decode_stream"):
+    for name in ("gen_sequence", "encode_stream", "count_stream", "decode_stream"):
         spy(name)
     reps = 2
     records = run_suite(GridSpec(ks=(4,), n=50, timing_reps=reps))
@@ -92,8 +92,10 @@ def test_run_suite_codes_each_stream_cell_once(monkeypatch):
     assert calls["gen_sequence"] == cells
     # one untimed encode per stream, whatever its number of searches
     assert calls["encode_stream"] == cells * (1 + reps)
-    # one counted decode per row, the timed ones once per stream
-    assert calls["decode_stream"] == len(records) + cells * reps
+    # one counting decode per stream, whatever its number of searches
+    assert calls["count_stream"] == cells
+    # decode_stream runs only the timed decodes
+    assert calls["decode_stream"] == cells * reps
     streams = Counter((r.distribution, r.mode, r.model, r.rescale)
                       for r in records)
     assert len(streams) == cells and max(streams.values()) == 7

@@ -9,13 +9,14 @@ import contextlib
 import random
 import struct
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rangekit import _loops
+from rangekit import _loops, rangecoder
 from rangekit.rangecoder import (
-    CoderConfig, StreamFormatError, decode_stream, encode_stream,
+    CoderConfig, StreamFormatError, decode_stream, encode_stream, unpack_header,
 )
 
 from conftest import N_AT, count_cap, mutate, python_loops, time_limit
@@ -88,6 +89,46 @@ def test_compiled_loops_match_python_loops_at_large_k(k, mode, model, rescale):
     adaptive = mode == "adaptive"
     cfg = CoderConfig(mode, model, rescale, 100 if adaptive else 0)
     check_round_trip(syms, k, cfg, k + 150 if adaptive else None)
+
+
+def runs_out(payload, n):
+    """Whether ``payload``, its header claiming ``n`` symbols, runs out of
+    bytes before the last of them."""
+    forged = bytearray(payload)
+    struct.pack_into("<Q", forged, N_AT, n)
+    try:
+        with python_loops():
+            decode_stream(bytes(forged))
+    except StreamFormatError as exc:
+        return str(exc) == "payload ends before the last symbol"
+    return False
+
+
+@pytest.mark.parametrize("mode,model,rescale", [
+    ("static", "linear", "orig"), ("static", "fenwick", "orig"),
+    ("adaptive", "linear", "orig"), ("adaptive", "fenwick", "orig"),
+    ("adaptive", "fenwick", "new")])
+def test_compiled_loops_match_python_loops_across_chunks(mode, model, rescale):
+    """With ``CHUNK`` lowered to 5, streams of 0, CHUNK - 1, CHUNK,
+    CHUNK + 1 and 3 CHUNK + 1 symbols code the same on both loops, and a
+    payload that runs out inside the second chunk raises the same
+    StreamFormatError on both."""
+    chunk = 5
+    rng = random.Random(chunk)
+    adaptive = mode == "adaptive"
+    cfg = CoderConfig(mode, model, rescale, 3 if adaptive else 0)
+    with mock.patch.object(rangecoder, "CHUNK", chunk):
+        for n in (0, chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+            syms = [rng.randrange(7) for _ in range(n)]
+            # under a cap just above K, adaptive streams rescale at the cap
+            check_round_trip(syms, 7, cfg, 12 if adaptive else None)
+        syms = [rng.randrange(256) for _ in range(3 * chunk + 1)]
+        payload = encode_stream(syms, 256, cfg)
+        cut = max(cut for cut in range(unpack_header(payload)[1], len(payload))
+                  if runs_out(payload[:cut], 2 * chunk)
+                  and not runs_out(payload[:cut], chunk))
+        assert both_sides(lambda: decode_stream(payload[:cut])) == [
+            (StreamFormatError, "payload ends before the last symbol")] * 2
 
 
 @pytest.mark.parametrize("mode,model,kind", [

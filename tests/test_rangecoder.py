@@ -13,7 +13,7 @@ from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
     MAGIC, MASK32, STATIC_TOTAL_LIMIT, TOP, VERSION, CoderConfig, DecodeStats,
     Decoder, Encoder, StreamFormatError, StreamHeader, ZeroCountError,
-    decode_stream, default_strategy, encode_stream, normalize_counts,
+    count_stream, decode_stream, default_strategy, encode_stream, normalize_counts,
     pack_header, strategy_compatible, unpack_header, _HEADER_SIZE,
 )
 from rangekit.search import STRATEGIES
@@ -433,6 +433,48 @@ def test_failed_decode_leaves_stats_untouched():
     once = DecodeStats()
     decode_stream(payload, "log", once)
     assert stats == once
+
+
+@pytest.mark.parametrize("mode,model,rescale", [
+    ("static", "linear", "orig"), ("adaptive", "linear", "orig"),
+    ("static", "fenwick", "orig"), ("adaptive", "fenwick", "orig"),
+    ("adaptive", "fenwick", "new")])
+def test_count_stream_matches_one_decode_per_strategy(mode, model, rescale):
+    """Every compatible strategy counted off one decode gets what its own
+    counting decode gives it."""
+    rng = random.Random(17)
+    data = [rng.choices(range(13), weights=range(13, 0, -1))[0]
+            for _ in range(1500)]
+    cfg = CoderConfig(mode, model, rescale, 100 if mode == "adaptive" else 0)
+    payload = encode_stream(data, 13, cfg)
+    counted = {s: DecodeStats() for s in STRATEGIES
+               if strategy_compatible(s, model, mode) is None}
+    header, out = count_stream(payload, counted)
+    assert out == data and header.n == len(data)
+    for strategy, stats in counted.items():
+        alone = DecodeStats()
+        decode_stream(payload, strategy, alone)
+        assert stats == alone, strategy
+    # nothing to count: a plain decode
+    assert count_stream(payload, {})[1] == data
+
+
+def test_count_stream_checks_every_strategy_before_decoding():
+    payload = encode_stream([0, 1, 2] * 20, 3, CoderConfig("adaptive", "linear"))
+    for bad in ("bi", "tree", "nope"):
+        counted = {"log": DecodeStats(), bad: DecodeStats(), "exp": DecodeStats()}
+        with pytest.raises(ValueError):
+            count_stream(payload, counted)
+        assert all(stats == DecodeStats() for stats in counted.values())
+
+
+def test_count_stream_that_raises_adds_nothing():
+    payload = encode_stream([0, 1, 2] * 20, 3, CoderConfig("adaptive", "linear"))
+    for bad in (payload[:-1], payload + b"\0"):
+        counted = {"log": DecodeStats(), "lin-fwd": DecodeStats()}
+        with pytest.raises(StreamFormatError):
+            count_stream(bad, counted)
+        assert all(stats == DecodeStats() for stats in counted.values())
 
 
 @settings(deadline=None, max_examples=40)
