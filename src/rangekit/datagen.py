@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +28,25 @@ _ISY_FMT = "<4sIQ"
 _ISY_SIZE = struct.calcsize(_ISY_FMT)
 
 
-def check_symbols(symbols, k: int) -> list[int]:
-    """``symbols`` as ints checked against an alphabet of size k; a numpy
-    array, whose fixed-width items wrap in index arithmetic, is converted once."""
+def check_symbols(symbols, k: int) -> array:
+    """``symbols`` as one ``array('I')``, checked against an alphabet of
+    size k by one numpy reduction; a numpy array, whose fixed-width items
+    wrap in index arithmetic, goes through its list of ints."""
     if not 1 <= k <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
-    symbols = symbols.tolist() if hasattr(symbols, "tolist") else list(symbols)
-    if symbols and (min(symbols) < 0 or max(symbols) >= k):
+    if hasattr(symbols, "tolist"):
+        symbols = symbols.tolist()
+    elif not isinstance(symbols, (list, tuple, range)):
+        # an iterator must survive a rescan; bytes would fill the array as words
+        symbols = list(symbols)
+    try:
+        data = array("I", symbols)
+    except OverflowError:  # a symbol below 0 or at or above 2**32
+        data = None
+    if data is None or (data and np.frombuffer(data, np.uint32).max() >= k):
         bad = next(s for s in symbols if not 0 <= s < k)
         raise ValueError(f"symbol {bad} outside alphabet of size {k}")
-    return symbols
+    return data
 
 
 @dataclass(frozen=True)

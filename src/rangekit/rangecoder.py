@@ -25,6 +25,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _loops
 from . import fenwick_model as _fenwick
 from . import linear_model as _linear
@@ -274,26 +276,28 @@ def default_strategy(model: str) -> str:
 
 
 def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
-    """Compress a symbol sequence into a self-describing stream."""
+    """Compress a symbol sequence into a self-describing stream.
+
+    ``check_symbols`` converts the sequence once, to the ``array('I')``
+    both loops take, and checks it before either loop runs: the compiled
+    loops index the model unchecked.  A static stream's first pass is one
+    ``np.bincount`` of that array."""
     symbols = check_symbols(symbols, k)
-    n = len(symbols)
     counts = None
     if config.mode == "static":
-        raw = [0] * k
-        for s in symbols:
-            raw[s] += 1
-        counts = tuple(normalize_counts(raw))
+        raw = np.bincount(np.frombuffer(symbols, np.uint32), minlength=k)
+        counts = tuple(normalize_counts(raw.tolist()))
     header = StreamHeader(config.mode, config.model, config.rescale,
                           config.rescale_interval if config.mode == "adaptive" else 0,
-                          k, n, counts)
+                          k, len(symbols), counts)
     model = _make_model(header)
     lib = _loops.lib()
-    if lib is None:
-        return pack_header(header) + _encode_python(symbols, header, model)
-    return pack_header(header) + _encode_compiled(lib, symbols, header, model)
+    coded = (_encode_python(symbols, header, model) if lib is None
+             else _encode_compiled(lib, symbols, header, model))
+    return b"".join((pack_header(header), coded))
 
 
-def _encode_python(symbols: list[int], header: StreamHeader, model) -> bytes:
+def _encode_python(symbols: array, header: StreamHeader, model) -> bytes:
     """The coded bytes of ``symbols``: the reference stream loop."""
     enc = Encoder()
     adaptive = header.mode == "adaptive"
@@ -405,15 +409,15 @@ def _address(buf: array | None) -> int | None:
     return None if buf is None else buf.buffer_info()[0]
 
 
-def _encode_compiled(lib, symbols: list[int], header: StreamHeader,
-                     model) -> bytes:
-    """``_encode_python`` in the compiled loop, ``CHUNK`` symbols a call."""
+def _encode_compiled(lib, data: array, header: StreamHeader,
+                     model) -> memoryview:
+    """``_encode_python`` in the compiled loop, ``CHUNK`` symbols a call:
+    a view of the coded bytes in the loop's output buffer."""
     loop, buffers = _compiled_loop(lib, "encode", header, model)
-    data = array("I", symbols)
     # before a symbol the range is at least 2**24 and the total at most
     # 2**20, so the symbol leaves a range of at least 16 and shifts out
     # at most three bytes; the flush shifts out five
-    out = array("B", bytes(3 * len(data) + 5))
+    out = array("B", [0]) * (3 * len(data) + 5)
     # range, low, bytes out, symbols coded, total, cache, cache size
     state = array("q", (MASK32, 0, 0, 0, model.total_count, 0, 1))
     args = [_address(x) for x in (data, *buffers)]
@@ -426,7 +430,7 @@ def _encode_compiled(lib, symbols: list[int], header: StreamHeader,
         if size < 0:
             raise RuntimeError("compiled encode ran past its output bound")
         if done == len(data):
-            return out[:size].tobytes()
+            return memoryview(out)[:size]
 
 
 def _decode_compiled(lib, payload: bytes, offset: int, header: StreamHeader,

@@ -165,11 +165,16 @@ def test_missing_input_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _cli_in_subprocess(*args):
+#: the CLI with the compiled loops turned off, as ``python_loops()`` does
+PYTHON_LOOPS_CLI = ("-c", "import sys; from rangekit import _loops, cli; "
+                    "_loops._lib = None; sys.exit(cli.main(sys.argv[1:]))")
+
+
+def _cli_in_subprocess(*args, entry=("-m", "rangekit.cli")):
     src = str(Path(rangekit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
-        [sys.executable, "-m", "rangekit.cli", *map(str, args)],
+        [sys.executable, *entry, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -197,14 +202,16 @@ def test_decode_past_payload_reports_error(tmp_path):
 
 @pytest.mark.parametrize("mode", ("static", "adaptive"))
 def test_encode_out_of_alphabet_symbol_reports_error(tmp_path, mode):
-    # the ISY header says K=4 but the body holds symbol 9
+    # the ISY header says K=4 but the body holds symbol 9; both loops
+    # reject it before coding
     raw = tmp_path / "bad.isy"
     write_symbols(raw, 4, [0, 9, 1])
-    proc = _cli_in_subprocess("encode", "--mode", mode, "-i", raw,
-                              "-o", tmp_path / "out.irc")
-    assert proc.returncode == 1
-    assert "error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for entry in (("-m", "rangekit.cli"), PYTHON_LOOPS_CLI):
+        proc = _cli_in_subprocess("encode", "--mode", mode, "-i", raw,
+                                  "-o", tmp_path / "out.irc", entry=entry)
+        assert proc.returncode == 1
+        assert "error: symbol 9 outside alphabet of size 4" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("n", (1 << 63, 1 << 40))

@@ -11,6 +11,7 @@ import struct
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -35,7 +36,7 @@ def compiled():
         pytest.skip("the compiled stream loops did not load")
 
 
-def both_sides(fn):
+def both_sides(fn, errors=(StreamFormatError, OverflowError)):
     """``fn()`` through the compiled loops and through the Python loops:
     each side's result, or the type and message of what it raised."""
     out = []
@@ -43,7 +44,7 @@ def both_sides(fn):
         try:
             with loops():
                 out.append(fn())
-        except (StreamFormatError, OverflowError) as exc:
+        except errors as exc:
             out.append((type(exc), str(exc)))
     return out
 
@@ -89,6 +90,53 @@ def test_compiled_loops_match_python_loops_at_large_k(k, mode, model, rescale):
     adaptive = mode == "adaptive"
     cfg = CoderConfig(mode, model, rescale, 100 if adaptive else 0)
     check_round_trip(syms, k, cfg, k + 150 if adaptive else None)
+
+
+SYMS = [3, 1, 4, 1, 5, 9, 2, 6, 5]  # K = 10
+
+
+@pytest.mark.parametrize("mode,model", [
+    (mode, model) for mode in MODES for model in MODELS])
+def test_every_input_type_encodes_as_its_list(mode, model):
+    """A tuple, range, generator, bytes or numpy array gives both loops
+    the IRC1 bytes of its list."""
+    cfg = CoderConfig(mode, model, "orig", 4 if mode == "adaptive" else 0)
+    inputs = [lambda: tuple(SYMS), lambda: (s for s in SYMS),
+              lambda: bytes(SYMS), lambda: range(10)]
+    inputs += [lambda dtype=dtype: np.array(SYMS, dtype=dtype)
+               for dtype in (np.uint8, np.uint16, np.int32, np.int64)]
+    for make in inputs:
+        want = encode_stream(list(make()), 10, cfg)
+        assert both_sides(lambda: encode_stream(make(), 10, cfg)) == [want] * 2
+
+
+@pytest.mark.parametrize("mode,model", [
+    (mode, model) for mode in MODES for model in MODELS])
+@pytest.mark.parametrize("bad", (-1, 10, 1 << 32, 1 << 64))
+@pytest.mark.parametrize("at", (0, len(SYMS) // 2, len(SYMS) - 1))
+def test_out_of_range_symbol_raises_the_same_error_on_both_loops(mode, model,
+                                                                 bad, at):
+    """A symbol below 0, at or above K, or at or above 2**32 raises the
+    same ValueError on both loops, wherever it sits, in a list or from a
+    generator; a second bad symbol after it does not change which one is
+    named."""
+    cfg = CoderConfig(mode, model)
+    want = [(ValueError, f"symbol {bad} outside alphabet of size 10")] * 2
+    for later in ((), (-1,), (10,), (1 << 32,)):
+        syms = SYMS[:at] + [bad, *later] + SYMS[at + 1:]
+        for make in (lambda: syms, lambda: (s for s in syms)):
+            assert both_sides(lambda: encode_stream(make(), 10, cfg),
+                              ValueError) == want
+
+
+@pytest.mark.parametrize("mode,model", [
+    (mode, model) for mode in MODES for model in MODELS])
+def test_float_symbol_raises_type_error_on_both_loops(mode, model):
+    for float_sym in (1.0, 2.5):
+        syms = [0, float_sym, 3]
+        for loops in (contextlib.nullcontext, python_loops):
+            with loops(), pytest.raises(TypeError):
+                encode_stream(syms, 10, CoderConfig(mode, model))
 
 
 def runs_out(payload, n):

@@ -1,10 +1,11 @@
 import random
 import struct
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rangekit.datagen import MAX_ALPHABET
 from rangekit.fenwick_model import FenwickModel
@@ -360,6 +361,28 @@ def test_static_stream_with_unused_symbols():
     header, out = decode_stream(payload)
     assert out == data
     assert header.counts[1] == 0
+
+
+def static_streams():
+    """(K, symbols) pairs: short streams, and streams just long enough
+    that ``normalize_counts`` scales their counts."""
+    return st.integers(1, 300).flatmap(lambda k: st.tuples(st.just(k), st.one_of(
+        st.lists(st.integers(0, k - 1), max_size=300),
+        st.integers(0, 1 << 32).map(lambda seed: random.Random(seed).choices(
+            range(k), k=STATIC_TOTAL_LIMIT + 2 * k)))))
+
+
+@settings(deadline=None, max_examples=100)
+@given(static_streams())
+@example((1, []))
+@example((1, [0] * (2 * STATIC_TOTAL_LIMIT + 1)))
+def test_static_header_counts_normalize_the_symbol_counts(stream):
+    """A static header's counts are ``normalize_counts`` of the symbols'
+    counts, also for the empty stream and at K = 1."""
+    k, syms = stream
+    tally = Counter(syms)
+    header, _ = unpack_header(encode_stream(syms, k, CoderConfig("static")))
+    assert header.counts == tuple(normalize_counts([tally[s] for s in range(k)]))
 
 
 def test_encode_rejects_out_of_range_symbol():
