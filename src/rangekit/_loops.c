@@ -9,10 +9,15 @@
    model rescales before the increment.  No work counters are kept: a
    decode that counts runs the Python loop.
 
-   The arrays are uint32 copies of the model's (no count or total passes
-   MAX_TOTALCOUNT = 2^20): h and hk for the linear model, v for the
-   Fenwick one.  A call codes at most `limit` symbols and resumes from
-   st[], so the caller decides how many symbols a call may produce. */
+   No Python model is built for them.  Each loop takes the stream's
+   uint32 count vector h (K entries) and a K + 1 entry buffer, and on a
+   stream's first call (st[SYM] == 0) derives its working array there,
+   with the total: the prefix sums hk for the linear model, which keeps
+   h up to date beside them, and v for the Fenwick one.  The caller has
+   checked the total against MAX_TOTALCOUNT (at most 2^20), so no count
+   or sum overflows.  A call codes at most `limit` symbols and resumes
+   from st[], so the caller decides how many symbols a call may
+   produce. */
 
 #include <stdint.h>
 
@@ -20,7 +25,8 @@ typedef int64_t i64; typedef uint32_t u32; typedef uint64_t u64;
 
 #define TOP (1u << 24)
 
-/* st[]: what a call resumes from (CODE holds `low` when encoding) */
+/* st[]: what a call resumes from (CODE holds `low` when encoding; the
+   first call sets TOTAL) */
 enum { RNG, CODE, POS, SYM, TOTAL, CACHE, CACHE_SIZE };
 /* cfg[]: the stream's settings; INTERVAL is 0 in a static stream, and
    CAP is the model module's MAX_TOTALCOUNT */
@@ -30,6 +36,14 @@ typedef struct {
     u32 *h, *hk, *v;
     i64 k, adaptive, interval, cap, new_rescale, total;
 } Model;
+
+/* prefix_sums: hk[i] is the sum of the counts below symbol i */
+static void linear_init(Model *m) {
+    m->hk[0] = 0;
+    for (i64 i = 0; i < m->k; i++)
+        m->hk[i + 1] = m->hk[i] + m->h[i];
+    m->total = m->hk[m->k];
+}
 
 /* LinearModel.rescale: halve every count, rounding up */
 static void linear_rescale(Model *m) {
@@ -48,6 +62,23 @@ static void linear_update(Model *m, i64 sym) {
     for (i64 j = sym + 1; j <= m->k; j++)
         m->hk[j]++;
     m->total++;
+}
+
+/* FenwickModel's v from the counts in O(K): each slot, once complete,
+   adds itself into the next slot up its update chain, which leaves
+   v[i] = hk[i] - hk[i & (i - 1)] */
+static void fenwick_init(Model *m) {
+    u32 *v = m->v;
+    i64 k = m->k;
+    m->total = 0;
+    v[0] = 0;
+    for (i64 i = 1; i <= k; i++) {
+        v[i] = m->h[i - 1];
+        m->total += v[i];
+    }
+    for (i64 i = 1; i <= k; i++)
+        if (i + (i & -i) <= k)
+            v[i + (i & -i)] += v[i];
 }
 
 /* FenwickModel.rescale_orig or rescale_new, then _total */
@@ -108,12 +139,17 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
     return 1;
 }
 
-#define MODEL {a, b, a, cfg[K], cfg[ADAPTIVE], cfg[INTERVAL], cfg[CAP],     \
-               cfg[NEW_RESCALE], st[TOTAL]}
+/* the model of a call: the counts h = a, the working array hk = v = b;
+   a stream's first call derives the array and the total with `init` */
+#define MODEL(init)                                                        \
+    Model m = {a, b, b, cfg[K], cfg[ADAPTIVE], cfg[INTERVAL], cfg[CAP],    \
+               cfg[NEW_RESCALE], st[TOTAL]};                               \
+    if (st[SYM] == 0)                                                      \
+        init(&m);
 /* the loop head and tail the two families share; an interval rescale
    follows each adaptive symbol's update */
-#define DECODE_BEGIN                                                       \
-    Model m = MODEL;                                                       \
+#define DECODE_BEGIN(init)                                                 \
+    MODEL(init)                                                            \
     Dec d = {buf, len, st[POS], (u32)st[RNG], (u32)st[CODE]};              \
     i64 i = st[SYM];                                                       \
     for (i64 o = 0; o < limit; o++, i++) {
@@ -129,7 +165,7 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
    returns -1 once the payload ends before the last of them. */
 i64 linear_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
                   u32 *out, u32 *a, u32 *b, const i64 *cfg) {
-    DECODE_BEGIN
+    DECODE_BEGIN(linear_init)
         u32 r, c = target(&d, m.total, &r);
         i64 lo = 1, hi = m.k;  /* bisect_right(hk, c) - 1; hk[0] <= c < hk[K] */
         while (lo < hi) {
@@ -150,7 +186,7 @@ i64 fenwick_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
     i64 top = 1;  /* top_level_index(K) */
     while (top <= cfg[K] >> 1)
         top <<= 1;
-    DECODE_BEGIN
+    DECODE_BEGIN(fenwick_init)
         /* binary_indexed_interval + update: raise each probe not taken,
            unless at the cap, where update rescales first */
         u32 r, c0 = target(&d, m.total, &r);
@@ -205,8 +241,8 @@ static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
     return 1;
 }
 
-#define ENCODE_BEGIN                                                       \
-    Model m = MODEL;                                                       \
+#define ENCODE_BEGIN(init)                                                 \
+    MODEL(init)                                                            \
     Enc e = {out, cap, st[POS], st[CACHE], st[CACHE_SIZE],                 \
              (u64)st[CODE], (u32)st[RNG]};                                 \
     i64 i = st[SYM];                                                       \
@@ -229,7 +265,7 @@ static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
    bytes) is full. */
 i64 linear_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
                   const u32 *syms, u32 *a, u32 *b, const i64 *cfg) {
-    ENCODE_BEGIN
+    ENCODE_BEGIN(linear_init)
         if (!encode(&e, m.total, m.hk[s], m.h[s]))
             return -1;
         if (m.adaptive)
@@ -239,7 +275,7 @@ i64 linear_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
 
 i64 fenwick_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
                    const u32 *syms, u32 *a, u32 *b, const i64 *cfg) {
-    ENCODE_BEGIN
+    ENCODE_BEGIN(fenwick_init)
         /* cum + count: count's walk down to the parent of s + 1 starts cum's */
         i64 parent = (s + 1) & s, j = s, low = 0;
         for (; j != parent; j &= j - 1)

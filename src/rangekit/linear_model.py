@@ -12,6 +12,14 @@ from itertools import accumulate
 MAX_TOTALCOUNT = 1 << 20
 
 
+def check_total(total: int) -> None:
+    """Raise OverflowError if a total exceeds the cap as it stands: the
+    one total check, of ``prefix_sums`` and of the compiled loops."""
+    if total > MAX_TOTALCOUNT:
+        raise OverflowError(f"total count {total} exceeds MAX_TOTALCOUNT="
+                            f"{MAX_TOTALCOUNT}; caller must pre-normalize")
+
+
 def prefix_sums(counts, adaptive: bool) -> tuple[list[int], list[int]]:
     """Checked counts and their exclusive prefix sums ``hk`` (K+1 entries):
     the one check of a count vector, which both count models build from."""
@@ -24,9 +32,7 @@ def prefix_sums(counts, adaptive: bool) -> tuple[list[int], list[int]]:
     if adaptive and least == 0:
         raise ValueError("adaptive mode requires every count >= 1")
     hk = list(accumulate(counts, initial=0))
-    if hk[-1] > MAX_TOTALCOUNT:
-        raise OverflowError(f"total count {hk[-1]} exceeds MAX_TOTALCOUNT="
-                            f"{MAX_TOTALCOUNT}; caller must pre-normalize")
+    check_total(hk[-1])
     return counts, hk
 
 

@@ -20,6 +20,7 @@ runs the Python loop.  Both must stay bit-identical.
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -207,7 +208,13 @@ def pack_header(header: StreamHeader) -> bytes:
         header.k, header.n,
     )
     if header.mode == "static":
-        out += struct.pack(f"<{header.k}I", *header.counts)
+        table = array("I", header.counts)
+        if len(table) != header.k:
+            raise ValueError(f"{len(table)} counts for an alphabet of size "
+                             f"{header.k}")
+        if sys.byteorder == "big":
+            table.byteswap()
+        out += table.tobytes()
     return out
 
 
@@ -290,11 +297,11 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     header = StreamHeader(config.mode, config.model, config.rescale,
                           config.rescale_interval if config.mode == "adaptive" else 0,
                           k, len(symbols), counts)
-    model = _make_model(header)
+    head = pack_header(header)
     lib = _loops.lib()
-    coded = (_encode_python(symbols, header, model) if lib is None
-             else _encode_compiled(lib, symbols, header, model))
-    return b"".join((pack_header(header), coded))
+    coded = (_encode_python(symbols, header, _make_model(header)) if lib is None
+             else _encode_compiled(lib, symbols, header, head[_HEADER_SIZE:]))
+    return b"".join((head, coded))
 
 
 def _encode_python(symbols: array, header: StreamHeader, model) -> bytes:
@@ -336,13 +343,13 @@ def count_stream(payload: bytes, counted: dict) -> tuple[StreamHeader, list[int]
             raise ValueError(reason)
     if len(payload) < offset + 5:
         raise StreamFormatError("truncated payload")
-    model = _make_model(header)
     counted = {s: stats for s, stats in counted.items() if stats is not None}
     lib = None if counted else _loops.lib()
-    if lib is not None:
-        symbols, pos = _decode_compiled(lib, bytes(payload), offset, header, model)
-    else:
+    if lib is None:
+        model = _make_model(header)
         symbols, pos = _decode_python(payload, offset, header, model)
+    else:
+        symbols, pos = _decode_compiled(lib, bytes(payload), offset, header)
     if pos != len(payload):
         raise StreamFormatError("trailing bytes after the last symbol")
     adaptive = header.mode == "adaptive"
@@ -386,40 +393,48 @@ def _decode_python(payload: bytes, offset: int, header: StreamHeader,
     return symbols, offset + dec.pos
 
 
-def _compiled_loop(lib, kind: str, header: StreamHeader, model):
-    """The compiled ``kind`` loop, "encode" or "decode", of ``model``'s
-    family, and the buffers it takes after the symbols: uint32 copies of
-    the model's arrays, which it updates in place (``h`` and ``hk``, or
-    ``v`` and None), and the stream's settings in its ``cfg`` order.  The
-    count cap is read from the model's module, so a ``MAX_TOTALCOUNT``
-    patched there applies."""
-    if isinstance(model, FenwickModel):
-        family, arrays = "fenwick", (array("I", model.v), None)
-        cap = _fenwick.MAX_TOTALCOUNT
-    else:
-        family, arrays = "linear", (array("I", model.h), array("I", model.hk))
-        cap = _linear.MAX_TOTALCOUNT
-    adaptive = header.mode == "adaptive"
-    cfg = array("q", (model.k, adaptive, header.rescale_interval if adaptive else 0,
-                      cap, header.rescale == "new"))
-    return getattr(lib, f"{family}_{kind}"), (*arrays, cfg)
+def _compiled_loop(lib, kind: str, header: StreamHeader, table: bytes):
+    """The compiled ``kind`` loop, "encode" or "decode", of the stream's
+    model family, and the buffers it takes after the symbols: the counts
+    (a static stream's header ``table``, or K ones), a K + 1 entry array
+    in which the loop's first call derives ``hk`` or ``v`` and the state's
+    total, and the stream's settings in its ``cfg`` order.  No model is
+    built; as in ``_make_model``, a static stream codes through the
+    prefix sums.  The total gets ``prefix_sums``' check, and the count
+    cap is read from the family's module, so a ``MAX_TOTALCOUNT`` patched
+    there applies."""
+    k, adaptive = header.k, header.mode == "adaptive"
+    _linear.check_total(k if adaptive else sum(header.counts))
+    if adaptive:
+        counts = array("I", [1]) * k
+    else:  # one frombytes of the little-endian table
+        counts = array("I")
+        counts.frombytes(table)
+        if sys.byteorder == "big":
+            counts.byteswap()
+    family, module = (("fenwick", _fenwick) if adaptive and header.model == "fenwick"
+                      else ("linear", _linear))
+    cfg = array("q", (k, adaptive, header.rescale_interval if adaptive else 0,
+                      module.MAX_TOTALCOUNT, header.rescale == "new"))
+    return (getattr(lib, f"{family}_{kind}"),
+            (counts, array("I", [0]) * (k + 1), cfg))
 
 
-def _address(buf: array | None) -> int | None:
-    return None if buf is None else buf.buffer_info()[0]
+def _address(buf: array) -> int:
+    return buf.buffer_info()[0]
 
 
 def _encode_compiled(lib, data: array, header: StreamHeader,
-                     model) -> memoryview:
+                     table: bytes) -> memoryview:
     """``_encode_python`` in the compiled loop, ``CHUNK`` symbols a call:
     a view of the coded bytes in the loop's output buffer."""
-    loop, buffers = _compiled_loop(lib, "encode", header, model)
+    loop, buffers = _compiled_loop(lib, "encode", header, table)
     # before a symbol the range is at least 2**24 and the total at most
     # 2**20, so the symbol leaves a range of at least 16 and shifts out
     # at most three bytes; the flush shifts out five
     out = array("B", [0]) * (3 * len(data) + 5)
     # range, low, bytes out, symbols coded, total, cache, cache size
-    state = array("q", (MASK32, 0, 0, 0, model.total_count, 0, 1))
+    state = array("q", (MASK32, 0, 0, 0, 0, 0, 1))
     args = [_address(x) for x in (data, *buffers)]
     done = 0
     while True:
@@ -433,18 +448,19 @@ def _encode_compiled(lib, data: array, header: StreamHeader,
             return memoryview(out)[:size]
 
 
-def _decode_compiled(lib, payload: bytes, offset: int, header: StreamHeader,
-                     model) -> tuple[list[int], int]:
+def _decode_compiled(lib, payload: bytes, offset: int,
+                     header: StreamHeader) -> tuple[list[int], int]:
     """``_decode_python`` in the compiled loop, ``CHUNK`` symbols a call:
     the buffer never grows with the header's symbol count, and signals
     are handled between calls."""
-    loop, buffers = _compiled_loop(lib, "decode", header, model)
+    loop, buffers = _compiled_loop(lib, "decode", header,
+                                   payload[_HEADER_SIZE:offset])
     n = header.n
     out = array("I", [0]) * min(n, CHUNK)
     # range, code, payload position, symbols decoded, total; the first
     # payload byte is the flush artifact and falls out of 32 bits
     code = int.from_bytes(payload[offset + 1:offset + 5], "big")
-    state = array("q", (MASK32, code, offset + 5, 0, model.total_count, 0, 0))
+    state = array("q", (MASK32, code, offset + 5, 0, 0, 0, 0))
     args = [_address(x) for x in (out, *buffers)]
     symbols: list[int] = []
     while len(symbols) < n:

@@ -9,15 +9,18 @@ import contextlib
 import random
 import struct
 import tracemalloc
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rangekit import _loops, rangecoder
+from rangekit import _loops, linear_model, rangecoder
+from rangekit.datagen import MAX_ALPHABET
 from rangekit.rangecoder import (
-    CoderConfig, StreamFormatError, decode_stream, encode_stream, unpack_header,
+    CoderConfig, Encoder, StreamFormatError, StreamHeader, decode_stream,
+    encode_stream, pack_header, unpack_header,
 )
 
 from conftest import N_AT, count_cap, mutate, python_loops, time_limit
@@ -137,6 +140,88 @@ def test_float_symbol_raises_type_error_on_both_loops(mode, model):
         for loops in (contextlib.nullcontext, python_loops):
             with loops(), pytest.raises(TypeError):
                 encode_stream(syms, 10, CoderConfig(mode, model))
+
+
+def overflow(total, cap):
+    """What both loops raise for a count total above the cap."""
+    return (OverflowError, f"total count {total} exceeds MAX_TOTALCOUNT="
+                           f"{cap}; caller must pre-normalize")
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_static_total_above_a_lowered_cap_raises_the_same_error(model):
+    """A static table whose total exceeds the count cap raises the same
+    OverflowError on both loops, on encode and on decode; a total at the
+    cap codes."""
+    syms = SYMS * 10
+    total = len(syms)  # below STATIC_TOTAL_LIMIT: the table is the counts
+    cfg = CoderConfig("static", model)
+    payload = encode_stream(syms, 10, cfg)
+    with count_cap(total):
+        assert both_sides(lambda: encode_stream(syms, 10, cfg)) == [payload] * 2
+        assert both_sides(lambda: decode_stream(payload)[1]) == [syms] * 2
+    with count_cap(total - 1):
+        want = [overflow(total, total - 1)] * 2
+        assert both_sides(lambda: encode_stream(syms, 10, cfg)) == want
+        assert both_sides(lambda: decode_stream(payload)) == want
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_adaptive_alphabet_above_a_lowered_cap_raises_the_same_error(model):
+    """An adaptive stream starts from K counts of one, so an alphabet
+    larger than the count cap raises the same OverflowError on both
+    loops, on encode and on decode."""
+    cfg = CoderConfig("adaptive", model)
+    payload = encode_stream(SYMS, 10, cfg)
+    with count_cap(9):
+        want = [overflow(10, 9)] * 2
+        assert both_sides(lambda: encode_stream(SYMS, 10, cfg)) == want
+        assert both_sides(lambda: decode_stream(payload)) == want
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("k", (1, 3, 256))
+def test_all_zero_table_is_an_empty_stream(model, k):
+    """An all-zero table decodes to no symbols on both loops when the
+    header claims none, and raises the same StreamFormatError when it
+    claims any."""
+    cfg = CoderConfig("static", model)
+    empty = encode_stream([], k, cfg)
+    assert both_sides(lambda: encode_stream([], k, cfg)) == [empty] * 2
+    assert unpack_header(empty)[0].counts == (0,) * k
+    assert both_sides(lambda: decode_stream(empty)[1]) == [[]] * 2
+    forged = bytearray(empty)
+    struct.pack_into("<Q", forged, N_AT, 1)
+    assert both_sides(lambda: decode_stream(bytes(forged))) == [
+        (StreamFormatError, "invalid static count total 0")] * 2
+
+
+def static_payload(model, counts, syms):
+    """A static stream of ``syms`` under the table ``counts``, coded
+    step by step on an ``Encoder``."""
+    hk = list(accumulate(counts, initial=0))
+    enc = Encoder()
+    for s in syms:
+        enc.encode(hk[s], counts[s], hk[-1])
+    header = StreamHeader("static", model, "orig", 0, len(counts), len(syms),
+                          tuple(counts))
+    return pack_header(header) + enc.finish()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_table_total_at_the_cap_at_the_largest_alphabet(model):
+    """A K = 65536 table whose total is MAX_TOTALCOUNT, every other count
+    zero, decodes to the same symbols on both loops, and raises the same
+    OverflowError once the cap is one lower."""
+    k, cap = MAX_ALPHABET, linear_model.MAX_TOTALCOUNT
+    counts = (2 * cap // k, 0) * (k // 2)
+    rng = random.Random(k)
+    syms = [2 * rng.randrange(k // 2) for _ in range(300)]
+    payload = static_payload(model, counts, syms)
+    assert both_sides(lambda: decode_stream(payload)[1]) == [syms] * 2
+    with count_cap(cap - 1):
+        assert both_sides(lambda: decode_stream(payload)) == [
+            overflow(cap, cap - 1)] * 2
 
 
 def runs_out(payload, n):

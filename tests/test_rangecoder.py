@@ -93,6 +93,35 @@ def test_header_round_trip(mode):
     assert offset == len(packed)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from((1, 2, 255, 256, MAX_ALPHABET)),
+       st.sampled_from(("linear", "fenwick")), st.integers(0, 1 << 32),
+       st.sampled_from((0.0, 0.5, 1.0)), st.integers(1, 1 << 16))
+def test_header_table_matches_struct_reference(k, model, seed, zeros, n):
+    """``pack_header`` writes the count table as ``struct.pack("<kI")``
+    does, zero counts included, and ``unpack_header`` reads it back as a
+    tuple of ints."""
+    rng = random.Random(seed)
+    most = linear_model.MAX_TOTALCOUNT // k
+    counts = tuple(0 if rng.random() < zeros else rng.randint(1, most)
+                   for _ in range(k))
+    n = n if any(counts) else 0  # a stream of symbols needs a nonzero total
+    header = StreamHeader("static", model, "orig", 0, k, n, counts)
+    packed = pack_header(header)
+    assert packed == struct.pack("<4sBBBBIIQ", MAGIC, VERSION, 0,
+                                 ("linear", "fenwick").index(model), 0, 0, k,
+                                 n) + struct.pack(f"<{k}I", *counts)
+    got, offset = unpack_header(packed + b"coded")
+    assert (got, offset) == (header, len(packed))
+    assert all(type(c) is int for c in got.counts)
+
+
+def test_pack_header_rejects_a_table_of_the_wrong_size():
+    for counts in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="counts for an alphabet of size 3"):
+            pack_header(StreamHeader("static", "linear", "orig", 0, 3, 1, counts))
+
+
 def test_unpack_rejects_bad_magic():
     h = StreamHeader("adaptive", "linear", "orig", 0, 3, 1, None)
     bad = b"XXXX" + pack_header(h)[4:]
