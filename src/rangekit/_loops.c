@@ -13,11 +13,14 @@
    uint32 count vector h (K entries) and a K + 1 entry buffer, and on a
    stream's first call (st[SYM] == 0) derives its working array there,
    with the total: the prefix sums hk for the linear model, which keeps
-   h up to date beside them, and v for the Fenwick one.  The caller has
-   checked the total against MAX_TOTALCOUNT (at most 2^20), so no count
-   or sum overflows.  A call codes at most `limit` symbols and resumes
-   from st[], so the caller decides how many symbols a call may
-   produce. */
+   h up to date beside them, and v for the Fenwick one.  A static
+   stream's h is the caller's table, which no loop writes.  That first
+   call also checks the total, summed in 64 bits so that no table wraps
+   it, against cfg[LIMIT]: above it, it stores the total in st[TOTAL]
+   and returns -2 before coding anything.  A total within the limit (at
+   most 2^20) keeps every count and sum within 32 bits.  A call codes at
+   most `limit` symbols and resumes from st[], so the caller decides how
+   many symbols a call may produce. */
 
 #include <stdint.h>
 
@@ -28,9 +31,11 @@ typedef int64_t i64; typedef uint32_t u32; typedef uint64_t u64;
 /* st[]: what a call resumes from (CODE holds `low` when encoding; the
    first call sets TOTAL) */
 enum { RNG, CODE, POS, SYM, TOTAL, CACHE, CACHE_SIZE };
-/* cfg[]: the stream's settings; INTERVAL is 0 in a static stream, and
-   CAP is the model module's MAX_TOTALCOUNT */
-enum { K, ADAPTIVE, INTERVAL, CAP, NEW_RESCALE };
+/* cfg[]: the stream's settings; INTERVAL is 0 in a static stream, CAP,
+   at which a model rescales, is the model module's MAX_TOTALCOUNT, and
+   LIMIT, which the first call checks the total against, is
+   linear_model's, which check_total reads */
+enum { K, ADAPTIVE, INTERVAL, CAP, NEW_RESCALE, LIMIT };
 
 typedef struct {
     u32 *h, *hk, *v;
@@ -39,10 +44,11 @@ typedef struct {
 
 /* prefix_sums: hk[i] is the sum of the counts below symbol i */
 static void linear_init(Model *m) {
+    i64 total = 0;
     m->hk[0] = 0;
     for (i64 i = 0; i < m->k; i++)
-        m->hk[i + 1] = m->hk[i] + m->h[i];
-    m->total = m->hk[m->k];
+        m->hk[i + 1] = (u32)(total += m->h[i]);
+    m->total = total;
 }
 
 /* LinearModel.rescale: halve every count, rounding up */
@@ -140,12 +146,18 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
 }
 
 /* the model of a call: the counts h = a, the working array hk = v = b;
-   a stream's first call derives the array and the total with `init` */
+   a stream's first call derives the array and the total with `init`,
+   and returns -2 with the total in st[TOTAL] if it is above cfg[LIMIT] */
 #define MODEL(init)                                                        \
     Model m = {a, b, b, cfg[K], cfg[ADAPTIVE], cfg[INTERVAL], cfg[CAP],    \
                cfg[NEW_RESCALE], st[TOTAL]};                               \
-    if (st[SYM] == 0)                                                      \
-        init(&m);
+    if (st[SYM] == 0) {                                                    \
+        init(&m);                                                          \
+        if (m.total > cfg[LIMIT]) {                                        \
+            st[TOTAL] = m.total;                                           \
+            return -2;                                                     \
+        }                                                                  \
+    }
 /* the loop head and tail the two families share; an interval rescale
    follows each adaptive symbol's update */
 #define DECODE_BEGIN(init)                                                 \
@@ -162,7 +174,8 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
     return limit;
 
 /* Each decode writes `limit` symbols to out and returns `limit`, or
-   returns -1 once the payload ends before the last of them. */
+   returns -1 once the payload ends before the last of them (or -2, see
+   MODEL). */
 i64 linear_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
                   u32 *out, u32 *a, u32 *b, const i64 *cfg) {
     DECODE_BEGIN(linear_init)
@@ -262,7 +275,7 @@ static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
 
 /* Each encode codes syms[st[SYM]:st[SYM] + limit], then flushes if
    `finish`, and returns the bytes now in out, or -1 if out (of `cap`
-   bytes) is full. */
+   bytes) is full (or -2, see MODEL). */
 i64 linear_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
                   const u32 *syms, u32 *a, u32 *b, const i64 *cfg) {
     ENCODE_BEGIN(linear_init)

@@ -13,7 +13,7 @@ from . import datagen
 from . import search as _search
 from .fenwick_model import FenwickModel, forward_step, parent_index
 from .linear_model import LinearModel
-from .rangecoder import CoderConfig, decode_stream, encode_stream
+from .rangecoder import MAX_SYMBOLS, CoderConfig, decode_stream, encode_stream
 
 # Hand-checked reference tables for `selftest`: a 19-symbol count example
 # with its hierarchical representation, the bit-trick table, and the
@@ -51,7 +51,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         payload = fh.read()
-    header, symbols = decode_stream(payload, args.search)
+    header, symbols = decode_stream(payload, args.search, max_symbols=args.max_symbols)
     datagen.write_symbols(args.output, header.k, symbols)
     return 0
 
@@ -145,6 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decompress a stream")
     p.add_argument("--search", choices=_search.STRATEGIES, default=None)
+    p.add_argument("--max-symbols", type=int, default=MAX_SYMBOLS,
+                   help="reject a stream whose header claims more symbols")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_decode)

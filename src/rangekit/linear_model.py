@@ -14,7 +14,7 @@ MAX_TOTALCOUNT = 1 << 20
 
 def check_total(total: int) -> None:
     """Raise OverflowError if a total exceeds the cap as it stands: the
-    one total check, of ``prefix_sums`` and of the compiled loops."""
+    check of ``prefix_sums``, and the error of the compiled loops' own."""
     if total > MAX_TOTALCOUNT:
         raise OverflowError(f"total count {total} exceeds MAX_TOTALCOUNT="
                             f"{MAX_TOTALCOUNT}; caller must pre-normalize")

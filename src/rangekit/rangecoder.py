@@ -55,6 +55,9 @@ _RESCALES = ("orig", "new")
 #: this many before it appends them and calls again.
 CHUNK = 1 << 16
 
+#: A decode's default symbol limit: 8 bytes a symbol in the list, 128 MiB.
+MAX_SYMBOLS = 1 << 24
+
 _HEADER_FMT = "<4sBBBBIIQ"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
@@ -91,13 +94,20 @@ class CoderConfig:
 
 @dataclass(frozen=True)
 class StreamHeader:
+    """A stream's header fields.  A static stream's ``counts`` is one
+    ``array('I')``, read by the compiled loops and written by none; a
+    tuple or list given here is converted to it once."""
     mode: str
     model: str
     rescale: str
     rescale_interval: int
     k: int
     n: int
-    counts: tuple[int, ...] | None  # static mode only
+    counts: array | None  # static mode only
+
+    def __post_init__(self):
+        if self.counts is not None and getattr(self.counts, "typecode", "") != "I":
+            object.__setattr__(self, "counts", array("I", self.counts))
 
 
 @dataclass
@@ -208,12 +218,10 @@ def pack_header(header: StreamHeader) -> bytes:
         header.k, header.n,
     )
     if header.mode == "static":
-        table = array("I", header.counts)
+        table = np.asarray(header.counts, "<u4")  # a view on little-endian hosts
         if len(table) != header.k:
             raise ValueError(f"{len(table)} counts for an alphabet of size "
                              f"{header.k}")
-        if sys.byteorder == "big":
-            table.byteswap()
         out += table.tobytes()
     return out
 
@@ -242,27 +250,32 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
         end = offset + 4 * k
         if len(payload) < end:
             raise StreamFormatError("truncated count table")
-        counts = struct.unpack_from(f"<{k}I", payload, offset)
+        counts = array("I")
+        counts.frombytes(memoryview(payload)[offset:end])
+        if sys.byteorder == "big":
+            counts.byteswap()
         offset = end
-        total = sum(counts)
+        total = int(np.frombuffer(counts, np.uint32).sum(dtype=np.int64))
         # an empty static stream legitimately carries an all-zero table
         if (n and total == 0) or total > MAX_TOTALCOUNT:
             raise StreamFormatError(f"invalid static count total {total}")
     return StreamHeader(mode, model, rescale, interval, k, n, counts), offset
 
 
-def normalize_counts(counts) -> list[int]:
-    """Divide first-pass counts so their total fits in STATIC_TOTAL_LIMIT.
+def normalize_counts(counts) -> array:
+    """Divide first-pass counts (an ``np.bincount`` result or a list) so
+    their total fits in STATIC_TOTAL_LIMIT, into an ``array('I')`` table.
 
     Nonzero counts never drop below one, so every observed symbol keeps a
     valid interval; that adds at most one per symbol, so the scaled total
     stays below ``STATIC_TOTAL_LIMIT + K``.
     """
-    total = sum(counts)
-    if total <= STATIC_TOTAL_LIMIT:
-        return list(counts)
-    s = -(-total // STATIC_TOTAL_LIMIT)
-    return [max(1, c // s) if c else 0 for c in counts]
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    if total > STATIC_TOTAL_LIMIT:
+        scaled = counts // -(-total // STATIC_TOTAL_LIMIT)
+        counts = np.minimum(counts, np.maximum(scaled, 1))  # zeros stay 0
+    return array("I", counts.astype(np.uint32).tobytes())
 
 
 def _make_model(header: StreamHeader):
@@ -292,15 +305,15 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     symbols = check_symbols(symbols, k)
     counts = None
     if config.mode == "static":
-        raw = np.bincount(np.frombuffer(symbols, np.uint32), minlength=k)
-        counts = tuple(normalize_counts(raw.tolist()))
+        counts = normalize_counts(
+            np.bincount(np.frombuffer(symbols, np.uint32), minlength=k))
     header = StreamHeader(config.mode, config.model, config.rescale,
                           config.rescale_interval if config.mode == "adaptive" else 0,
                           k, len(symbols), counts)
     head = pack_header(header)
     lib = _loops.lib()
     coded = (_encode_python(symbols, header, _make_model(header)) if lib is None
-             else _encode_compiled(lib, symbols, header, head[_HEADER_SIZE:]))
+             else _encode_compiled(lib, symbols, header))
     return b"".join((head, coded))
 
 
@@ -319,31 +332,38 @@ def _encode_python(symbols: array, header: StreamHeader, model) -> bytes:
 
 
 def decode_stream(payload: bytes, strategy: str | None = None,
-                  stats: DecodeStats | None = None) -> tuple[StreamHeader, list[int]]:
+                  stats: DecodeStats | None = None,
+                  max_symbols: int = MAX_SYMBOLS) -> tuple[StreamHeader, list[int]]:
     """Decompress a stream, the one-strategy case of ``count_stream``:
     the strategy is checked but never changes the output."""
-    return count_stream(payload, {strategy: stats})
+    return count_stream(payload, {strategy: stats}, max_symbols)
 
 
-def count_stream(payload: bytes, counted: dict) -> tuple[StreamHeader, list[int]]:
+def count_stream(payload: bytes, counted: dict,
+                 max_symbols: int = MAX_SYMBOLS) -> tuple[StreamHeader, list[int]]:
     """Decode a stream once and add each strategy's counters to its stats.
 
     ``counted`` maps strategies (None: the stream's default) to
-    ``DecodeStats`` (None: count nothing), all checked before any decode
-    work.  With stats to fill, the stream decodes in the Python loop and
+    ``DecodeStats`` (None: count nothing), checked with the header's
+    symbol count (at most ``max_symbols``) before any decode work.  With
+    stats to fill, the stream decodes in the Python loop and
     ``search.count_iterations`` counts each strategy off it; otherwise in
     the compiled loop, where ``_loops`` loaded it.
     """
     header, offset = unpack_header(payload)
-    counted = {default_strategy(header.model) if strategy is None else strategy: stats
-               for strategy, stats in counted.items()}
+    if header.n > max_symbols:
+        raise StreamFormatError(f"header claims {header.n} symbols, more than "
+                                f"the limit of {max_symbols}")
+    default = default_strategy(header.model)
     for strategy in counted:
-        reason = strategy_compatible(strategy, header.model, header.mode)
+        reason = strategy_compatible(default if strategy is None else strategy,
+                                     header.model, header.mode)
         if reason is not None:
             raise ValueError(reason)
     if len(payload) < offset + 5:
         raise StreamFormatError("truncated payload")
-    counted = {s: stats for s, stats in counted.items() if stats is not None}
+    counted = {default if strategy is None else strategy: stats
+               for strategy, stats in counted.items() if stats is not None}
     lib = None if counted else _loops.lib()
     if lib is None:
         model = _make_model(header)
@@ -393,42 +413,35 @@ def _decode_python(payload: bytes, offset: int, header: StreamHeader,
     return symbols, offset + dec.pos
 
 
-def _compiled_loop(lib, kind: str, header: StreamHeader, table: bytes):
+def _compiled_loop(lib, kind: str, header: StreamHeader):
     """The compiled ``kind`` loop, "encode" or "decode", of the stream's
     model family, and the buffers it takes after the symbols: the counts
-    (a static stream's header ``table``, or K ones), a K + 1 entry array
-    in which the loop's first call derives ``hk`` or ``v`` and the state's
-    total, and the stream's settings in its ``cfg`` order.  No model is
-    built; as in ``_make_model``, a static stream codes through the
-    prefix sums.  The total gets ``prefix_sums``' check, and the count
-    cap is read from the family's module, so a ``MAX_TOTALCOUNT`` patched
-    there applies."""
+    (``header.counts``, which it only reads, or K ones), a K + 1 entry
+    array in which its first call derives ``hk`` or ``v`` and the total,
+    and the settings in ``cfg`` order.  The first call checks the total
+    against ``linear_model``'s cap, as ``prefix_sums`` does, and a model
+    rescales at its family module's cap; both are read at call time, so
+    a ``MAX_TOTALCOUNT`` patched there applies.  No model is built; as in
+    ``_make_model``, a static stream codes through the prefix sums."""
     k, adaptive = header.k, header.mode == "adaptive"
-    _linear.check_total(k if adaptive else sum(header.counts))
-    if adaptive:
-        counts = array("I", [1]) * k
-    else:  # one frombytes of the little-endian table
-        counts = array("I")
-        counts.frombytes(table)
-        if sys.byteorder == "big":
-            counts.byteswap()
     family, module = (("fenwick", _fenwick) if adaptive and header.model == "fenwick"
                       else ("linear", _linear))
     cfg = array("q", (k, adaptive, header.rescale_interval if adaptive else 0,
-                      module.MAX_TOTALCOUNT, header.rescale == "new"))
+                      module.MAX_TOTALCOUNT, header.rescale == "new",
+                      _linear.MAX_TOTALCOUNT))
     return (getattr(lib, f"{family}_{kind}"),
-            (counts, array("I", [0]) * (k + 1), cfg))
+            (array("I", [1]) * k if adaptive else header.counts,
+             array("I", [0]) * (k + 1), cfg))
 
 
 def _address(buf: array) -> int:
     return buf.buffer_info()[0]
 
 
-def _encode_compiled(lib, data: array, header: StreamHeader,
-                     table: bytes) -> memoryview:
+def _encode_compiled(lib, data: array, header: StreamHeader) -> memoryview:
     """``_encode_python`` in the compiled loop, ``CHUNK`` symbols a call:
     a view of the coded bytes in the loop's output buffer."""
-    loop, buffers = _compiled_loop(lib, "encode", header, table)
+    loop, buffers = _compiled_loop(lib, "encode", header)
     # before a symbol the range is at least 2**24 and the total at most
     # 2**20, so the symbol leaves a range of at least 16 and shifts out
     # at most three bytes; the flush shifts out five
@@ -442,7 +455,8 @@ def _encode_compiled(lib, data: array, header: StreamHeader,
         done += step
         size = loop(_address(out), len(out), _address(state), step,
                     done == len(data), *args)
-        if size < 0:
+        if size < 0:  # -2 leaves a total above the limit in st[TOTAL]
+            _linear.check_total(state[4])
             raise RuntimeError("compiled encode ran past its output bound")
         if done == len(data):
             return memoryview(out)[:size]
@@ -452,9 +466,9 @@ def _decode_compiled(lib, payload: bytes, offset: int,
                      header: StreamHeader) -> tuple[list[int], int]:
     """``_decode_python`` in the compiled loop, ``CHUNK`` symbols a call:
     the buffer never grows with the header's symbol count, and signals
-    are handled between calls."""
-    loop, buffers = _compiled_loop(lib, "decode", header,
-                                   payload[_HEADER_SIZE:offset])
+    are handled between calls.  An empty stream takes one call too, which
+    checks its count total."""
+    loop, buffers = _compiled_loop(lib, "decode", header)
     n = header.n
     out = array("I", [0]) * min(n, CHUNK)
     # range, code, payload position, symbols decoded, total; the first
@@ -463,12 +477,14 @@ def _decode_compiled(lib, payload: bytes, offset: int,
     state = array("q", (MASK32, code, offset + 5, 0, 0, 0, 0))
     args = [_address(x) for x in (out, *buffers)]
     symbols: list[int] = []
-    while len(symbols) < n:
+    while True:
         got = loop(payload, len(payload), _address(state),
                    min(n - len(symbols), CHUNK), *args)
-        if got < 0:
+        if got < 0:  # -2 leaves a total above the limit in st[TOTAL]
+            _linear.check_total(state[4])
             raise StreamFormatError("payload ends before the last symbol")
         if got == n:  # one call decoded the whole stream
             return out.tolist(), state[2]
         symbols += out[:got].tolist()
-    return symbols, state[2]
+        if len(symbols) == n:
+            return symbols, state[2]

@@ -91,8 +91,9 @@ def mutate(payload, kind, data):
         at = _HEADER_SIZE + 4 * data.draw(st.integers(0, k - 1))
         struct.pack_into("<I", out, at, data.draw(st.one_of(
             st.integers(0, 3), st.integers(0, linear_model.MAX_TOTALCOUNT + 1))))
-    else:  # "n"
-        struct.pack_into("<Q", out, N_AT, data.draw(st.integers(0, 1 << 16)))
+    else:  # "n", often past the symbol limit the mutation tests set
+        struct.pack_into("<Q", out, N_AT, data.draw(st.one_of(
+            st.integers(0, 1 << 16), st.integers(0, (1 << 64) - 1))))
     return bytes(out)
 
 

@@ -178,10 +178,11 @@ def _cli_in_subprocess(*args, entry=("-m", "rangekit.cli")):
         capture_output=True, text=True, env=env, timeout=60)
 
 
-def _decode_in_subprocess(tmp_path, header):
+def _decode_in_subprocess(tmp_path, header, *options):
     bad = tmp_path / "bad.irc"
     bad.write_bytes(pack_header(header) + b"\x00" * 5)
-    return _cli_in_subprocess("decode", "-i", bad, "-o", tmp_path / "out.isy")
+    return _cli_in_subprocess("decode", *options, "-i", bad,
+                              "-o", tmp_path / "out.isy")
 
 
 def test_decode_hostile_static_header_reports_error(tmp_path):
@@ -194,10 +195,26 @@ def test_decode_hostile_static_header_reports_error(tmp_path):
 
 def test_decode_past_payload_reports_error(tmp_path):
     header = StreamHeader("adaptive", "linear", "orig", 0, 2, 1 << 40, None)
-    proc = _decode_in_subprocess(tmp_path, header)
-    assert proc.returncode == 1
-    assert "error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for options in ((), ("--max-symbols", 1 << 40)):
+        proc = _decode_in_subprocess(tmp_path, header, *options)
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_decode_symbol_limit_option(tmp_path, capsys):
+    """``decode --max-symbols`` decodes a stream of that many symbols and
+    rejects one of more, naming the limit, without a traceback."""
+    raw, packed, out = (tmp_path / name for name in ("seq.isy", "seq.irc", "out.isy"))
+    write_symbols(raw, 4, [0, 1, 2, 3] * 3)
+    assert main(["encode", "-i", str(raw), "-o", str(packed)]) == 0
+    assert main(["decode", "--max-symbols", "12", "-i", str(packed),
+                 "-o", str(out)]) == 0
+    assert read_symbols(out)[1].tolist() == [0, 1, 2, 3] * 3
+    assert main(["decode", "--max-symbols", "11", "-i", str(packed),
+                 "-o", str(out)]) == 1
+    assert ("error: header claims 12 symbols, more than the limit of 11"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("mode", ("static", "adaptive"))

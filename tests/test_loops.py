@@ -9,18 +9,19 @@ import contextlib
 import random
 import struct
 import tracemalloc
+from array import array
 from itertools import accumulate
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rangekit import _loops, linear_model, rangecoder
+from rangekit import _loops, fenwick_model, linear_model, rangecoder
 from rangekit.datagen import MAX_ALPHABET
 from rangekit.rangecoder import (
     CoderConfig, Encoder, StreamFormatError, StreamHeader, decode_stream,
-    encode_stream, pack_header, unpack_header,
+    encode_stream, normalize_counts, pack_header, unpack_header,
 )
 
 from conftest import N_AT, count_cap, mutate, python_loops, time_limit
@@ -167,6 +168,47 @@ def test_static_total_above_a_lowered_cap_raises_the_same_error(model):
 
 
 @pytest.mark.parametrize("model", MODELS)
+def test_table_whose_total_wraps_32_bits_raises_in_the_compiled_loops(model):
+    """A hand-built table that ``unpack_header`` never sees, whose total
+    2**32 + 1 wraps a 32-bit sum to 1, raises ``check_total``'s
+    OverflowError from the loops' own first-call check, which sums in 64
+    bits, on encode and on decode."""
+    lib = _loops.lib()
+    header = StreamHeader("static", model, "orig", 0, 3, 1,
+                          (1 << 31, 1 << 31, 1))
+    want = overflow((1 << 32) + 1, linear_model.MAX_TOTALCOUNT)[1]
+    with pytest.raises(OverflowError) as raised:
+        rangecoder._encode_compiled(lib, array("I", [2]), header)
+    assert str(raised.value) == want
+    payload = pack_header(header) + b"\0" * 5
+    with pytest.raises(OverflowError) as raised:
+        rangecoder._decode_compiled(lib, payload, len(payload) - 5, header)
+    assert str(raised.value) == want
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_static_coding_leaves_the_header_table_unchanged(model):
+    """Both loops code a static stream from ``header.counts`` and write
+    it neither on encode nor on decode: the table handed to the encode
+    and the decoded header's table still equal the table in the bytes."""
+    rng = random.Random(9)
+    syms = [rng.randrange(40) if rng.random() < 0.5 else 3 for _ in range(3000)]
+    cfg = CoderConfig("static", model)
+    payload = encode_stream(syms, 40, cfg)
+    table = unpack_header(payload)[0].counts
+    handed = []
+
+    def keep(counts):
+        handed.append(normalize_counts(counts))
+        return handed[-1]
+
+    with mock.patch.object(rangecoder, "normalize_counts", keep):
+        assert both_sides(lambda: encode_stream(syms, 40, cfg)) == [payload] * 2
+    assert handed == [table] * 2
+    assert both_sides(lambda: decode_stream(payload)[0].counts) == [table] * 2
+
+
+@pytest.mark.parametrize("model", MODELS)
 def test_adaptive_alphabet_above_a_lowered_cap_raises_the_same_error(model):
     """An adaptive stream starts from K counts of one, so an alphabet
     larger than the count cap raises the same OverflowError on both
@@ -179,6 +221,18 @@ def test_adaptive_alphabet_above_a_lowered_cap_raises_the_same_error(model):
         assert both_sides(lambda: decode_stream(payload)) == want
 
 
+def test_fenwick_cap_below_the_alphabet_alone_codes_on_both_loops():
+    """The first-call total check reads ``linear_model``'s cap, as
+    ``prefix_sums`` does, not the cap a Fenwick model rescales at: with
+    only ``fenwick_model.MAX_TOTALCOUNT`` lowered below K, both loops
+    code the stream alike, rescaling at every update."""
+    cfg = CoderConfig("adaptive", "fenwick", "new")
+    with mock.patch.object(fenwick_model, "MAX_TOTALCOUNT", 5):
+        payload = encode_stream(SYMS * 3, 10, cfg)
+        assert both_sides(lambda: encode_stream(SYMS * 3, 10, cfg)) == [payload] * 2
+        assert both_sides(lambda: decode_stream(payload)[1]) == [SYMS * 3] * 2
+
+
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("k", (1, 3, 256))
 def test_all_zero_table_is_an_empty_stream(model, k):
@@ -188,7 +242,7 @@ def test_all_zero_table_is_an_empty_stream(model, k):
     cfg = CoderConfig("static", model)
     empty = encode_stream([], k, cfg)
     assert both_sides(lambda: encode_stream([], k, cfg)) == [empty] * 2
-    assert unpack_header(empty)[0].counts == (0,) * k
+    assert unpack_header(empty)[0].counts == array("I", [0]) * k
     assert both_sides(lambda: decode_stream(empty)[1]) == [[]] * 2
     forged = bytearray(empty)
     struct.pack_into("<Q", forged, N_AT, 1)
@@ -273,7 +327,8 @@ def test_compiled_loops_match_python_loops_across_chunks(mode, model, rescale):
 def test_mutated_streams_give_the_same_result_on_both_loops(mode, model, kind,
                                                             data):
     """A truncated, flipped or forged stream gives the same symbols on
-    both loops, or the same StreamFormatError."""
+    both loops, or the same StreamFormatError; the symbol limit bounds a
+    stream whose symbols cost no bits."""
     k = data.draw(st.one_of(st.integers(1, 20), st.just(300)))
     hot = data.draw(st.integers(0, k - 1))
     syms = data.draw(st.lists(
@@ -281,19 +336,19 @@ def test_mutated_streams_give_the_same_result_on_both_loops(mode, model, kind,
     interval = data.draw(st.sampled_from((0, 7))) if mode == "adaptive" else 0
     payload = encode_stream(syms, k, CoderConfig(mode, model, "orig", interval))
     bad = mutate(payload, kind, data)
-    # a stream whose symbols cost no bits never runs out of payload
-    assume(len(bad) < N_AT + 8 or struct.unpack_from("<Q", bad, N_AT)[0] <= 1 << 16)
     with time_limit(20):
-        compiled, python = both_sides(lambda: decode_stream(bad))
+        compiled, python = both_sides(
+            lambda: decode_stream(bad, max_symbols=1 << 16))
     assert compiled == python
 
 
 @pytest.mark.parametrize("mode,model", [
     (mode, model) for mode in MODES for model in MODELS])
 def test_forged_symbol_count_is_bounded_by_the_payload(mode, model):
-    """A valid stream whose header claims 2**40 symbols raises once its
-    payload runs out, quickly and without allocating for the claimed
-    count: the compiled decode buffers one chunk at a time."""
+    """A valid stream whose header claims 2**40 symbols, under a symbol
+    limit that allows them, raises once its payload runs out, quickly and
+    without allocating for the claimed count: the compiled decode buffers
+    one chunk at a time."""
     rng = random.Random(40)
     syms = [rng.randrange(256) for _ in range(3000)]
     payload = bytearray(encode_stream(syms, 256, CoderConfig(mode, model)))
@@ -301,7 +356,8 @@ def test_forged_symbol_count_is_bounded_by_the_payload(mode, model):
     tracemalloc.start()
     try:
         with time_limit(5):
-            raised = both_sides(lambda: decode_stream(bytes(payload)))
+            raised = both_sides(lambda: decode_stream(bytes(payload),
+                                                      max_symbols=1 << 40))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -312,11 +368,12 @@ def test_forged_symbol_count_is_bounded_by_the_payload(mode, model):
 
 def test_signals_are_handled_between_chunks():
     """A forged count on a stream whose symbols cost no bits (static, K =
-    1) never runs out of payload; an alarm still ends the compiled decode."""
+    1) never runs out of payload; under a symbol limit that allows the
+    count, an alarm still ends the compiled decode."""
     payload = bytearray(encode_stream([0] * 10, 1, CoderConfig("static")))
     struct.pack_into("<Q", payload, N_AT, 1 << 40)
     with pytest.raises(TimeoutError), time_limit(0.02):
-        decode_stream(bytes(payload))
+        decode_stream(bytes(payload), max_symbols=1 << 40)
 
 
 def test_decode_takes_any_bytes_like_payload():

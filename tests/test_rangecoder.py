@@ -1,19 +1,21 @@
+import copy
 import random
 import struct
+from array import array
 from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rangekit.datagen import MAX_ALPHABET
 from rangekit.fenwick_model import FenwickModel
 from rangekit import linear_model
 from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
-    MAGIC, MASK32, STATIC_TOTAL_LIMIT, TOP, VERSION, CoderConfig, DecodeStats,
-    Decoder, Encoder, StreamFormatError, StreamHeader, ZeroCountError,
+    MAGIC, MASK32, MAX_SYMBOLS, STATIC_TOTAL_LIMIT, TOP, VERSION, CoderConfig,
+    DecodeStats, Decoder, Encoder, StreamFormatError, StreamHeader, ZeroCountError,
     count_stream, decode_stream, default_strategy, encode_stream, normalize_counts,
     pack_header, strategy_compatible, unpack_header, _HEADER_SIZE,
 )
@@ -93,6 +95,24 @@ def test_header_round_trip(mode):
     assert offset == len(packed)
 
 
+@pytest.mark.parametrize("make", (tuple, list, lambda c: array("I", c)),
+                         ids=("tuple", "list", "array"))
+def test_static_header_holds_its_counts_as_one_array(make):
+    """A static header built from a tuple, a list or an ``array('I')``
+    holds its counts as one ``array('I')`` (the array itself, when given
+    one), packs to the same bytes and equals its parsed copy."""
+    counts = (5, 0, 3)
+    header = StreamHeader("static", "linear", "orig", 0, 3, 9, make(counts))
+    assert header.counts == array("I", counts)
+    assert header.counts.typecode == "I"
+    packed = pack_header(header)
+    assert packed == pack_header(StreamHeader("static", "linear", "orig", 0,
+                                              3, 9, counts))
+    assert unpack_header(packed) == (header, len(packed))
+    table = array("I", counts)
+    assert StreamHeader("static", "linear", "orig", 0, 3, 9, table).counts is table
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from((1, 2, 255, 256, MAX_ALPHABET)),
        st.sampled_from(("linear", "fenwick")), st.integers(0, 1 << 32),
@@ -168,15 +188,37 @@ def test_unpack_rejects_hostile_static_counts(counts, model):
 
 @pytest.mark.parametrize("model", ("linear", "fenwick"))
 def test_decode_stops_at_end_of_payload(model):
-    # 2**40 announced symbols, 5 payload bytes: the decoder must give up
-    # as soon as it needs a sixth byte instead of inventing zeros; at the
-    # largest alphabet, building the flat model must stay cheap too
+    # 2**40 announced symbols, within the symbol limit given, 5 payload
+    # bytes: the decoder must give up as soon as it needs a sixth byte
+    # instead of inventing zeros; at the largest alphabet, building the
+    # flat model must stay cheap too
     for k in (2, MAX_ALPHABET):
         header = StreamHeader("adaptive", model, "orig", 0, k, 1 << 40, None)
         stats = DecodeStats()
         with time_limit(2), pytest.raises(StreamFormatError):
-            decode_stream(pack_header(header) + b"\x00" * 5, stats=stats)
+            decode_stream(pack_header(header) + b"\x00" * 5, stats=stats,
+                          max_symbols=1 << 40)
         assert stats == DecodeStats()  # a decode that raises adds nothing
+
+
+@pytest.mark.parametrize("stats", (None, DecodeStats()), ids=("plain", "counting"))
+def test_symbol_limit_rejects_a_header_before_any_decode_work(stats):
+    """A header claiming more symbols than ``max_symbols``, by default
+    ``MAX_SYMBOLS``, raises StreamFormatError at once, also on a stream
+    whose symbols cost no bits, which would otherwise decode them all;
+    a stream of exactly ``max_symbols`` symbols decodes.  A rejected
+    decode adds no counts."""
+    payload = bytearray(encode_stream([0] * 10, 1, CoderConfig("static")))
+    assert decode_stream(bytes(payload), stats=stats, max_symbols=10)[1] == [0] * 10
+    counted = copy.deepcopy(stats)
+    with pytest.raises(StreamFormatError, match="header claims 10 symbols, "
+                                                "more than the limit of 9"):
+        decode_stream(bytes(payload), stats=stats, max_symbols=9)
+    struct.pack_into("<Q", payload, N_AT, MAX_SYMBOLS + 1)
+    with time_limit(1), pytest.raises(StreamFormatError,
+                                      match=f"the limit of {MAX_SYMBOLS}$"):
+        decode_stream(bytes(payload), stats=stats)
+    assert stats == counted
 
 
 @pytest.mark.parametrize("model", ("linear", "fenwick"))
@@ -210,12 +252,12 @@ def test_decode_rejects_trailing_and_missing_bytes(n):
 def test_unpack_accepts_empty_static_stream():
     payload = encode_stream([], 3, CoderConfig("static", "linear"))
     header, _ = unpack_header(payload)
-    assert header.counts == (0, 0, 0)
+    assert header.counts == array("I", [0, 0, 0])
     assert decode_stream(payload)[1] == []
 
 
 def test_normalize_counts_small_passthrough():
-    assert normalize_counts([3, 0, 5]) == [3, 0, 5]
+    assert normalize_counts([3, 0, 5]) == array("I", [3, 0, 5])
 
 
 def test_normalize_counts_total_bound():
@@ -239,6 +281,44 @@ def test_normalize_counts_scaling():
     assert sum(scaled) <= 1 << 16
     assert scaled[1] == 1  # observed symbols keep an interval
     assert scaled[2] == 0
+
+
+def reference_normalize_counts(counts):
+    """``normalize_counts`` as a list comprehension over Python ints: the
+    reference of the numpy version."""
+    total = sum(counts)
+    if total <= STATIC_TOTAL_LIMIT:
+        return list(counts)
+    s = -(-total // STATIC_TOTAL_LIMIT)
+    return [max(1, c // s) if c else 0 for c in counts]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from((1, 2, 256, MAX_ALPHABET)),
+       st.one_of(st.integers(0, STATIC_TOTAL_LIMIT - 1),
+                 st.just(STATIC_TOTAL_LIMIT),
+                 st.integers(STATIC_TOTAL_LIMIT + 1, 1 << 20),
+                 st.integers(1 << 20, 1 << 40)),
+       st.sampled_from((0.0, 0.5, 0.99)), st.integers(0, 1 << 32))
+def test_normalize_counts_matches_the_list_reference(k, total, zeros, seed):
+    """For totals below, at and above STATIC_TOTAL_LIMIT, with zero
+    counts, ``normalize_counts`` of a list and of an ``np.bincount``
+    result give the reference's table, and a header packs it to the
+    reference's bytes.  Totals past 2**20 are drawn as the int64 array
+    ``np.bincount`` returns, without symbols to count."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(k) * (rng.random(k) >= zeros)
+    weights[rng.integers(k)] += 1.0  # at least one symbol occurs
+    raw = rng.multinomial(total, weights / weights.sum())
+    want = reference_normalize_counts(raw.tolist())
+    inputs = [raw.tolist(), raw]
+    if total <= 1 << 20:
+        inputs.append(np.bincount(np.repeat(np.arange(k), raw), minlength=k))
+    for counts in inputs:
+        got = normalize_counts(counts)
+        assert got == array("I", want)
+        header = StreamHeader("static", "linear", "orig", 0, k, 1, got)
+        assert pack_header(header)[_HEADER_SIZE:] == struct.pack(f"<{k}I", *want)
 
 
 def test_config_validation():
@@ -411,7 +491,7 @@ def test_static_header_counts_normalize_the_symbol_counts(stream):
     k, syms = stream
     tally = Counter(syms)
     header, _ = unpack_header(encode_stream(syms, k, CoderConfig("static")))
-    assert header.counts == tuple(normalize_counts([tally[s] for s in range(k)]))
+    assert header.counts == normalize_counts([tally[s] for s in range(k)])
 
 
 def test_encode_rejects_out_of_range_symbol():
@@ -641,7 +721,9 @@ def test_mutated_streams_decode_or_raise_format_error(mode, model, kind, data):
     """A valid stream, truncated, with one byte flipped, or with a forged
     K, static count or symbol count, either decodes or raises
     StreamFormatError; no other exception escapes (an IndexError from a
-    read past the model's arrays would)."""
+    read past the model's arrays would).  The payload and the symbol
+    limit bound the run time, also of a stream whose symbols cost no
+    bits."""
     k = data.draw(st.one_of(st.integers(1, 20), st.just(300)))
     hot = data.draw(st.integers(0, k - 1))
     syms = data.draw(st.lists(
@@ -649,12 +731,8 @@ def test_mutated_streams_decode_or_raise_format_error(mode, model, kind, data):
     interval = data.draw(st.sampled_from((0, 7))) if mode == "adaptive" else 0
     payload = encode_stream(syms, k, CoderConfig(mode, model, "orig", interval))
     bad = mutate(payload, kind, data)
-    # run time is bounded by the payload only for streams that cost bits;
-    # a symbol count above 2**16 waits for an explicit symbol limit
-    assume(len(bad) < _HEADER_SIZE
-           or struct.unpack_from("<Q", bad, N_AT)[0] <= 1 << 16)
     with time_limit(10):
         try:
-            decode_stream(bad)
+            decode_stream(bad, max_symbols=1 << 16)
         except StreamFormatError:
             pass
