@@ -3,11 +3,14 @@
    running the algorithms of rangecoder.py's Python loops: the register
    discipline of Encoder/Decoder; the linear model's bisect_right search,
    K - sym tail update and count halving; and FenwickModel's update chain
-   and both rescales.  The Fenwick loops fuse two steps of the Python loop
-   into one walk: the decode's descent is binary_indexed_interval +
-   update, and the encode's walk is cum + count.  At the count cap a
-   model rescales before the increment.  No work counters are kept: a
-   decode that counts runs the Python loop.
+   and both rescales.  The loops are plain C for _loops.CFLAGS (-O3, no
+   intrinsics or CPU dispatch): at -O3 the compiler vectorises the linear
+   tail update, and the linear decode's search is written branch-free, so
+   it compiles to conditional moves.  The Fenwick loops fuse two steps of
+   the Python loop into one walk: the decode's descent is
+   binary_indexed_interval + update, and the encode's walk is cum + count.
+   At the count cap a model rescales before the increment.  No work
+   counters are kept: a decode that counts runs the Python loop.
 
    No Python model is built for them.  Each loop takes the stream's
    uint32 count vector h (K entries) and a K + 1 entry buffer, and on a
@@ -180,12 +183,15 @@ i64 linear_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
                   u32 *out, u32 *a, u32 *b, const i64 *cfg) {
     DECODE_BEGIN(linear_init)
         u32 r, c = target(&d, m.total, &r);
-        i64 lo = 1, hi = m.k;  /* bisect_right(hk, c) - 1; hk[0] <= c < hk[K] */
-        while (lo < hi) {
-            i64 mid = (lo + hi) >> 1;
-            if (m.hk[mid] > c) hi = mid; else lo = mid + 1;
+        /* bisect_right(hk, c) - 1, branch-free: the last of the n entries
+           from p that is <= c; hk[0] <= c < hk[K] */
+        const u32 *p = m.hk;
+        for (i64 n = m.k; n > 1;) {
+            i64 half = n >> 1;
+            p = p[half] <= c ? p + half : p;
+            n -= half;
         }
-        i64 sym = lo - 1;
+        i64 sym = p - m.hk;
         if (!consume(&d, r, m.hk[sym], m.h[sym]))
             return -1;
         out[o] = (u32)sym;

@@ -1,12 +1,13 @@
 """Loader of the compiled stream loops in ``_loops.c``.
 
-``lib()`` compiles the C source with ``cc -O2 -shared -fPIC`` on its first
-call and loads the result with ``ctypes``.  The shared object is cached in
-this package's ``__pycache__``, under a name keyed by a hash of the
-source, and written atomically, so later processes load it at once.  When
-compiling, writing or loading fails, ``lib()`` returns None and the stream
-functions run their Python loops, which stay the reference.  Setting
-``_lib`` to None turns the compiled loops off.
+``lib()`` compiles the C source with ``cc`` and ``CFLAGS`` on its first
+call and loads the result with ``ctypes``; ``-O3`` lets the compiler
+vectorise the linear model's K - sym tail update.  The shared object is
+cached in this package's ``__pycache__``, under a name keyed by a CRC of
+the source and ``CFLAGS``, and written atomically, so later processes
+load it at once.  When compiling, writing or loading fails, ``lib()``
+returns None and the stream functions run their Python loops, which stay
+the reference.  Setting ``_lib`` to None turns the compiled loops off.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import zlib
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_loops.c")
+CFLAGS = ("-O3", "-shared", "-fPIC")
 
 _P, _N = ctypes.c_void_p, ctypes.c_int64
 _DECODE = (ctypes.c_char_p, _N, _P, _N, _P, _P, _P, _P)
@@ -38,9 +40,7 @@ def lib() -> ctypes.CDLL | None:
 
 def _load(source: Path) -> ctypes.CDLL | None:
     try:
-        # a CRC keys the cache: hashlib would load OpenSSL, about 3.5 MiB
-        path = (source.parent / "__pycache__"
-                / f"{source.stem}-{zlib.crc32(source.read_bytes()):08x}.so")
+        path = _build_path(source)
         if not path.exists():
             _compile(source, path)
         loaded = ctypes.CDLL(str(path))
@@ -52,6 +52,13 @@ def _load(source: Path) -> ctypes.CDLL | None:
     return loaded
 
 
+def _build_path(source: Path) -> Path:
+    """Where the build of ``source`` under ``CFLAGS`` is cached."""
+    # a CRC keys the cache: hashlib would load OpenSSL, about 3.5 MiB
+    key = zlib.crc32(" ".join(CFLAGS).encode(), zlib.crc32(source.read_bytes()))
+    return source.parent / "__pycache__" / f"{source.stem}-{key:08x}.so"
+
+
 def _compile(source: Path, path: Path) -> None:
     """Build ``path`` from ``source``, or raise OSError."""
     import subprocess  # imported here: a cached build needs neither
@@ -61,7 +68,7 @@ def _compile(source: Path, path: Path) -> None:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
     os.close(fd)
     try:
-        subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, str(source)],
+        subprocess.run(["cc", *CFLAGS, "-o", tmp, str(source)],
                        check=True, capture_output=True, timeout=120)
         os.replace(tmp, path)  # atomic: no process loads half a file
     except subprocess.SubprocessError as exc:  # failed or hung

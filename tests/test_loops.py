@@ -278,6 +278,59 @@ def test_table_total_at_the_cap_at_the_largest_alphabet(model):
             overflow(cap, cap - 1)] * 2
 
 
+EDGE_KS = (1, 2, 3, 5, 63, 64, 65, 255, 256, 257)
+
+
+def zero_runs(k, where):
+    """The symbols of the zero-count runs of a K-symbol table: a run of
+    about K / 3 at the start, in the middle or at the end, or one at
+    each; at least one symbol stays nonzero."""
+    z = k // 3 if k > 2 else k - 1
+    starts = {"start": (0,), "middle": ((k - z) // 2,), "end": (k - z,),
+              "all": (0, (k - z) // 2, k - z)}[where]
+    length = -(-z // len(starts))
+    zeros = {s for start in starts for s in range(start, start + length)}
+    return zeros if len(zeros) < k else zeros - {k - 1}
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("where", ("start", "middle", "end", "all"))
+@pytest.mark.parametrize("k", EDGE_KS)
+def test_static_tables_with_zero_count_runs_code_alike(model, where, k):
+    """A static table with runs of zero counts codes every nonzero symbol
+    to the same bytes and decodes it to the same symbols on both loops.
+    The first and the last nonzero symbol have count one, so decoding
+    them reads the code values 0 and hk[K] - 1, the ends of the search."""
+    zeros = zero_runs(k, where)
+    nonzero = [s for s in range(k) if s not in zeros]
+    rng = random.Random(k)
+    counts = [0 if s in zeros else rng.randint(1, 5) for s in range(k)]
+    counts[nonzero[0]] = counts[nonzero[-1]] = 1
+    syms = [s for s in nonzero for _ in range(counts[s])]
+    rng.shuffle(syms)
+    cfg = CoderConfig("static", model)
+    payload = encode_stream(syms, k, cfg)
+    assert unpack_header(payload)[0].counts == array("I", counts)
+    assert both_sides(lambda: encode_stream(syms, k, cfg)) == [payload] * 2
+    assert both_sides(lambda: decode_stream(payload)[1]) == [syms] * 2
+
+
+@pytest.mark.parametrize("cap", (None, 2))
+@pytest.mark.parametrize("k", (*range(1, 18), 31, 32, 33))
+def test_adaptive_linear_streams_code_every_symbol_alike(k, cap):
+    """An adaptive linear stream that codes every symbol, K - 1 (whose
+    update has an empty tail) and 0 (whose tail is all of hk) included,
+    gives the same bytes and symbols on both loops, with the count cap
+    as it is and lowered to just above K, where nearly every update
+    rescales first."""
+    rng = random.Random(k)
+    syms = [*range(k), *range(k - 1, -1, -1), k - 1, k - 1, 0, 0,
+            *(rng.randrange(k) for _ in range(40 * k))]
+    for interval in (0, 7):
+        cfg = CoderConfig("adaptive", "linear", "orig", interval)
+        check_round_trip(syms, k, cfg, None if cap is None else k + cap)
+
+
 def runs_out(payload, n):
     """Whether ``payload``, its header claiming ``n`` symbols, runs out of
     bytes before the last of them."""
@@ -384,9 +437,10 @@ def test_decode_takes_any_bytes_like_payload():
 
 
 def test_loader_builds_once_and_falls_back(tmp_path):
-    """A build is cached under a name keyed by the source, written without
-    a partial file, and reused; a source that does not compile gives
-    None, which leaves the stream functions on their Python loops."""
+    """A build is cached under a name keyed by the source and the compile
+    flags, written without a partial file, and reused; other flags give
+    another build; a source that does not compile gives None, which
+    leaves the stream functions on their Python loops."""
     source = tmp_path / "_loops.c"
     source.write_bytes(_loops._SOURCE.read_bytes())
     assert _loops._load(source) is not None
@@ -397,7 +451,14 @@ def test_loader_builds_once_and_falls_back(tmp_path):
     assert _loops._load(source) is not None
     assert built[0].stat().st_mtime_ns == mtime
 
+    with mock.patch.object(_loops, "CFLAGS", ("-O1", "-shared", "-fPIC")):
+        assert _loops._load(source) is not None
+    both = sorted((tmp_path / "__pycache__").iterdir())
+    assert len(both) == 2 and built[0] in both
+    assert all(path.name.startswith("_loops-") for path in both)
+    assert built[0].stat().st_mtime_ns == mtime
+
     source.write_text("this is not C\n")
     assert _loops._load(source) is None
-    assert list((tmp_path / "__pycache__").iterdir()) == built
+    assert sorted((tmp_path / "__pycache__").iterdir()) == both
     assert _loops._load(tmp_path / "missing.c") is None

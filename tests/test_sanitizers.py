@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python -m pytest -q -m sanitize
 
-builds ``_loops.c`` with ``-fsanitize=address,undefined
--fno-sanitize-recover=all`` and reruns ``tests/test_loops.py`` and the
-mutated-stream test of ``tests/test_rangecoder.py`` in a child pytest
+builds ``_loops.c`` with the flags it ships with, ``_loops.CFLAGS``, plus
+``-g -fno-omit-frame-pointer -fsanitize=address,undefined
+-fno-sanitize-recover=all``, so that the sanitizers check the code that
+runs, vectorised loops included.  It reruns ``tests/test_loops.py`` and
+the mutated-stream test of ``tests/test_rangecoder.py`` in a child pytest
 that loads that build, with gcc's ASan runtime preloaded.  A sanitizer
 report aborts the child, which fails the test.  The default run
 deselects it (``-m "not sanitize"`` in ``pyproject.toml``): it builds
@@ -15,7 +17,6 @@ import os
 import shutil
 import subprocess
 import sys
-import zlib
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,8 @@ import pytest
 from rangekit import _loops
 
 ROOT = Path(__file__).resolve().parent.parent
-FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
-         "-fno-sanitize-recover=all", "-shared", "-fPIC")
+FLAGS = (*_loops.CFLAGS, "-g", "-fno-omit-frame-pointer",
+         "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 CHILD_TESTS = ("tests/test_loops.py",
                "tests/test_rangecoder.py::test_mutated_streams_decode_or_raise_format_error")
 
@@ -50,7 +51,7 @@ def test_loop_tests_pass_on_a_sanitized_build(tmp_path):
     source = tmp_path / "_loops.c"
     shutil.copyfile(_loops._SOURCE, source)
     # the build goes where _loops._load looks for the cached build of source
-    build = tmp_path / "__pycache__" / f"_loops-{zlib.crc32(source.read_bytes()):08x}.so"
+    build = _loops._build_path(source)
     build.parent.mkdir()
     subprocess.run(["gcc", *FLAGS, "-o", str(build), str(source)], check=True)
     (tmp_path / "sanitized_loops.py").write_text(PLUGIN)
