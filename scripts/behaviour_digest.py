@@ -7,41 +7,37 @@ each (data, K, mode, model, rescale, interval) cell this encodes one
 stream, counts every compatible strategy off one ``count_stream`` decode
 of it, and hashes the payload, the decoded symbols and the
 ``STATS_FIELDS`` of each strategy's ``DecodeStats`` into a SHA-256
-digest.  Each cell is also decoded once without stats, which runs the
-compiled stream loop when it has loaded, and the script exits with an
-error if the counting decode returns other symbols.  The data is flat and
-truncated geometric, the stream of alphabet K is generated from seed K,
-and an adaptive stream rescales every 0 (at the cap only), 1, 7 or 500
-symbols.
+digest.  The script exits with an error if that decode returns other
+symbols than were encoded.  The data is flat and truncated geometric,
+the stream of alphabet K is generated from seed K, and an adaptive
+stream rescales every 0 (at the cap only), 1, 7 or 500 symbols.
 
 The grid runs at the default count cap, and again, adaptive streams only,
-with ``MAX_TOTALCOUNT`` lowered to ``--cap`` in both models, so that
-rescales at the cap are covered as well.  Prints JSON: per cap, the number
-of (cell, strategy) digests under ``decodes``, one digest per (mode, model,
-rescale) and one of the whole grid.  Two source trees behave the same on
-the grid when they print the same JSON:
+with ``linear_model.MAX_TOTALCOUNT``, the cap of both models, lowered to
+``--cap``, so that rescales at the cap are covered as well.  Prints JSON:
+per cap, the number of (cell, strategy) digests under ``decodes``, one
+digest per (mode, model, rescale) and one of the whole grid.  Two source
+trees behave the same on the grid when they print the same JSON:
 
     PYTHONPATH=src python scripts/behaviour_digest.py > digest.json
 
 The defaults (3000 symbols, 11 alphabet sizes up to 1000, 2816 digests
-off 792 decodes) take about 30 s.  ``tests/data/behaviour_digest.json``
-is the output at ``--n 256 --k 1 5 31 32 33 64 65 --cap 128`` (a few
-seconds), which ``tests/test_behaviour_digest.py`` recomputes.
+off 792 decodes) take about 5 s on the compiled loops and about a minute
+on the Python ones.  ``tests/data/behaviour_digest.json`` is the output
+at ``--n 256 --k 1 5 31 32 33 64 65 --cap 128`` (about a second), and
+``tests/test_behaviour_digest.py`` recomputes both.
 """
 
 import argparse
-import contextlib
 import hashlib
 import json
 import sys
 from array import array
 from unittest import mock
 
-from rangekit import fenwick_model, linear_model
+from rangekit import linear_model
 from rangekit.datagen import GenSpec, gen_sequence
-from rangekit.rangecoder import (
-    CoderConfig, DecodeStats, count_stream, decode_stream, encode_stream,
-)
+from rangekit.rangecoder import CoderConfig, DecodeStats, count_stream, encode_stream
 from rangekit.search import STRATEGIES, strategy_compatible
 
 DISTRIBUTIONS = ("flat", "geometric")
@@ -54,14 +50,6 @@ CELLS = tuple((mode, model, rescale)
 #: digests as they are
 STATS_FIELDS = ("symbols", "search_iterations", "iteration_histogram",
                 "update_accesses", "rescale_accesses")
-
-
-def lowered_cap(cap: int) -> contextlib.ExitStack:
-    """Context in which both models rescale once their total reaches ``cap``."""
-    stack = contextlib.ExitStack()
-    for module in (linear_model, fenwick_model):
-        stack.enter_context(mock.patch.object(module, "MAX_TOTALCOUNT", cap))
-    return stack
 
 
 def stats_fields(stats: DecodeStats) -> dict:
@@ -77,16 +65,14 @@ def stats_fields(stats: DecodeStats) -> dict:
 def cell_digests(data, k, mode, model, rescale, interval):
     """Digests of each compatible strategy's counts off one counting decode.
 
-    Exits if that decode returns other symbols than the plain decode,
-    which runs the compiled stream loop when it has loaded."""
+    Exits if that decode returns other symbols than ``data``."""
     payload = encode_stream(data, k, CoderConfig(mode, model, rescale, interval))
-    _, plain = decode_stream(payload)
     counted = {strategy: DecodeStats() for strategy in STRATEGIES
                if strategy_compatible(strategy, model, mode) is None}
     _, out = count_stream(payload, counted)
-    if out != plain:
+    if out != data:
         sys.exit(f"error: K={k} {mode} {model} {rescale} interval "
-                 f"{interval}: the counting decode differs from the plain decode")
+                 f"{interval}: the decode differs from the encoded symbols")
     for stats in counted.values():
         h = hashlib.sha256(payload)
         h.update(array("I", out).tobytes())
@@ -129,7 +115,7 @@ def main() -> None:
 
     try:
         default = grid_digest(args, adaptive_only=False)
-        with lowered_cap(args.cap):
+        with mock.patch.object(linear_model, "MAX_TOTALCOUNT", args.cap):
             lowered = grid_digest(args, adaptive_only=True)
     except ValueError as exc:
         sys.exit(f"error: {exc}")

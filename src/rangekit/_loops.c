@@ -9,8 +9,8 @@
    it compiles to conditional moves.  The Fenwick loops fuse two steps of
    the Python loop into one walk: the decode's descent is
    binary_indexed_interval + update, and the encode's walk is cum + count.
-   At the count cap a model rescales before the increment.  No work
-   counters are kept: a decode that counts runs the Python loop.
+   At the count cap a model rescales before the increment.  Each rescale
+   raises st[RESCALES], the one work counter (see count_stream).
 
    No Python model is built for them.  Each loop takes the stream's
    uint32 count vector h (K entries) and a K + 1 entry buffer, and on a
@@ -19,9 +19,9 @@
    h up to date beside them, and v for the Fenwick one.  A static
    stream's h is the caller's table, which no loop writes.  That first
    call also checks the total, summed in 64 bits so that no table wraps
-   it, against cfg[LIMIT]: above it, it stores the total in st[TOTAL]
-   and returns -2 before coding anything.  A total within the limit (at
-   most 2^20) keeps every count and sum within 32 bits.  A call codes at
+   it, against cfg[CAP]: above it, it stores the total in st[TOTAL] and
+   returns -2 before coding anything.  A total within the cap (at most
+   2^20) keeps every count and sum within 32 bits.  A call codes at
    most `limit` symbols and resumes from st[], so the caller decides how
    many symbols a call may produce. */
 
@@ -32,17 +32,16 @@ typedef int64_t i64; typedef uint32_t u32; typedef uint64_t u64;
 #define TOP (1u << 24)
 
 /* st[]: what a call resumes from (CODE holds `low` when encoding; the
-   first call sets TOTAL) */
-enum { RNG, CODE, POS, SYM, TOTAL, CACHE, CACHE_SIZE };
-/* cfg[]: the stream's settings; INTERVAL is 0 in a static stream, CAP,
-   at which a model rescales, is the model module's MAX_TOTALCOUNT, and
-   LIMIT, which the first call checks the total against, is
-   linear_model's, which check_total reads */
-enum { K, ADAPTIVE, INTERVAL, CAP, NEW_RESCALE, LIMIT };
+   first call sets TOTAL), in 8 slots on encode and decode alike */
+enum { RNG, CODE, POS, SYM, TOTAL, CACHE, CACHE_SIZE, RESCALES };
+/* cfg[]: the stream's settings; INTERVAL is 0 in a static stream, and
+   CAP, linear_model.MAX_TOTALCOUNT, is where a model rescales and what
+   the first call checks the total against */
+enum { K, ADAPTIVE, INTERVAL, CAP, NEW_RESCALE };
 
 typedef struct {
     u32 *h, *hk, *v;
-    i64 k, adaptive, interval, cap, new_rescale, total;
+    i64 k, adaptive, interval, cap, new_rescale, total, rescales;
 } Model;
 
 /* prefix_sums: hk[i] is the sum of the counts below symbol i */
@@ -61,6 +60,7 @@ static void linear_rescale(Model *m) {
         m->hk[i + 1] = m->hk[i] + m->h[i];
     }
     m->total = m->hk[m->k];
+    m->rescales++;
 }
 
 /* LinearModel.update: every boundary above sym moves up by one */
@@ -116,6 +116,7 @@ static void fenwick_rescale(Model *m) {
     for (i64 i = k; i > 0; i &= i - 1)
         total += v[i];
     m->total = total;
+    m->rescales++;
 }
 
 /* FenwickModel.update: raise the chain sym + 1, + lowbit, ... <= K */
@@ -150,13 +151,13 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
 
 /* the model of a call: the counts h = a, the working array hk = v = b;
    a stream's first call derives the array and the total with `init`,
-   and returns -2 with the total in st[TOTAL] if it is above cfg[LIMIT] */
+   and returns -2 with the total in st[TOTAL] if it is above cfg[CAP] */
 #define MODEL(init)                                                        \
     Model m = {a, b, b, cfg[K], cfg[ADAPTIVE], cfg[INTERVAL], cfg[CAP],    \
-               cfg[NEW_RESCALE], st[TOTAL]};                               \
+               cfg[NEW_RESCALE], st[TOTAL], st[RESCALES]};                 \
     if (st[SYM] == 0) {                                                    \
         init(&m);                                                          \
-        if (m.total > cfg[LIMIT]) {                                        \
+        if (m.total > m.cap) {                                             \
             st[TOTAL] = m.total;                                           \
             return -2;                                                     \
         }                                                                  \
@@ -173,7 +174,7 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
             rescale(&m);                                                   \
     }                                                                      \
     st[RNG] = d.rng; st[CODE] = d.code; st[POS] = d.pos;                   \
-    st[SYM] = i; st[TOTAL] = m.total;                                      \
+    st[SYM] = i; st[TOTAL] = m.total; st[RESCALES] = m.rescales;           \
     return limit;
 
 /* Each decode writes `limit` symbols to out and returns `limit`, or
@@ -275,7 +276,7 @@ static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
         if (!shift_low(&e))                                                \
             return -1;                                                     \
     st[RNG] = e.rng; st[CODE] = (i64)e.low; st[POS] = e.pos;               \
-    st[SYM] = i; st[TOTAL] = m.total;                                      \
+    st[SYM] = i; st[TOTAL] = m.total; st[RESCALES] = m.rescales;           \
     st[CACHE] = e.cache; st[CACHE_SIZE] = e.cache_size;                    \
     return e.pos;
 

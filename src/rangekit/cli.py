@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from unittest import mock
 
 from . import _loops
 from . import bench as _bench
@@ -104,16 +103,19 @@ def _cmd_selftest(_args) -> int:
     print("stream loops in use: " + ("compiled" if compiled else
           "python (the compiled loops did not build or load)"))
     data = [i % 7 for i in range(500)]
-    for loops, lib in (("compiled", compiled), ("python", None)):
-        if loops == "compiled" and lib is None:
-            continue
-        with mock.patch.object(_loops, "_lib", lib):
+    try:
+        for loops, lib in (("compiled", compiled), ("python", None)):
+            if loops == "compiled" and lib is None:
+                continue
+            _loops._lib = lib
             for mode in ("static", "adaptive"):
                 for model in ("linear", "fenwick"):
                     cfg = CoderConfig(mode, model, "orig", 128)  # static ignores 128
                     _, out = decode_stream(encode_stream(data, 7, cfg))
                     _check(f"{mode} round trip ({model}, {loops} loop)", out,
                            data, failures)
+    finally:
+        _loops._lib = compiled
 
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)

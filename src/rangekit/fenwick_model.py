@@ -20,7 +20,7 @@ round differently and are NOT interchangeable mid-stream.
 
 from __future__ import annotations
 
-from .linear_model import MAX_TOTALCOUNT, prefix_sums
+from . import linear_model
 
 
 def top_level_index(k: int) -> int:
@@ -61,7 +61,7 @@ class FenwickModel:
     )
 
     def __init__(self, counts, adaptive: bool = True, rescale_variant: str = "orig"):
-        counts, hk = prefix_sums(counts, adaptive)
+        counts, hk = linear_model.prefix_sums(counts, adaptive)
         if rescale_variant not in ("orig", "new"):
             raise ValueError(f"unknown rescale variant: {rescale_variant!r}")
         self.k = len(counts)
@@ -119,7 +119,7 @@ class FenwickModel:
         if not 0 <= sym < self.k:
             raise IndexError("symbol out of range")
         rescaled = False
-        if self.total_count >= MAX_TOTALCOUNT:
+        if self.total_count >= linear_model.MAX_TOTALCOUNT:
             self.rescale()
             rescaled = True
         v = self.v
@@ -163,10 +163,7 @@ class FenwickModel:
                 v[j] -= h
                 j += j & -j
         self.total_count = self._total()
-        # per symbol: the read of v[i], one per step down to the parent
-        # (k - popcount(k) in all) and one per chain entry (node j is on
-        # the chains of lowbit(j) symbols); then the total's popcount(k)
-        self.rescale_accesses += 2 * k + _lowbit_sum(k)
+        self.rescale_accesses += rescale_cost(k, "orig")
 
     def rescale_new(self) -> None:
         """Single ascending pass that halves the v entries in place.
@@ -194,10 +191,7 @@ class FenwickModel:
                     j &= j - 1
                 v[i] = floor if floor > test_val else test_val
         self.total_count = self._total()
-        # one per odd slot, two per even slot, one per sibling read
-        # (trailing-zeros(i) for slot i, k - popcount(k) in all) and the
-        # total's popcount(k) reads
-        self.rescale_accesses += (k + 1) // 2 + 2 * (k // 2) + k
+        self.rescale_accesses += rescale_cost(k, "new")
 
     def _total(self) -> int:
         """``cum(K)``, untallied: a rescale's tally counts its reads."""
@@ -208,6 +202,19 @@ class FenwickModel:
             s += v[i]
             i &= i - 1
         return s
+
+
+def rescale_cost(k: int, variant: str) -> int:
+    """The accesses a rescale of K counts tallies, by its variant."""
+    if variant == "new":
+        # one per odd slot, two per even slot, one per sibling read
+        # (trailing-zeros(i) for slot i, k - popcount(k) in all) and the
+        # total's popcount(k) reads
+        return (k + 1) // 2 + 2 * (k // 2) + k
+    # per symbol: the read of v[i], one per step down to the parent
+    # (k - popcount(k) in all) and one per chain entry (node j is on the
+    # chains of lowbit(j) symbols); then the total's popcount(k)
+    return 2 * k + _lowbit_sum(k)
 
 
 def _lowbit_sum(k: int) -> int:

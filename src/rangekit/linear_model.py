@@ -20,6 +20,11 @@ def check_total(total: int) -> None:
                             f"{MAX_TOTALCOUNT}; caller must pre-normalize")
 
 
+def rescale_cost(k: int) -> int:
+    """The accesses ``LinearModel.rescale`` tallies for K counts."""
+    return 3 * k
+
+
 def prefix_sums(counts, adaptive: bool) -> tuple[list[int], list[int]]:
     """Checked counts and their exclusive prefix sums ``hk`` (K+1 entries):
     the one check of a count vector, which both count models build from."""
@@ -116,5 +121,5 @@ class LinearModel:
         h[:] = [c - (c >> 1) for c in h]
         hk = self.hk
         hk[1:] = accumulate(h)
-        self.rescale_accesses += 3 * self.k
+        self.rescale_accesses += rescale_cost(self.k)
         self.total_count = hk[-1]

@@ -13,8 +13,8 @@ affect the bitstream, only how fast the decoder finds each symbol.
 discipline.  The stream functions ``encode_stream``/``decode_stream`` run
 the compiled loops of ``_loops.c`` when ``_loops`` has loaded them, and
 otherwise their Python loops, the plain reference, which code one symbol
-a step on an ``Encoder`` or a ``Decoder``.  A decode that counts always
-runs the Python loop.  Both must stay bit-identical.
+a step on an ``Encoder`` or a ``Decoder``.  A decode that counts runs
+the same loop as one that does not.  Both must stay bit-identical.
 """
 
 from __future__ import annotations
@@ -122,6 +122,7 @@ class DecodeStats:
     iteration_histogram: Counter = field(default_factory=Counter)
     update_accesses: int = 0
     rescale_accesses: int = 0
+    rescale_events: int = 0
 
 
 class Encoder:
@@ -345,10 +346,10 @@ def count_stream(payload: bytes, counted: dict,
 
     ``counted`` maps strategies (None: the stream's default) to
     ``DecodeStats`` (None: count nothing), checked with the header's
-    symbol count (at most ``max_symbols``) before any decode work.  With
-    stats to fill, the stream decodes in the Python loop and
-    ``search.count_iterations`` counts each strategy off it; otherwise in
-    the compiled loop, where ``_loops`` loaded it.
+    symbol count (at most ``max_symbols``) before any decode work.  The
+    stream decodes in the compiled loop where ``_loops`` loaded it, and
+    in the Python loop otherwise; ``_add_stats`` then counts each
+    strategy off the symbols and the loop's rescale count.
     """
     header, offset = unpack_header(payload)
     if header.n > max_symbols:
@@ -364,39 +365,61 @@ def count_stream(payload: bytes, counted: dict,
         raise StreamFormatError("truncated payload")
     counted = {default if strategy is None else strategy: stats
                for strategy, stats in counted.items() if stats is not None}
-    lib = None if counted else _loops.lib()
-    if lib is None:
-        model = _make_model(header)
-        symbols, pos = _decode_python(payload, offset, header, model)
-    else:
-        symbols, pos = _decode_compiled(lib, bytes(payload), offset, header)
+    lib = _loops.lib()
+    symbols, pos, rescales = (
+        _decode_python(payload, offset, header) if lib is None
+        else _decode_compiled(lib, bytes(payload), offset, header))
     if pos != len(payload):
         raise StreamFormatError("trailing bytes after the last symbol")
-    adaptive = header.mode == "adaptive"
+    if counted:
+        _add_stats(counted, header, symbols, rescales)
+    return header, symbols
+
+
+def _add_stats(counted: dict, header: StreamHeader, symbols: list[int],
+               rescales: int) -> None:
+    """Add the counts the models tally for a decode of ``symbols`` with
+    ``rescales`` rescales: an update of s makes K + 1 - s accesses in the
+    linear model, one per entry of its chain from s + 1 in the Fenwick
+    one, and a rescale its model's per-K cost."""
+    model = _make_model(header)
+    k, adaptive = header.k, header.mode == "adaptive"
+    if isinstance(model, FenwickModel):  # an adaptive Fenwick stream
+        # node j is on the update chains of the symbols in [j & (j - 1), j),
+        # and hk[j] counts the decoded symbols below j
+        hk = np.bincount(np.array(symbols, np.int64) + 1, minlength=k + 1).cumsum()
+        j = np.arange(1, k + 1)
+        updates = int((hk[j] - hk[j & (j - 1)]).sum())
+        cost = _fenwick.rescale_cost(k, header.rescale)
+    else:
+        updates = (len(symbols) * (k + 1) - sum(symbols)) * adaptive
+        cost = _linear.rescale_cost(k)
     for strategy, stats in counted.items():
         hist = _search.count_iterations(strategy, model, adaptive, symbols)
         stats.symbols += header.n
         stats.search_iterations += sum(it * n for it, n in hist.items())
         stats.iteration_histogram.update(hist)
-        stats.update_accesses += model.update_accesses
-        stats.rescale_accesses += model.rescale_accesses
-    return header, symbols
+        stats.update_accesses += updates
+        stats.rescale_accesses += rescales * cost
+        stats.rescale_events += rescales
 
 
-def _decode_python(payload: bytes, offset: int, header: StreamHeader,
-                   model) -> tuple[list[int], int]:
-    """The reference stream loop: the decoded symbols and the position
-    after the last byte read.
+def _decode_python(payload: bytes, offset: int,
+                   header: StreamHeader) -> tuple[list[int], int, int]:
+    """The reference stream loop: the decoded symbols, the position after
+    the last byte read and the number of rescales.
 
     An adaptive fenwick stream finds its symbol with
     ``binary_indexed_interval``; every linear stream, static or adaptive,
     bisects the prefix sums with ``bisect_right``.
     """
+    model = _make_model(header)
     interval = header.rescale_interval
     adaptive = header.mode == "adaptive"
     fenwick = isinstance(model, FenwickModel)
     dec = Decoder(payload[offset:])
     symbols: list[int] = []
+    rescales = 0
     for i in range(header.n):
         c = dec.decode_target(model.total_count)
         if fenwick:
@@ -407,10 +430,11 @@ def _decode_python(payload: bytes, offset: int, header: StreamHeader,
         dec.consume(low, freq)
         symbols.append(sym)
         if adaptive:
-            model.update(sym)
+            rescales += model.update(sym)
             if interval and (i + 1) % interval == 0:
                 model.rescale()
-    return symbols, offset + dec.pos
+                rescales += 1
+    return symbols, offset + dec.pos, rescales
 
 
 def _compiled_loop(lib, kind: str, header: StreamHeader):
@@ -418,17 +442,15 @@ def _compiled_loop(lib, kind: str, header: StreamHeader):
     model family, and the buffers it takes after the symbols: the counts
     (``header.counts``, which it only reads, or K ones), a K + 1 entry
     array in which its first call derives ``hk`` or ``v`` and the total,
-    and the settings in ``cfg`` order.  The first call checks the total
-    against ``linear_model``'s cap, as ``prefix_sums`` does, and a model
-    rescales at its family module's cap; both are read at call time, so
-    a ``MAX_TOTALCOUNT`` patched there applies.  No model is built; as in
+    and the settings in ``cfg`` order.  The cap, at which a model
+    rescales and against which the first call checks the total, as
+    ``prefix_sums`` does, is ``linear_model.MAX_TOTALCOUNT``, read at call
+    time, so a cap patched there applies.  No model is built; as in
     ``_make_model``, a static stream codes through the prefix sums."""
     k, adaptive = header.k, header.mode == "adaptive"
-    family, module = (("fenwick", _fenwick) if adaptive and header.model == "fenwick"
-                      else ("linear", _linear))
+    family = "fenwick" if adaptive and header.model == "fenwick" else "linear"
     cfg = array("q", (k, adaptive, header.rescale_interval if adaptive else 0,
-                      module.MAX_TOTALCOUNT, header.rescale == "new",
-                      _linear.MAX_TOTALCOUNT))
+                      _linear.MAX_TOTALCOUNT, header.rescale == "new"))
     return (getattr(lib, f"{family}_{kind}"),
             (array("I", [1]) * k if adaptive else header.counts,
              array("I", [0]) * (k + 1), cfg))
@@ -446,8 +468,8 @@ def _encode_compiled(lib, data: array, header: StreamHeader) -> memoryview:
     # 2**20, so the symbol leaves a range of at least 16 and shifts out
     # at most three bytes; the flush shifts out five
     out = array("B", [0]) * (3 * len(data) + 5)
-    # range, low, bytes out, symbols coded, total, cache, cache size
-    state = array("q", (MASK32, 0, 0, 0, 0, 0, 1))
+    # range, low, bytes out, symbols coded, total, cache, cache size, rescales
+    state = array("q", (MASK32, 0, 0, 0, 0, 0, 1, 0))
     args = [_address(x) for x in (data, *buffers)]
     done = 0
     while True:
@@ -463,7 +485,7 @@ def _encode_compiled(lib, data: array, header: StreamHeader) -> memoryview:
 
 
 def _decode_compiled(lib, payload: bytes, offset: int,
-                     header: StreamHeader) -> tuple[list[int], int]:
+                     header: StreamHeader) -> tuple[list[int], int, int]:
     """``_decode_python`` in the compiled loop, ``CHUNK`` symbols a call:
     the buffer never grows with the header's symbol count, and signals
     are handled between calls.  An empty stream takes one call too, which
@@ -471,10 +493,10 @@ def _decode_compiled(lib, payload: bytes, offset: int,
     loop, buffers = _compiled_loop(lib, "decode", header)
     n = header.n
     out = array("I", [0]) * min(n, CHUNK)
-    # range, code, payload position, symbols decoded, total; the first
-    # payload byte is the flush artifact and falls out of 32 bits
+    # range, code, payload position, symbols decoded, total, -, -, rescales;
+    # the first payload byte is the flush artifact and falls out of 32 bits
     code = int.from_bytes(payload[offset + 1:offset + 5], "big")
-    state = array("q", (MASK32, code, offset + 5, 0, 0, 0, 0))
+    state = array("q", (MASK32, code, offset + 5, 0, 0, 0, 0, 0))
     args = [_address(x) for x in (out, *buffers)]
     symbols: list[int] = []
     while True:
@@ -484,7 +506,7 @@ def _decode_compiled(lib, payload: bytes, offset: int,
             _linear.check_total(state[4])
             raise StreamFormatError("payload ends before the last symbol")
         if got == n:  # one call decoded the whole stream
-            return out.tolist(), state[2]
+            return out.tolist(), state[2], state[7]
         symbols += out[:got].tolist()
         if len(symbols) == n:
-            return symbols, state[2]
+            return symbols, state[2], state[7]

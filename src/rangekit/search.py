@@ -387,13 +387,15 @@ def strategy_compatible(strategy: str, model: str, mode: str) -> str | None:
 def count_iterations(strategy: str, model, adaptive: bool, symbols) -> Counter:
     """Iteration histogram of ``strategy``'s reference search over ``symbols``.
 
-    ``model`` is the model after the last of ``symbols`` was decoded.
-    Every symbol a stream decodes has a nonzero count in it (adaptive
-    counts never drop below one), so the bottom of a symbol's interval
+    ``model`` is the stream's starting model: the header's table, or K
+    counts of one.  Every symbol a stream decodes has a nonzero count in
+    it, and adaptive counts stay at least one, so a comparison search's
+    path depends on the symbol alone: the bottom of a symbol's interval
     leads the reference search down the path that any code value decoding
-    to that symbol took.  A search that keeps no state between symbols
-    runs once per distinct symbol, weighted by how often it occurs; one
-    that does (adaptive ``log2``) replays every symbol in order.
+    to that symbol took, at any point of the stream.  A search that keeps
+    no state between symbols runs once per distinct symbol, weighted by
+    how often it occurs; one that does (adaptive ``log2``) replays every
+    symbol in order.
     """
     if not symbols:  # nothing to count; an empty static model has no code values
         return Counter()

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
-from rangekit import _loops, fenwick_model, linear_model
+from rangekit import _loops, linear_model
 from rangekit.datagen import MAX_ALPHABET
 from rangekit.rangecoder import _HEADER_SIZE
 from rangekit.search import (
@@ -43,10 +43,7 @@ def count_cap(cap):
     ``cap``; None leaves the cap alone."""
     if cap is None:
         return contextlib.nullcontext()
-    stack = contextlib.ExitStack()
-    for module in (linear_model, fenwick_model):
-        stack.enter_context(mock.patch.object(module, "MAX_TOTALCOUNT", cap))
-    return stack
+    return mock.patch.object(linear_model, "MAX_TOTALCOUNT", cap)
 
 
 def python_loops():

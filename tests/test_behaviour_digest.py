@@ -1,9 +1,10 @@
-"""The committed behaviour digest: IRC1 bytes, decoded symbols and work
+"""The committed behaviour digests: IRC1 bytes, decoded symbols and work
 counters over a grid that crosses K=32 and 64 and rescales at a lowered
 count cap, recomputed by ``scripts/behaviour_digest.py``.
 
-The digest was generated before the compiled stream loops existed.  A
-regeneration of ``tests/data/behaviour_digest.json`` is a behaviour
+``behaviour_digest.json`` (a small grid) was generated before the
+compiled stream loops existed, and ``behaviour_digest_default.json`` is
+the script's default grid.  A regeneration of either is a behaviour
 change and needs a stated reason.
 """
 
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "data" / "behaviour_digest.json"
+DATA = ROOT / "tests" / "data"
 
 
 def digest_args(golden: dict) -> list[str]:
@@ -25,7 +26,16 @@ def digest_args(golden: dict) -> list[str]:
 
 
 def test_behaviour_digest_matches_committed_file():
-    golden = json.loads(GOLDEN.read_text())
+    check_digest("behaviour_digest.json")
+
+
+def test_default_behaviour_digest_matches_committed_file():
+    check_digest("behaviour_digest_default.json")
+
+
+def check_digest(name: str) -> None:
+    """Rerun the script with the arguments of ``name`` and compare."""
+    golden = json.loads((DATA / name).read_text())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))

@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rangekit import _loops, fenwick_model, linear_model, rangecoder
+from rangekit import _loops, linear_model, rangecoder
 from rangekit.datagen import MAX_ALPHABET
 from rangekit.rangecoder import (
-    CoderConfig, Encoder, StreamFormatError, StreamHeader, decode_stream,
-    encode_stream, normalize_counts, pack_header, unpack_header,
+    CoderConfig, DecodeStats, Encoder, StreamFormatError, StreamHeader,
+    count_stream, decode_stream, encode_stream, normalize_counts, pack_header,
+    unpack_header,
 )
+from rangekit.search import STRATEGIES, strategy_compatible
 
 from conftest import N_AT, count_cap, mutate, python_loops, time_limit
 
@@ -221,18 +223,6 @@ def test_adaptive_alphabet_above_a_lowered_cap_raises_the_same_error(model):
         assert both_sides(lambda: decode_stream(payload)) == want
 
 
-def test_fenwick_cap_below_the_alphabet_alone_codes_on_both_loops():
-    """The first-call total check reads ``linear_model``'s cap, as
-    ``prefix_sums`` does, not the cap a Fenwick model rescales at: with
-    only ``fenwick_model.MAX_TOTALCOUNT`` lowered below K, both loops
-    code the stream alike, rescaling at every update."""
-    cfg = CoderConfig("adaptive", "fenwick", "new")
-    with mock.patch.object(fenwick_model, "MAX_TOTALCOUNT", 5):
-        payload = encode_stream(SYMS * 3, 10, cfg)
-        assert both_sides(lambda: encode_stream(SYMS * 3, 10, cfg)) == [payload] * 2
-        assert both_sides(lambda: decode_stream(payload)[1]) == [SYMS * 3] * 2
-
-
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("k", (1, 3, 256))
 def test_all_zero_table_is_an_empty_stream(model, k):
@@ -329,6 +319,56 @@ def test_adaptive_linear_streams_code_every_symbol_alike(k, cap):
     for interval in (0, 7):
         cfg = CoderConfig("adaptive", "linear", "orig", interval)
         check_round_trip(syms, k, cfg, None if cap is None else k + cap)
+
+
+RUNNABLE = [("static", "linear", "orig"), ("static", "fenwick", "orig"),
+            ("adaptive", "linear", "orig"), ("adaptive", "fenwick", "orig"),
+            ("adaptive", "fenwick", "new")]
+
+
+def count_all(payload, model, mode):
+    """The symbols and every compatible strategy's ``DecodeStats`` off
+    one ``count_stream`` decode of ``payload``."""
+    counted = {strategy: DecodeStats() for strategy in STRATEGIES
+               if strategy_compatible(strategy, model, mode) is None}
+    return count_stream(payload, counted)[1], counted
+
+
+@pytest.mark.parametrize("mode,model,rescale", RUNNABLE)
+@pytest.mark.parametrize("k", (1, 2, 3, 64, 65, 256))
+def test_counting_decodes_give_the_same_stats_on_both_loops(mode, model,
+                                                            rescale, k):
+    """Every runnable strategy gets the same ``DecodeStats``, every field,
+    from a counting decode on either loop; an adaptive stream rescales
+    every 0, 1 or 7 symbols, under the count cap as it is and lowered to
+    K + 2, where most updates rescale first."""
+    rng = random.Random(k)
+    hot = rng.randrange(k)
+    syms = [hot if rng.random() < 0.5 else rng.randrange(k) for _ in range(400)]
+    adaptive = mode == "adaptive"
+    for interval in (0, 1, 7) if adaptive else (0,):
+        for cap in (None, k + 2) if adaptive else (None,):
+            cfg = CoderConfig(mode, model, rescale, interval)
+            with count_cap(cap):
+                payload = encode_stream(syms, k, cfg)
+                compiled, python = both_sides(
+                    lambda: count_all(payload, model, mode))
+            assert compiled == python and compiled[0] == syms
+            rescaled = [s.rescale_events > 0 for s in compiled[1].values()]
+            assert all(rescaled) == bool(interval or cap)
+
+
+@pytest.mark.parametrize("mode,model,rescale", RUNNABLE)
+def test_counting_decode_never_runs_the_python_loop(mode, model, rescale):
+    """While the compiled loops are loaded, a decode that counts every
+    strategy runs them and never enters ``_decode_python``."""
+    cfg = CoderConfig(mode, model, rescale, 7 if mode == "adaptive" else 0)
+    payload = encode_stream(SYMS * 20, 10, cfg)
+    with mock.patch.object(rangecoder, "_decode_python",
+                           side_effect=AssertionError("the Python loop ran")):
+        out, counted = count_all(payload, model, mode)
+    assert out == SYMS * 20
+    assert all(stats.symbols == len(out) for stats in counted.values())
 
 
 def runs_out(payload, n):

@@ -225,8 +225,7 @@ def test_symbol_limit_rejects_a_header_before_any_decode_work(stats):
 def test_decode_rejects_largest_static_table_quickly(model):
     """The largest count table a header may carry, total 2**20 at K =
     65536, with a 5-byte payload: the decode fails on running out of
-    bytes, within a generous limit, on the compiled loop and, counting,
-    on the Python loop."""
+    bytes, within a generous limit, with and without counting."""
     k = MAX_ALPHABET
     header = StreamHeader("static", model, "orig", 0, k, 1 << 16,
                           (linear_model.MAX_TOTALCOUNT // k,) * k)
@@ -607,6 +606,24 @@ def test_count_stream_that_raises_adds_nothing():
         with pytest.raises(StreamFormatError):
             count_stream(bad, counted)
         assert all(stats == DecodeStats() for stats in counted.values())
+
+
+@pytest.mark.parametrize("model,rescale", [
+    ("linear", "orig"), ("fenwick", "orig"), ("fenwick", "new")])
+@pytest.mark.parametrize("k", (1, 7, 64, 100))
+def test_rescale_accesses_are_rescale_events_times_one_rescale(model, rescale, k):
+    """A decode's rescale accesses are its rescale events times what one
+    rescale of the model tallies, at the interval and at the count cap."""
+    rng = random.Random(k)
+    data = [rng.randrange(k) for _ in range(600)]
+    one = FenwickModel.flat(k, rescale) if model == "fenwick" else LinearModel.flat(k)
+    one.rescale()
+    stats = DecodeStats()
+    with count_cap(k + 5):
+        payload = encode_stream(data, k, CoderConfig("adaptive", model, rescale, 50))
+        decode_stream(payload, stats=stats)
+    assert stats.rescale_events > 600 // 50
+    assert stats.rescale_accesses == stats.rescale_events * one.rescale_accesses
 
 
 @settings(deadline=None, max_examples=40)

@@ -252,10 +252,11 @@ def reference_decode(payload, strategy):
         stats.search_iterations += iters
         stats.iteration_histogram[iters] += 1
         if adaptive:
-            model.update(sym)
+            stats.rescale_events += model.update(sym)
             interval = header.rescale_interval
             if interval and (pos + 1) % interval == 0:
                 model.rescale()
+                stats.rescale_events += 1
             search.after(sym)
     stats.update_accesses = model.update_accesses
     stats.rescale_accesses = model.rescale_accesses
