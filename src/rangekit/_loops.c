@@ -3,27 +3,34 @@
    running the algorithms of rangecoder.py's Python loops: the register
    discipline of Encoder/Decoder; the linear model's bisect_right search,
    K - sym tail update and count halving; and FenwickModel's update chain
-   and both rescales.  The loops are plain C for _loops.CFLAGS (-O3, no
-   intrinsics or CPU dispatch): at -O3 the compiler vectorises the linear
-   tail update, and the linear decode's search is written branch-free, so
-   it compiles to conditional moves.  The Fenwick loops fuse two steps of
-   the Python loop into one walk: the decode's descent is
-   binary_indexed_interval + update, and the encode's walk is cum + count.
-   At the count cap a model rescales before the increment.  Each rescale
-   raises st[RESCALES], the one work counter (see count_stream).
+   and both rescales.  A third decode loop, table_decode, serves static
+   streams with K at or above rangecoder.TABLE_MIN_K: it finds each
+   symbol with one read of a uint16 symbol table, the paper's direct
+   lookup, which finds the symbol bisect_right finds; below that K the
+   bisection costs no more than the read.  The loops are plain C for
+   _loops.CFLAGS (-O3, no intrinsics or CPU dispatch): at -O3 the
+   compiler vectorises the linear tail update, and the linear decode's
+   search is written branch-free, so it compiles to conditional moves.
+   The Fenwick loops fuse two steps of the Python loop into one walk: the
+   decode's descent is binary_indexed_interval + update, and the encode's
+   walk is cum + count.  At the count cap a model rescales before the
+   increment.  Each rescale raises st[RESCALES], the one work counter
+   (see count_stream).
 
    No Python model is built for them.  Each loop takes the stream's
    uint32 count vector h (K entries) and a K + 1 entry buffer, and on a
    stream's first call (st[SYM] == 0) derives its working array there,
    with the total: the prefix sums hk for the linear model, which keeps
-   h up to date beside them, and v for the Fenwick one.  A static
+   h up to date beside them, and v for the Fenwick one.  table_decode's
+   buffer has room for its symbol table after hk, ceil(total / 2) more
+   entries, which the first call fills and later calls read.  A static
    stream's h is the caller's table, which no loop writes.  That first
    call also checks the total, summed in 64 bits so that no table wraps
    it, against cfg[CAP]: above it, it stores the total in st[TOTAL] and
-   returns -2 before coding anything.  A total within the cap (at most
-   2^20) keeps every count and sum within 32 bits.  A call codes at
-   most `limit` symbols and resumes from st[], so the caller decides how
-   many symbols a call may produce. */
+   returns -2 before coding anything or writing a symbol table.  A total
+   within the cap (at most 2^20) keeps every count and sum within 32
+   bits.  A call codes at most `limit` symbols and resumes from st[], so
+   the caller decides how many symbols a call may produce. */
 
 #include <stdint.h>
 
@@ -36,7 +43,8 @@ typedef int64_t i64; typedef uint32_t u32; typedef uint64_t u64;
 enum { RNG, CODE, POS, SYM, TOTAL, CACHE, CACHE_SIZE, RESCALES };
 /* cfg[]: the stream's settings; INTERVAL is 0 in a static stream, and
    CAP, linear_model.MAX_TOTALCOUNT, is where a model rescales and what
-   the first call checks the total against */
+   the first call checks the total against (for table_decode, the total
+   its symbol table has room for) */
 enum { K, ADAPTIVE, INTERVAL, CAP, NEW_RESCALE };
 
 typedef struct {
@@ -198,6 +206,34 @@ i64 linear_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
         out[o] = (u32)sym;
         if (m.adaptive)
             linear_update(&m, sym);
+    DECODE_END(linear_rescale)
+}
+
+/* A static stream's symbol table: tab[c] is the symbol whose interval
+   holds code value c, one uint16 entry for each c in [0, total), held in
+   b after hk, where the first call writes it after the total check */
+static void table_init(Model *m) {
+    linear_init(m);
+    if (m->total > m->cap)
+        return;
+    uint16_t *tab = (uint16_t *)(m->hk + m->k + 1);
+    for (i64 s = 0; s < m->k; s++)
+        for (u32 c = m->hk[s]; c < m->hk[s + 1]; c++)
+            tab[c] = (uint16_t)s;
+}
+
+/* linear_decode's static stream with one table read in place of the
+   bisection: K at or above rangecoder.TABLE_MIN_K, where the read beats
+   log2 K dependent loads */
+i64 table_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
+                 u32 *out, u32 *a, u32 *b, const i64 *cfg) {
+    const uint16_t *tab = (const uint16_t *)(b + cfg[K] + 1);
+    DECODE_BEGIN(table_init)
+        u32 r, c = target(&d, m.total, &r);
+        i64 sym = tab[c];
+        if (!consume(&d, r, m.hk[sym], m.h[sym]))
+            return -1;
+        out[o] = (u32)sym;
     DECODE_END(linear_rescale)
 }
 

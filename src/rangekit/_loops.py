@@ -5,9 +5,10 @@ call and loads the result with ``ctypes``; ``-O3`` lets the compiler
 vectorise the linear model's K - sym tail update.  The shared object is
 cached in this package's ``__pycache__``, under a name keyed by a CRC of
 the source and ``CFLAGS``, and written atomically, so later processes
-load it at once.  When compiling, writing or loading fails, ``lib()``
-returns None and the stream functions run their Python loops, which stay
-the reference.  Setting ``_lib`` to None turns the compiled loops off.
+load it at once; a new build removes the earlier ones beside it.  When
+compiling, writing or loading fails, ``lib()`` returns None and the
+stream functions run their Python loops, which stay the reference.
+Setting ``_lib`` to None turns the compiled loops off.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ CFLAGS = ("-O3", "-shared", "-fPIC")
 _P, _N = ctypes.c_void_p, ctypes.c_int64
 _DECODE = (ctypes.c_char_p, _N, _P, _N, _P, _P, _P, _P)
 _ENCODE = (_P, _N, _P, _N, ctypes.c_int, _P, _P, _P, _P)
-_ARGTYPES = {"linear_decode": _DECODE, "fenwick_decode": _DECODE,
+_ARGTYPES = {"linear_decode": _DECODE, "table_decode": _DECODE,
+             "fenwick_decode": _DECODE,
              "linear_encode": _ENCODE, "fenwick_encode": _ENCODE}
 
 _UNTRIED = object()
@@ -43,6 +45,7 @@ def _load(source: Path) -> ctypes.CDLL | None:
         path = _build_path(source)
         if not path.exists():
             _compile(source, path)
+            _remove_other_builds(source, path)
         loaded = ctypes.CDLL(str(path))
         for name, argtypes in _ARGTYPES.items():
             fn = getattr(loaded, name)
@@ -57,6 +60,18 @@ def _build_path(source: Path) -> Path:
     # a CRC keys the cache: hashlib would load OpenSSL, about 3.5 MiB
     key = zlib.crc32(" ".join(CFLAGS).encode(), zlib.crc32(source.read_bytes()))
     return source.parent / "__pycache__" / f"{source.stem}-{key:08x}.so"
+
+
+def _remove_other_builds(source: Path, path: Path) -> None:
+    """Delete the cached builds of ``source`` other than ``path``: earlier
+    versions of the source or its flags.  A process that loaded one keeps
+    its mapping; one that fails to load it falls back to the Python loops."""
+    for old in path.parent.glob(f"{source.stem}-*.so"):
+        if old != path:
+            try:
+                old.unlink()
+            except OSError:  # removed meanwhile, or not ours to remove
+                pass
 
 
 def _compile(source: Path, path: Path) -> None:

@@ -25,6 +25,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,12 @@ _RESCALES = ("orig", "new")
 #: Symbols per call of a compiled stream loop.  A decode buffers at most
 #: this many before it appends them and calls again.
 CHUNK = 1 << 16
+
+#: The least K at which a static stream decodes through a symbol table
+#: (``table_decode``) rather than the bisection of ``linear_decode``:
+#: below it the log2 K bisection steps cost no more than the table read
+#: (``BENCH_static_lookup.json``).
+TABLE_MIN_K = 8
 
 #: A decode's default symbol limit: 8 bytes a symbol in the list, 128 MiB.
 MAX_SYMBOLS = 1 << 24
@@ -108,6 +115,11 @@ class StreamHeader:
     def __post_init__(self):
         if self.counts is not None and getattr(self.counts, "typecode", "") != "I":
             object.__setattr__(self, "counts", array("I", self.counts))
+
+    @cached_property
+    def total(self) -> int:
+        """A static header's count total, summed once, in 64 bits."""
+        return int(np.frombuffer(self.counts, np.uint32).sum(dtype=np.int64))
 
 
 @dataclass
@@ -256,11 +268,12 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
         if sys.byteorder == "big":
             counts.byteswap()
         offset = end
-        total = int(np.frombuffer(counts, np.uint32).sum(dtype=np.int64))
-        # an empty static stream legitimately carries an all-zero table
-        if (n and total == 0) or total > MAX_TOTALCOUNT:
-            raise StreamFormatError(f"invalid static count total {total}")
-    return StreamHeader(mode, model, rescale, interval, k, n, counts), offset
+    header = StreamHeader(mode, model, rescale, interval, k, n, counts)
+    # an empty static stream legitimately carries an all-zero table
+    if counts is not None and ((n and header.total == 0)
+                               or header.total > MAX_TOTALCOUNT):
+        raise StreamFormatError(f"invalid static count total {header.total}")
+    return header, offset
 
 
 def normalize_counts(counts) -> array:
@@ -446,14 +459,25 @@ def _compiled_loop(lib, kind: str, header: StreamHeader):
     rescales and against which the first call checks the total, as
     ``prefix_sums`` does, is ``linear_model.MAX_TOTALCOUNT``, read at call
     time, so a cap patched there applies.  No model is built; as in
-    ``_make_model``, a static stream codes through the prefix sums."""
+    ``_make_model``, a static stream codes through the prefix sums.
+
+    A static decode with K at least ``TABLE_MIN_K`` runs ``table_decode``,
+    whose symbol table of ``header.total`` uint16 entries follows ``hk``
+    in that array.  The total is checked before the array is sized from
+    it, and it is the table's cap: a first call that finds a larger total
+    returns -2 before it writes the table."""
     k, adaptive = header.k, header.mode == "adaptive"
     family = "fenwick" if adaptive and header.model == "fenwick" else "linear"
+    cap, size = _linear.MAX_TOTALCOUNT, k + 1
+    if kind == "decode" and not adaptive and k >= TABLE_MIN_K:
+        _linear.check_total(header.total)
+        family, cap = "table", header.total
+        size += (cap + 1) // 2
     cfg = array("q", (k, adaptive, header.rescale_interval if adaptive else 0,
-                      _linear.MAX_TOTALCOUNT, header.rescale == "new"))
+                      cap, header.rescale == "new"))
     return (getattr(lib, f"{family}_{kind}"),
             (array("I", [1]) * k if adaptive else header.counts,
-             array("I", [0]) * (k + 1), cfg))
+             array("I", [0]) * size, cfg))
 
 
 def _address(buf: array) -> int:

@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rangekit import _loops, linear_model, rangecoder
-from rangekit.datagen import MAX_ALPHABET
+from rangekit.datagen import MAX_ALPHABET, GenSpec, gen_sequence
 from rangekit.rangecoder import (
-    CoderConfig, DecodeStats, Encoder, StreamFormatError, StreamHeader,
-    count_stream, decode_stream, encode_stream, normalize_counts, pack_header,
-    unpack_header,
+    TABLE_MIN_K, CoderConfig, DecodeStats, Encoder, StreamFormatError,
+    StreamHeader, count_stream, decode_stream, encode_stream, normalize_counts,
+    pack_header, unpack_header,
 )
 from rangekit.search import STRATEGIES, strategy_compatible
 
@@ -174,18 +174,41 @@ def test_table_whose_total_wraps_32_bits_raises_in_the_compiled_loops(model):
     """A hand-built table that ``unpack_header`` never sees, whose total
     2**32 + 1 wraps a 32-bit sum to 1, raises ``check_total``'s
     OverflowError from the loops' own first-call check, which sums in 64
-    bits, on encode and on decode."""
+    bits, on encode and on decode; at ``TABLE_MIN_K`` too, where the
+    decode would read a symbol table sized from the total, and without
+    allocating one."""
     lib = _loops.lib()
-    header = StreamHeader("static", model, "orig", 0, 3, 1,
-                          (1 << 31, 1 << 31, 1))
     want = overflow((1 << 32) + 1, linear_model.MAX_TOTALCOUNT)[1]
-    with pytest.raises(OverflowError) as raised:
-        rangecoder._encode_compiled(lib, array("I", [2]), header)
-    assert str(raised.value) == want
-    payload = pack_header(header) + b"\0" * 5
-    with pytest.raises(OverflowError) as raised:
-        rangecoder._decode_compiled(lib, payload, len(payload) - 5, header)
-    assert str(raised.value) == want
+    for k in (3, TABLE_MIN_K):
+        header = StreamHeader("static", model, "orig", 0, k, 1,
+                              (1 << 31, 1 << 31, 1) + (0,) * (k - 3))
+        payload = pack_header(header) + b"\0" * 5
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError) as encoded:
+                rangecoder._encode_compiled(lib, array("I", [2]), header)
+            with pytest.raises(OverflowError) as decoded:
+                rangecoder._decode_compiled(lib, payload, len(payload) - 5,
+                                            header)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(encoded.value) == str(decoded.value) == want
+        assert peak < 1 << 20
+
+
+def test_symbol_table_is_never_written_past_its_size():
+    """``_compiled_loop`` sizes the symbol table from ``StreamHeader.total``
+    and makes it the table decode's cap, so counts raised after the
+    total was read make the first call return -2 before it writes the
+    table, and the decode raises; the sanitized build of the loops checks
+    that nothing is written out of bounds."""
+    k = TABLE_MIN_K
+    payload = encode_stream(list(range(k)) * 10, k, CoderConfig("static"))
+    header, offset = unpack_header(payload)  # reads header.total
+    header.counts[0] += 1000
+    with pytest.raises(StreamFormatError):
+        rangecoder._decode_compiled(_loops.lib(), payload, offset, header)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -266,6 +289,43 @@ def test_table_total_at_the_cap_at_the_largest_alphabet(model):
     with count_cap(cap - 1):
         assert both_sides(lambda: decode_stream(payload)) == [
             overflow(cap, cap - 1)] * 2
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_largest_symbol_fills_the_top_of_the_symbol_table(model):
+    """A K = 65536 static stream whose last symbol, 65535, has a nonzero
+    count, so the symbol table's top entries hold the largest uint16,
+    codes and decodes alike on both loops."""
+    k = MAX_ALPHABET
+    rng = random.Random(k - 1)
+    syms = [k - 1] * 300 + [0] + [rng.randrange(k) for _ in range(3000)]
+    rng.shuffle(syms)
+    cfg = CoderConfig("static", model)
+    payload = encode_stream(syms, k, cfg)
+    assert unpack_header(payload)[0].counts[k - 1] >= 300
+    assert both_sides(lambda: encode_stream(syms, k, cfg)) == [payload] * 2
+    assert both_sides(lambda: decode_stream(payload)[1]) == [syms] * 2
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("k,loop", [(TABLE_MIN_K - 1, "linear_decode"),
+                                    (TABLE_MIN_K, "table_decode")])
+def test_static_decode_reads_a_symbol_table_from_table_min_k(model, k, loop):
+    """A static stream decodes with the bisection below ``TABLE_MIN_K``
+    and through the symbol table at it, and gives the Python loop's
+    symbols either way, on flat and geometric data; with ``CHUNK``
+    lowered to 5, a stream of 3 CHUNK + 1 symbols decodes alike too, so
+    the table the first call writes serves the later calls."""
+    cfg = CoderConfig("static", model)
+    payload = encode_stream([0], k, cfg)
+    chosen = rangecoder._compiled_loop(_loops.lib(), "decode",
+                                       unpack_header(payload)[0])[0]
+    assert chosen.__name__ == loop
+    for dist in ("flat", "geometric"):
+        for n, chunk in ((3000, rangecoder.CHUNK), (16, 5)):
+            syms = gen_sequence(GenSpec(dist, k, n, k)).tolist()
+            with mock.patch.object(rangecoder, "CHUNK", chunk):
+                check_round_trip(syms, k, cfg)
 
 
 EDGE_KS = (1, 2, 3, 5, 63, 64, 65, 255, 256, 257)
@@ -479,8 +539,9 @@ def test_decode_takes_any_bytes_like_payload():
 def test_loader_builds_once_and_falls_back(tmp_path):
     """A build is cached under a name keyed by the source and the compile
     flags, written without a partial file, and reused; other flags give
-    another build; a source that does not compile gives None, which
-    leaves the stream functions on their Python loops."""
+    another build, which removes the earlier one; a source that does not
+    compile gives None, which leaves the stream functions on their Python
+    loops and the last build in place."""
     source = tmp_path / "_loops.c"
     source.write_bytes(_loops._SOURCE.read_bytes())
     assert _loops._load(source) is not None
@@ -493,12 +554,12 @@ def test_loader_builds_once_and_falls_back(tmp_path):
 
     with mock.patch.object(_loops, "CFLAGS", ("-O1", "-shared", "-fPIC")):
         assert _loops._load(source) is not None
-    both = sorted((tmp_path / "__pycache__").iterdir())
-    assert len(both) == 2 and built[0] in both
-    assert all(path.name.startswith("_loops-") for path in both)
-    assert built[0].stat().st_mtime_ns == mtime
+    rebuilt = list((tmp_path / "__pycache__").iterdir())
+    assert len(rebuilt) == 1 and rebuilt[0] != built[0]
+    assert rebuilt[0].name.startswith("_loops-") and rebuilt[0].suffix == ".so"
+    assert not built[0].exists()
 
     source.write_text("this is not C\n")
     assert _loops._load(source) is None
-    assert sorted((tmp_path / "__pycache__").iterdir()) == both
+    assert list((tmp_path / "__pycache__").iterdir()) == rebuilt
     assert _loops._load(tmp_path / "missing.c") is None

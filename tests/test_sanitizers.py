@@ -7,7 +7,10 @@ builds ``_loops.c`` with the flags it ships with, ``_loops.CFLAGS``, plus
 -fno-sanitize-recover=all``, so that the sanitizers check the code that
 runs, vectorised loops included.  It reruns ``tests/test_loops.py`` and
 the mutated-stream test of ``tests/test_rangecoder.py`` in a child pytest
-that loads that build, with gcc's ASan runtime preloaded.  A sanitizer
+that loads that build, with gcc's ASan runtime preloaded and
+``PYTHONMALLOC=malloc``, so that every buffer the loops are handed comes
+from the instrumented ``malloc``: pymalloc serves blocks of up to 512
+bytes from its own arenas, where ASan sees no overflow.  A sanitizer
 report aborts the child, which fails the test.  The default run
 deselects it (``-m "not sanitize"`` in ``pyproject.toml``): it builds
 with gcc and takes longer than the rest of the suite.
@@ -56,6 +59,7 @@ def test_loop_tests_pass_on_a_sanitized_build(tmp_path):
     subprocess.run(["gcc", *FLAGS, "-o", str(build), str(source)], check=True)
     (tmp_path / "sanitized_loops.py").write_text(PLUGIN)
     env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONMALLOC="malloc",
                SANITIZED_LOOPS_SOURCE=str(source),
                PYTHONPATH=os.pathsep.join((str(tmp_path), str(ROOT / "src"))))
     # --capture=sys leaves file descriptor 2 to the sanitizer's report
