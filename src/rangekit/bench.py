@@ -16,12 +16,12 @@ import csv
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
 from .datagen import GenSpec, check_symbols, gen_sequence
-from .linear_model import MAX_TOTALCOUNT, LinearModel
+from .linear_model import MAX_TOTALCOUNT
 from .rangecoder import (
     CoderConfig, DecodeStats, count_stream, decode_stream, encode_stream,
     strategy_compatible,
@@ -182,8 +182,8 @@ def write_csv(records, fh) -> None:
 def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
     """Iteration statistics of a static decode of ``sequence``.
 
-    The static model is built from the raw sequence counts (no header
-    normalization), so the statistics reflect the exact empirical
+    The static boundaries are the raw sequence counts' prefix sums (no
+    header normalization), so the statistics reflect the exact empirical
     distribution.  The counts come from ``search.count_iterations``, as
     a decode's ``DecodeStats`` do.
     """
@@ -194,11 +194,11 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
     n = len(sequence)
     if not 0 < n <= MAX_TOTALCOUNT:
         raise ValueError(f"sequence length must be in [1, {MAX_TOTALCOUNT}]")
-    # one count of the sequence gives the model and, in place of the
+    # one count of the sequence gives the boundaries and, in place of the
     # sequence, the weights of a static search (Counter copies a Counter)
     weights = Counter(sequence)
-    model = LinearModel([weights[s] for s in range(k)], adaptive=False)
-    hist = _search.count_iterations(strategy, model, False, weights)
+    hk = list(accumulate((weights[s] for s in range(k)), initial=0))
+    hist = _search.count_iterations(strategy, hk, False, weights)
     average = sum(it * cnt for it, cnt in hist.items()) / n
     pct = {it: 100.0 * cnt / n for it, cnt in sorted(hist.items())}
     return IterationStats(pct, average)

@@ -124,6 +124,13 @@ def _cmd_selftest(_args) -> int:
     return 0
 
 
+def _symbol_limit(text: str) -> int:
+    if not text.isdecimal():  # no sign: a negative limit is a usage error
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number of at least 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rangekit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decompress a stream")
     p.add_argument("--search", choices=_search.STRATEGIES, default=None)
-    p.add_argument("--max-symbols", type=int, default=MAX_SYMBOLS,
+    p.add_argument("--max-symbols", type=_symbol_limit, default=MAX_SYMBOLS,
                    help="reject a stream whose header claims more symbols")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)

@@ -26,6 +26,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -359,11 +360,13 @@ def count_stream(payload: bytes, counted: dict,
 
     ``counted`` maps strategies (None: the stream's default) to
     ``DecodeStats`` (None: count nothing), checked with the header's
-    symbol count (at most ``max_symbols``) before any decode work.  The
+    symbol count (at most ``max_symbols`` >= 0) before any decode work.  The
     stream decodes in the compiled loop where ``_loops`` loaded it, and
     in the Python loop otherwise; ``_add_stats`` then counts each
     strategy off the symbols and the loop's rescale count.
     """
+    if max_symbols < 0:
+        raise ValueError(f"symbol limit must be at least 0, got {max_symbols}")
     header, offset = unpack_header(payload)
     if header.n > max_symbols:
         raise StreamFormatError(f"header claims {header.n} symbols, more than "
@@ -376,8 +379,8 @@ def count_stream(payload: bytes, counted: dict,
             raise ValueError(reason)
     if len(payload) < offset + 5:
         raise StreamFormatError("truncated payload")
-    counted = {default if strategy is None else strategy: stats
-               for strategy, stats in counted.items() if stats is not None}
+    counted = [(default if strategy is None else strategy, stats)
+               for strategy, stats in counted.items() if stats is not None]
     lib = _loops.lib()
     symbols, pos, rescales = (
         _decode_python(payload, offset, header) if lib is None
@@ -389,26 +392,27 @@ def count_stream(payload: bytes, counted: dict,
     return header, symbols
 
 
-def _add_stats(counted: dict, header: StreamHeader, symbols: list[int],
+def _add_stats(counted: list, header: StreamHeader, symbols: list[int],
                rescales: int) -> None:
     """Add the counts the models tally for a decode of ``symbols`` with
     ``rescales`` rescales: an update of s makes K + 1 - s accesses in the
     linear model, one per entry of its chain from s + 1 in the Fenwick
     one, and a rescale its model's per-K cost."""
-    model = _make_model(header)
     k, adaptive = header.k, header.mode == "adaptive"
-    if isinstance(model, FenwickModel):  # an adaptive Fenwick stream
+    # a list, not a range: adaptive log2 indexes it once per symbol
+    hk = list(range(k + 1) if adaptive else accumulate(header.counts, initial=0))
+    if adaptive and header.model == "fenwick":
         # node j is on the update chains of the symbols in [j & (j - 1), j),
-        # and hk[j] counts the decoded symbols below j
-        hk = np.bincount(np.array(symbols, np.int64) + 1, minlength=k + 1).cumsum()
+        # and below[j] counts the decoded symbols below j
+        below = np.bincount(np.array(symbols, np.int64) + 1, minlength=k + 1).cumsum()
         j = np.arange(1, k + 1)
-        updates = int((hk[j] - hk[j & (j - 1)]).sum())
+        updates = int((below[j] - below[j & (j - 1)]).sum())
         cost = _fenwick.rescale_cost(k, header.rescale)
     else:
         updates = (len(symbols) * (k + 1) - sum(symbols)) * adaptive
         cost = _linear.rescale_cost(k)
-    for strategy, stats in counted.items():
-        hist = _search.count_iterations(strategy, model, adaptive, symbols)
+    for strategy, stats in counted:
+        hist = _search.count_iterations(strategy, hk, adaptive, symbols)
         stats.symbols += header.n
         stats.search_iterations += sum(it * n for it, n in hist.items())
         stats.iteration_histogram.update(hist)

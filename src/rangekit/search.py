@@ -25,8 +25,8 @@ alone, whatever the strategy: an adaptive Fenwick stream decodes with
 adaptive, bisects with ``bisect_right``.  The same fact makes a
 comparison search's path, and its iteration count, depend on s alone
 (and, for ``log2``, on its first probe), so ``count_iterations`` derives
-the iteration histogram from the decoded symbols, after decoding and only
-when asked.
+the iteration histogram from the decoded symbols and the starting
+boundaries ``hk``, after decoding and only when asked; it builds no model.
 """
 
 from __future__ import annotations
@@ -313,39 +313,28 @@ def binary_indexed(c: int, model: FenwickModel) -> tuple[int, int, int]:
     return sym, low, model.top_lev_idx.bit_length()
 
 
-def _reference_count(search):
-    """Counting entry of a reference search ``search(c, hk)``."""
-    return lambda model, adaptive: (lambda c: search(c, model.hk)[1], None)
-
-
-def _tree_count(model, adaptive):
-    hk = model.hk
+def _tree_count(hk, adaptive):
     tree = build_search_tree(hk)
-    return lambda c: tree_search(c, hk, tree)[1], None
+    return lambda sym: tree_search(hk[sym], hk, tree)[1]
 
 
-def _log2_count(model, adaptive):
-    hk = model.hk
-    k = model.k
+def _log2_count(hk, adaptive):
+    k = len(hk) - 1
     i_mid = k >> 1 if adaptive else determine_initial_split(hk)
 
-    def iterations(c):
-        return log2_search(c, hk, i_mid)[1]
-
-    def on_symbol(sym):
+    def iterations(sym):
         nonlocal i_mid
-        i_mid = adapt_initial_split(k, i_mid, sym)
+        iters = log2_search(hk[sym], hk, i_mid)[1]
+        if adaptive:  # the first probe moves after each symbol
+            i_mid = adapt_initial_split(k, i_mid, sym)
+        return iters
 
-    return iterations, on_symbol if adaptive else None
+    return iterations
 
 
-def _table_count(model, adaptive):
-    return lambda c: 1, None  # one table read per symbol
-
-
-def _bi_count(model, adaptive):
-    iters = top_level_index(model.k).bit_length()  # K alone: any model
-    return lambda c: iters, None
+def _bi_count(hk, adaptive):
+    iters = top_level_index(len(hk) - 1).bit_length()  # K alone
+    return lambda sym: iters
 
 
 #: Strategy name -> (model family, static_only, count).
@@ -353,18 +342,18 @@ def _bi_count(model, adaptive):
 #: Decode reads no row: it picks its search by the stream alone (see the
 #: module docstring), whatever the strategy.
 #:
-#: ``count(model, adaptive)`` is called by ``count_iterations`` only and
-#: returns ``(iterations, on_symbol)``: ``iterations(c)`` is the reference
-#: search's iteration count at code value c, and ``on_symbol(sym)``, when
-#: not None, moves the search's state on after each symbol.
+#: ``count(hk, adaptive)`` is called by ``count_iterations`` only, with
+#: the starting boundaries, and returns the function that gives a decoded
+#: symbol's iteration count: in closed form for the linear scans, the
+#: table and ``bi``, else by the reference search at ``hk[sym]``.
 KERNELS = {
-    "lin-fwd": ("linear", False, _reference_count(linear_forward)),
-    "lin-bwd": ("linear", False, _reference_count(linear_backward)),
-    "log": ("linear", False, _reference_count(logarithmic)),
+    "lin-fwd": ("linear", False, lambda hk, _: lambda sym: sym + 1),
+    "lin-bwd": ("linear", False, lambda hk, _: lambda sym: len(hk) - 1 - sym),
+    "log": ("linear", False, lambda hk, _: lambda sym: logarithmic(hk[sym], hk)[1]),
     "log2": ("linear", False, _log2_count),
-    "exp": ("linear", False, _reference_count(exponential)),
+    "exp": ("linear", False, lambda hk, _: lambda sym: exponential(hk[sym], hk)[1]),
     "tree": ("linear", True, _tree_count),
-    "table": ("linear", False, _table_count),
+    "table": ("linear", False, lambda hk, _: lambda sym: 1),
     "bi": ("fenwick", False, _bi_count),
 }
 
@@ -384,29 +373,25 @@ def strategy_compatible(strategy: str, model: str, mode: str) -> str | None:
     return None
 
 
-def count_iterations(strategy: str, model, adaptive: bool, symbols) -> Counter:
+def count_iterations(strategy: str, hk, adaptive: bool, symbols) -> Counter:
     """Iteration histogram of ``strategy``'s reference search over ``symbols``.
 
-    ``model`` is the stream's starting model: the header's table, or K
-    counts of one.  Every symbol a stream decodes has a nonzero count in
-    it, and adaptive counts stay at least one, so a comparison search's
-    path depends on the symbol alone: the bottom of a symbol's interval
-    leads the reference search down the path that any code value decoding
-    to that symbol took, at any point of the stream.  A search that keeps
-    no state between symbols runs once per distinct symbol, weighted by
-    how often it occurs; one that does (adaptive ``log2``) replays every
-    symbol in order.
+    ``hk`` is the boundary list of the stream's starting model: the
+    header's table, or K counts of one.  Every symbol a stream decodes
+    has a nonzero count in it, and adaptive counts stay at least one, so
+    a comparison search's path depends on the symbol alone: the bottom of
+    a symbol's interval leads the reference search down the path that any
+    code value decoding to that symbol took, at any point of the stream.
+    So each distinct symbol is counted once, weighted by how often it
+    occurs, except by adaptive ``log2``, which keeps state between
+    symbols and replays every symbol in order.
     """
     if not symbols:  # nothing to count; an empty static model has no code values
         return Counter()
-    iterations, on_symbol = KERNELS[strategy][2](model, adaptive)
-    cum = model.cum
+    iterations = KERNELS[strategy][2](hk, adaptive)
+    if adaptive and strategy == "log2":
+        return Counter(map(iterations, symbols))
     hist = Counter()
-    if on_symbol is None:
-        for sym, n in Counter(symbols).items():
-            hist[iterations(cum(sym))] += n
-    else:
-        for sym in symbols:
-            hist[iterations(cum(sym))] += 1
-            on_symbol(sym)
+    for sym, n in Counter(symbols).items():
+        hist[iterations(sym)] += n
     return hist

@@ -217,6 +217,20 @@ def test_decode_symbol_limit_option(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("limit", ("-1", "-5000", "ten"))
+def test_decode_rejects_a_bad_symbol_limit_with_a_usage_error(tmp_path, capsys,
+                                                              limit):
+    """A negative or non-numeric ``--max-symbols`` is a usage error, raised
+    before the input is opened, not a complaint about the stream."""
+    with pytest.raises(SystemExit) as exited:
+        main(["decode", "--max-symbols", limit, "-i", str(tmp_path / "nope.irc"),
+              "-o", str(tmp_path / "out.isy")])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-symbols: must be a whole number of at least 0" in err
+    assert "header claims" not in err and "No such file" not in err
+
+
 @pytest.mark.parametrize("mode", ("static", "adaptive"))
 def test_encode_out_of_alphabet_symbol_reports_error(tmp_path, mode):
     # the ISY header says K=4 but the body holds symbol 9; both loops

@@ -18,7 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rangekit import _loops, linear_model, rangecoder
+from rangekit.bench import iteration_histogram
 from rangekit.datagen import MAX_ALPHABET, GenSpec, gen_sequence
+from rangekit.fenwick_model import FenwickModel
+from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
     TABLE_MIN_K, CoderConfig, DecodeStats, Encoder, StreamFormatError,
     StreamHeader, count_stream, decode_stream, encode_stream, normalize_counts,
@@ -429,6 +432,49 @@ def test_counting_decode_never_runs_the_python_loop(mode, model, rescale):
         out, counted = count_all(payload, model, mode)
     assert out == SYMS * 20
     assert all(stats.symbols == len(out) for stats in counted.values())
+
+
+@pytest.mark.parametrize("mode,model", [
+    (mode, model) for mode in MODES for model in MODELS])
+def test_counting_builds_no_model(mode, model):
+    """A decode that counts every compatible strategy on the compiled
+    loop counts from the header's boundaries and the symbols, and so does
+    ``iteration_histogram``: no ``LinearModel`` or ``FenwickModel`` is
+    built."""
+    cfg = CoderConfig(mode, model, "orig", 7 if mode == "adaptive" else 0)
+    payload = encode_stream(SYMS * 20, 10, cfg)
+    built = AssertionError("a model was built")
+    with mock.patch.object(rangecoder, "_make_model", side_effect=built), \
+            mock.patch.object(LinearModel, "__init__", side_effect=built), \
+            mock.patch.object(FenwickModel, "__init__", side_effect=built):
+        out, counted = count_all(payload, model, mode)
+        averages = {strategy: iteration_histogram(strategy, out, 10).average
+                    for strategy in counted
+                    if (mode, model) == ("static", "linear")}
+    assert out == SYMS * 20
+    assert all(stats.symbols == len(out) for stats in counted.values())
+    # 180 symbols: the header keeps their counts unscaled
+    for strategy, average in averages.items():
+        assert average == counted[strategy].search_iterations / len(out)
+
+
+def test_counting_every_strategy_at_large_k_is_fast():
+    """One counting decode of every strategy finishes within 5 s on a
+    K = 65536 static stream and on an adaptive linear K = 4096 stream,
+    where running the linear scans once per distinct symbol took about
+    20 s; the scans' totals are the sums of ``sym + 1`` and ``K - sym``."""
+    streams = []
+    for mode, k in (("static", 1 << 16), ("adaptive", 1 << 12)):
+        syms = gen_sequence(GenSpec("flat", k, 8192, k)).tolist()
+        streams.append((k, syms, encode_stream(syms, k, CoderConfig(mode)), mode))
+    with time_limit(5):
+        counted = [count_all(payload, "linear", mode)[1]
+                   for _, _, payload, mode in streams]
+    for (k, syms, _, mode), stats in zip(streams, counted):
+        assert len(stats) == (7 if mode == "static" else 6)
+        assert stats["lin-fwd"].search_iterations == sum(syms) + len(syms)
+        assert stats["lin-bwd"].search_iterations == k * len(syms) - sum(syms)
+        assert stats["table"].search_iterations == len(syms)
 
 
 def runs_out(payload, n):

@@ -608,6 +608,31 @@ def test_count_stream_that_raises_adds_nothing():
         assert all(stats == DecodeStats() for stats in counted.values())
 
 
+@pytest.mark.parametrize("model", ("linear", "fenwick"))
+def test_count_stream_counts_into_every_stats_it_is_given(model):
+    """The default strategy named as None and by name counts into both
+    stats, and each gets what a decode with that strategy alone gives."""
+    payload = encode_stream([0, 1, 2, 1] * 30, 3, CoderConfig("adaptive", model))
+    default = default_strategy(model)
+    counted = {None: DecodeStats(), default: DecodeStats()}
+    count_stream(payload, counted)
+    alone = DecodeStats()
+    decode_stream(payload, default, alone)
+    assert alone.symbols == 120
+    assert counted[None] == counted[default] == alone
+
+
+def test_count_stream_rejects_a_negative_symbol_limit():
+    """A negative limit is a bad argument, not a bad stream: it raises a
+    plain ValueError before the header is read, even for an empty stream."""
+    for payload in (encode_stream([], 3, CoderConfig()), b"junk"):
+        with pytest.raises(ValueError, match="symbol limit") as raised:
+            count_stream(payload, {"log": DecodeStats()}, max_symbols=-1)
+        assert not isinstance(raised.value, StreamFormatError)
+    assert decode_stream(encode_stream([], 3, CoderConfig()),
+                         max_symbols=0)[1] == []
+
+
 @pytest.mark.parametrize("model,rescale", [
     ("linear", "orig"), ("fenwick", "orig"), ("fenwick", "new")])
 @pytest.mark.parametrize("k", (1, 7, 64, 100))

@@ -71,7 +71,7 @@ def test_bisection_depths_match_logarithmic():
         model = LinearModel([1] * k, adaptive=False)
         hk = model.hk
         for sym in range(k):
-            assert (count_iterations("log", model, False, [sym])
+            assert (count_iterations("log", hk, False, [sym])
                     == Counter({logarithmic(sym, hk)[1]: 1}))
 
 
@@ -113,7 +113,7 @@ def assert_kernel_matches(strategy, model, reference):
         sym, iters = reference(c)
         assert bisect.bisect_right(hk, c) - 1 == sym
         if sym not in counted:
-            counted[sym] = count_iterations(strategy, model, False, [sym])
+            counted[sym] = count_iterations(strategy, hk, False, [sym])
         assert counted[sym] == Counter({iters: 1})
 
 
@@ -216,7 +216,7 @@ def test_tree_depths_skip_zero_mass_ranges():
     decoded = [0, 1, 3, 4, 4, 0, 4]
     with mock.patch.object(search, "tree_search",
                            wraps=search.tree_search) as walk:
-        hist = count_iterations("tree", model, False, decoded)
+        hist = count_iterations("tree", hk, False, decoded)
     assert sorted(call.args[0] for call in walk.call_args_list) == [
         hk[sym] for sym in (0, 1, 3, 4)]
     assert hist == Counter(tree_search(hk[sym], hk, tree)[1]
