@@ -3,19 +3,20 @@
    running the algorithms of rangecoder.py's Python loops: the register
    discipline of Encoder/Decoder; the linear model's bisect_right search,
    K - sym tail update and count halving; and FenwickModel's update chain
-   and both rescales.  A third decode loop, table_decode, serves static
-   streams with K at or above rangecoder.TABLE_MIN_K: it finds each
-   symbol with one read of a uint16 symbol table, the paper's direct
-   lookup, which finds the symbol bisect_right finds; below that K the
-   bisection costs no more than the read.  The loops are plain C for
-   _loops.CFLAGS (-O3, no intrinsics or CPU dispatch): at -O3 the
-   compiler vectorises the linear tail update, and the linear decode's
-   search is written branch-free, so it compiles to conditional moves.
-   The Fenwick loops fuse two steps of the Python loop into one walk: the
-   decode's descent is binary_indexed_interval + update, and the encode's
-   walk is cum + count.  At the count cap a model rescales before the
-   increment.  Each rescale raises st[RESCALES], the one work counter
-   (see count_stream).
+   and both rescales.  rangecoder._compiled_loop picks a stream's loop by
+   (kind, behaviour, K), not by its model byte: a linear stream halves as
+   Fenwick `orig` does, so every adaptive stream decodes in fenwick_decode
+   and, from rangecoder.FENWICK_MIN_K, encodes there.  Static streams
+   decode in linear_decode, or from rangecoder.TABLE_MIN_K in
+   table_decode, one read of a uint16 symbol table per symbol, the
+   paper's direct lookup.  The loops are plain C for _loops.CFLAGS (-O3,
+   no intrinsics or CPU dispatch): at -O3 the compiler vectorises the
+   linear tail update, and the linear decode's search is written
+   branch-free, so it compiles to conditional moves.  The Fenwick loops
+   fuse two steps of the Python loop into one walk: the decode's descent
+   is binary_indexed_interval + update, and the encode's walk is cum +
+   count.  At the count cap a model rescales before the increment.  Each
+   rescale raises st[RESCALES], the one work counter (see count_stream).
 
    No Python model is built for them.  Each loop takes the stream's
    uint32 count vector h (K entries) and a K + 1 entry buffer, and on a
@@ -204,8 +205,6 @@ i64 linear_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
         if (!consume(&d, r, m.hk[sym], m.h[sym]))
             return -1;
         out[o] = (u32)sym;
-        if (m.adaptive)
-            linear_update(&m, sym);
     DECODE_END(linear_rescale)
 }
 

@@ -195,10 +195,10 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
     if not 0 < n <= MAX_TOTALCOUNT:
         raise ValueError(f"sequence length must be in [1, {MAX_TOTALCOUNT}]")
     # one count of the sequence gives the boundaries and, in place of the
-    # sequence, the weights of a static search (Counter copies a Counter)
+    # sequence, the tally of a static search
     weights = Counter(sequence)
     hk = list(accumulate((weights[s] for s in range(k)), initial=0))
-    hist = _search.count_iterations(strategy, hk, False, weights)
+    hist = _search.count_iterations(strategy, hk, False, weights, weights)
     average = sum(it * cnt for it, cnt in hist.items()) / n
     pct = {it: 100.0 * cnt / n for it, cnt in sorted(hist.items())}
     return IterationStats(pct, average)

@@ -63,6 +63,13 @@ CHUNK = 1 << 16
 #: (``BENCH_static_lookup.json``).
 TABLE_MIN_K = 8
 
+#: The least K at which a halving adaptive stream (linear, or Fenwick
+#: ``orig``) encodes in ``fenwick_encode`` rather than ``linear_encode``:
+#: below it the K - sym tail update costs less than the update chain
+#: (``BENCH_adaptive_loop.json``).  Every adaptive stream decodes in
+#: ``fenwick_decode``, which ties or wins at every K measured.
+FENWICK_MIN_K = 64
+
 #: A decode's default symbol limit: 8 bytes a symbol in the list, 128 MiB.
 MAX_SYMBOLS = 1 << 24
 
@@ -302,7 +309,9 @@ def _make_model(header: StreamHeader):
         return FenwickModel([1] * header.k, rescale_variant=header.rescale)
     # the linear model has a single rescale rule (count halving, identical
     # to the fenwick "orig" rounding); the variant field is carried in the
-    # header for symmetry but does not change linear behaviour
+    # header for symmetry but does not change linear behaviour.  So the
+    # Python loops stay per model, the reference of each algorithm, while
+    # the compiled ones pick their loop by behaviour (``_compiled_loop``)
     return LinearModel([1] * header.k)
 
 
@@ -411,8 +420,9 @@ def _add_stats(counted: list, header: StreamHeader, symbols: list[int],
     else:
         updates = (len(symbols) * (k + 1) - sum(symbols)) * adaptive
         cost = _linear.rescale_cost(k)
+    tally = Counter(symbols)  # once for every strategy
     for strategy, stats in counted:
-        hist = _search.count_iterations(strategy, hk, adaptive, symbols)
+        hist = _search.count_iterations(strategy, hk, adaptive, symbols, tally)
         stats.symbols += header.n
         stats.search_iterations += sum(it * n for it, n in hist.items())
         stats.iteration_histogram.update(hist)
@@ -455,30 +465,36 @@ def _decode_python(payload: bytes, offset: int,
 
 
 def _compiled_loop(lib, kind: str, header: StreamHeader):
-    """The compiled ``kind`` loop, "encode" or "decode", of the stream's
-    model family, and the buffers it takes after the symbols: the counts
+    """The compiled ``kind`` loop, "encode" or "decode", of the stream,
+    and the buffers it takes after the symbols: the counts
     (``header.counts``, which it only reads, or K ones), a K + 1 entry
     array in which its first call derives ``hk`` or ``v`` and the total,
     and the settings in ``cfg`` order.  The cap, at which a model
     rescales and against which the first call checks the total, as
     ``prefix_sums`` does, is ``linear_model.MAX_TOTALCOUNT``, read at call
-    time, so a cap patched there applies.  No model is built; as in
-    ``_make_model``, a static stream codes through the prefix sums.
+    time, so a cap patched there applies.  No model is built.
 
-    A static decode with K at least ``TABLE_MIN_K`` runs ``table_decode``,
-    whose symbol table of ``header.total`` uint16 entries follows ``hk``
-    in that array.  The total is checked before the array is sized from
-    it, and it is the table's cap: a first call that finds a larger total
-    returns -2 before it writes the table."""
+    The loop follows from (kind, behaviour, K), not from the model byte.
+    A static stream codes through the prefix sums, as in ``_make_model``,
+    and decodes in ``table_decode`` from K = ``TABLE_MIN_K``: its symbol
+    table of ``header.total`` uint16 entries follows ``hk`` in that array.
+    The total is checked before the array is sized from it, and is the
+    table's cap: a first call that finds a larger total returns -2 before
+    it writes the table.  An adaptive stream halves its counts (linear,
+    whatever its rescale byte, or Fenwick ``orig``: one bitstream) or
+    rescales by Fenwick ``new``; it decodes in ``fenwick_decode``, and
+    encodes there too unless it halves with K below ``FENWICK_MIN_K``."""
     k, adaptive = header.k, header.mode == "adaptive"
-    family = "fenwick" if adaptive and header.model == "fenwick" else "linear"
+    new = adaptive and header.model == "fenwick" and header.rescale == "new"
+    family = ("fenwick" if adaptive and (kind == "decode" or new
+                                         or k >= FENWICK_MIN_K) else "linear")
     cap, size = _linear.MAX_TOTALCOUNT, k + 1
     if kind == "decode" and not adaptive and k >= TABLE_MIN_K:
         _linear.check_total(header.total)
         family, cap = "table", header.total
         size += (cap + 1) // 2
     cfg = array("q", (k, adaptive, header.rescale_interval if adaptive else 0,
-                      cap, header.rescale == "new"))
+                      cap, new))
     return (getattr(lib, f"{family}_{kind}"),
             (array("I", [1]) * k if adaptive else header.counts,
              array("I", [0]) * size, cfg))

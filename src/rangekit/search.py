@@ -13,16 +13,17 @@ compares.
 runs on, whether it needs a static model, and how to count its
 iterations.
 
-Decoding and counting are separate, and decode depends on the model
-family alone.  Every comparison search probes ``c < hk[i]``.  For a code
+Decoding and counting are separate, and decode depends on the stream
+alone.  Every comparison search probes ``c < hk[i]``.  For a code
 value c in symbol s's nonempty interval that probe holds exactly when
 i > s, so every comparison search (``lin-fwd``, ``lin-bwd``, ``log``,
 ``log2``, ``exp``, ``tree``) finds the symbol that the C-level
 ``bisect_right`` finds, and so does the lookup table (``table``), which
 maps c to s by construction.  So decode picks its search by the stream
-alone, whatever the strategy: an adaptive Fenwick stream decodes with
-``binary_indexed_interval``'s descent and a linear stream, static or
-adaptive, bisects with ``bisect_right``.  The same fact makes a
+alone, whatever the strategy: in the Python loops an adaptive Fenwick
+stream decodes with ``binary_indexed_interval``'s descent and a linear
+stream, static or adaptive, bisects with ``bisect_right``; the compiled
+loops decode every adaptive stream with the descent.  The same fact makes a
 comparison search's path, and its iteration count, depend on s alone
 (and, for ``log2``, on its first probe), so ``count_iterations`` derives
 the iteration histogram from the decoded symbols and the starting
@@ -373,7 +374,8 @@ def strategy_compatible(strategy: str, model: str, mode: str) -> str | None:
     return None
 
 
-def count_iterations(strategy: str, hk, adaptive: bool, symbols) -> Counter:
+def count_iterations(strategy: str, hk, adaptive: bool, symbols,
+                     tally: Counter | None = None) -> Counter:
     """Iteration histogram of ``strategy``'s reference search over ``symbols``.
 
     ``hk`` is the boundary list of the stream's starting model: the
@@ -384,7 +386,9 @@ def count_iterations(strategy: str, hk, adaptive: bool, symbols) -> Counter:
     code value decoding to that symbol took, at any point of the stream.
     So each distinct symbol is counted once, weighted by how often it
     occurs, except by adaptive ``log2``, which keeps state between
-    symbols and replays every symbol in order.
+    symbols and replays every symbol in order.  ``tally``, if given, is
+    ``Counter(symbols)``, so a caller that counts several strategies over
+    one decode tallies its symbols once.
     """
     if not symbols:  # nothing to count; an empty static model has no code values
         return Counter()
@@ -392,6 +396,6 @@ def count_iterations(strategy: str, hk, adaptive: bool, symbols) -> Counter:
     if adaptive and strategy == "log2":
         return Counter(map(iterations, symbols))
     hist = Counter()
-    for sym, n in Counter(symbols).items():
+    for sym, n in (Counter(symbols) if tally is None else tally).items():
         hist[iterations(sym)] += n
     return hist

@@ -23,9 +23,9 @@ from rangekit.datagen import MAX_ALPHABET, GenSpec, gen_sequence
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
-    TABLE_MIN_K, CoderConfig, DecodeStats, Encoder, StreamFormatError,
-    StreamHeader, count_stream, decode_stream, encode_stream, normalize_counts,
-    pack_header, unpack_header,
+    FENWICK_MIN_K, TABLE_MIN_K, CoderConfig, DecodeStats, Encoder,
+    StreamFormatError, StreamHeader, count_stream, decode_stream,
+    encode_stream, normalize_counts, pack_header, unpack_header,
 )
 from rangekit.search import STRATEGIES, strategy_compatible
 
@@ -329,6 +329,58 @@ def test_static_decode_reads_a_symbol_table_from_table_min_k(model, k, loop):
             syms = gen_sequence(GenSpec(dist, k, n, k)).tolist()
             with mock.patch.object(rangecoder, "CHUNK", chunk):
                 check_round_trip(syms, k, cfg)
+
+
+@pytest.mark.parametrize("model,rescale", [
+    (model, rescale) for model in MODELS for rescale in RESCALES])
+@pytest.mark.parametrize("k", (FENWICK_MIN_K - 1, FENWICK_MIN_K))
+def test_adaptive_loop_follows_the_behaviour_and_k(model, rescale, k):
+    """Every adaptive stream decodes in ``fenwick_decode``; a halving one
+    (linear, whatever its rescale byte, or Fenwick ``orig``) encodes in
+    ``linear_encode`` below ``FENWICK_MIN_K`` and in ``fenwick_encode`` at
+    it, and a Fenwick ``new`` one in ``fenwick_encode``, the only loop
+    told to rescale by ``new``; each gives the Python loop's bytes and
+    symbols, on flat and geometric data, with ``CHUNK`` lowered to 5 too."""
+    cfg = CoderConfig("adaptive", model, rescale, 100)
+    header = unpack_header(encode_stream([0], k, cfg))[0]
+    new = (model, rescale) == ("fenwick", "new")
+    encode = "linear" if k < FENWICK_MIN_K and not new else "fenwick"
+    for kind, family in (("encode", encode), ("decode", "fenwick")):
+        loop, (_, _, settings) = rangecoder._compiled_loop(_loops.lib(), kind,
+                                                           header)
+        assert loop.__name__ == f"{family}_{kind}"
+        assert settings[-1] == new  # cfg[NEW_RESCALE]
+    for dist in ("flat", "geometric"):
+        for n, chunk in ((3000, rangecoder.CHUNK), (16, 5)):
+            syms = gen_sequence(GenSpec(dist, k, n, k)).tolist()
+            with mock.patch.object(rangecoder, "CHUNK", chunk):
+                check_round_trip(syms, k, cfg)
+
+
+@pytest.mark.parametrize("interval", (0, 7))
+@pytest.mark.parametrize("k", (3, FENWICK_MIN_K - 1, FENWICK_MIN_K, 256))
+def test_adaptive_linear_stream_with_rescale_byte_new_halves(k, interval):
+    """A linear header's rescale byte changes nothing: with the byte set
+    to ``new``, the compiled loops, which decode it in the Fenwick loop,
+    give the Python reference's bytes, symbols and rescale count, under a
+    count cap lowered to K + 2, where most updates rescale first; its
+    coded bytes are those of the ``orig`` stream."""
+    rng = random.Random(k)
+    syms = [rng.randrange(k) if rng.random() < 0.5 else 0 for _ in range(600)]
+
+    def decoded(payload):
+        stats = DecodeStats()
+        return decode_stream(payload, None, stats)[1], stats.rescale_events
+
+    with count_cap(k + 2):
+        orig, new = (encode_stream(syms, k, CoderConfig(
+            "adaptive", "linear", rescale, interval)) for rescale in RESCALES)
+        assert both_sides(lambda: encode_stream(syms, k, CoderConfig(
+            "adaptive", "linear", "new", interval))) == [new] * 2
+        compiled, python = both_sides(lambda: decoded(new))
+    offset = unpack_header(new)[1]
+    assert new[offset:] == orig[offset:]
+    assert compiled == python and compiled[0] == syms and compiled[1] > 0
 
 
 EDGE_KS = (1, 2, 3, 5, 63, 64, 65, 255, 256, 257)
