@@ -1,37 +1,34 @@
 /* Compiled stream loops of rangekit's range coder, built and loaded by
-   _loops.py.  One decode and one encode loop per model family, each
+   _loops.py.  One encode and one decode loop per stream mode, each
    running the algorithms of rangecoder.py's Python loops: the register
-   discipline of Encoder/Decoder; the linear model's bisect_right search,
-   K - sym tail update and count halving; and FenwickModel's update chain
-   and both rescales.  rangecoder._compiled_loop picks a stream's loop by
-   (kind, behaviour, K), not by its model byte: a linear stream halves as
-   Fenwick `orig` does, so every adaptive stream decodes in fenwick_decode
-   and, from rangecoder.FENWICK_MIN_K, encodes there.  Static streams
-   decode in linear_decode, or from rangecoder.TABLE_MIN_K in
-   table_decode, one read of a uint16 symbol table per symbol, the
-   paper's direct lookup.  The loops are plain C for _loops.CFLAGS (-O3,
-   no intrinsics or CPU dispatch): at -O3 the compiler vectorises the
-   linear tail update, and the linear decode's search is written
-   branch-free, so it compiles to conditional moves.  The Fenwick loops
-   fuse two steps of the Python loop into one walk: the decode's descent
-   is binary_indexed_interval + update, and the encode's walk is cum +
-   count.  At the count cap a model rescales before the increment.  Each
+   discipline of Encoder/Decoder, and FenwickModel's update chain and
+   both rescales.  rangecoder._compiled_loop picks a stream's loop by its
+   header's mode alone.  A static stream encodes through the prefix sums
+   hk and decodes through a uint16 symbol table, one read per symbol, the
+   paper's direct lookup.  An adaptive stream runs the Fenwick loops
+   whatever its model byte: a linear stream halves as Fenwick `orig`
+   does, to the same bytes.  The loops are plain C for _loops.CFLAGS (no
+   intrinsics or CPU dispatch).  The Fenwick loops fuse two steps of the
+   Python loop into one walk: the decode's descent is
+   binary_indexed_interval + update, and the encode's walk is cum +
+   count.  At the count cap a model rescales before the increment, and
+   an adaptive loop rescales after every cfg[INTERVAL]-th symbol.  Each
    rescale raises st[RESCALES], the one work counter (see count_stream).
 
    No Python model is built for them.  Each loop takes the stream's
    uint32 count vector h (K entries) and a K + 1 entry buffer, and on a
    stream's first call (st[SYM] == 0) derives its working array there,
-   with the total: the prefix sums hk for the linear model, which keeps
-   h up to date beside them, and v for the Fenwick one.  table_decode's
-   buffer has room for its symbol table after hk, ceil(total / 2) more
-   entries, which the first call fills and later calls read.  A static
-   stream's h is the caller's table, which no loop writes.  That first
-   call also checks the total, summed in 64 bits so that no table wraps
-   it, against cfg[CAP]: above it, it stores the total in st[TOTAL] and
-   returns -2 before coding anything or writing a symbol table.  A total
-   within the cap (at most 2^20) keeps every count and sum within 32
-   bits.  A call codes at most `limit` symbols and resumes from st[], so
-   the caller decides how many symbols a call may produce. */
+   with the total: the prefix sums hk in a static stream, and v in an
+   adaptive one.  static_decode's buffer has room for its symbol table
+   after hk, ceil(total / 2) more entries, which the first call fills and
+   later calls read.  A static stream's h is the caller's table, which no
+   loop writes.  That first call also checks the total, summed in 64 bits
+   so that no table wraps it, against cfg[CAP]: above it, it stores the
+   total in st[TOTAL] and returns -2 before coding anything or writing a
+   symbol table.  A total within the cap (at most 2^20) keeps every count
+   and sum within 32 bits.  A call codes at most `limit` symbols and
+   resumes from st[], so the caller decides how many symbols a call may
+   produce. */
 
 #include <stdint.h>
 
@@ -42,44 +39,24 @@ typedef int64_t i64; typedef uint32_t u32; typedef uint64_t u64;
 /* st[]: what a call resumes from (CODE holds `low` when encoding; the
    first call sets TOTAL), in 8 slots on encode and decode alike */
 enum { RNG, CODE, POS, SYM, TOTAL, CACHE, CACHE_SIZE, RESCALES };
-/* cfg[]: the stream's settings; INTERVAL is 0 in a static stream, and
-   CAP, linear_model.MAX_TOTALCOUNT, is where a model rescales and what
-   the first call checks the total against (for table_decode, the total
-   its symbol table has room for) */
-enum { K, ADAPTIVE, INTERVAL, CAP, NEW_RESCALE };
+/* cfg[]: the stream's settings, of which the static loops read K and
+   CAP; CAP, linear_model.MAX_TOTALCOUNT, is where a model rescales and
+   what the first call checks the total against (for static_decode, the
+   total its symbol table has room for) */
+enum { K, INTERVAL, CAP, NEW_RESCALE };
 
 typedef struct {
     u32 *h, *hk, *v;
-    i64 k, adaptive, interval, cap, new_rescale, total, rescales;
+    i64 k, interval, cap, new_rescale, total, rescales;
 } Model;
 
 /* prefix_sums: hk[i] is the sum of the counts below symbol i */
-static void linear_init(Model *m) {
+static void prefix_init(Model *m) {
     i64 total = 0;
     m->hk[0] = 0;
     for (i64 i = 0; i < m->k; i++)
         m->hk[i + 1] = (u32)(total += m->h[i]);
     m->total = total;
-}
-
-/* LinearModel.rescale: halve every count, rounding up */
-static void linear_rescale(Model *m) {
-    for (i64 i = 0; i < m->k; i++) {
-        m->h[i] -= m->h[i] >> 1;
-        m->hk[i + 1] = m->hk[i] + m->h[i];
-    }
-    m->total = m->hk[m->k];
-    m->rescales++;
-}
-
-/* LinearModel.update: every boundary above sym moves up by one */
-static void linear_update(Model *m, i64 sym) {
-    if (m->total >= m->cap)
-        linear_rescale(m);
-    m->h[sym]++;
-    for (i64 j = sym + 1; j <= m->k; j++)
-        m->hk[j]++;
-    m->total++;
 }
 
 /* FenwickModel's v from the counts in O(K): each slot, once complete,
@@ -162,8 +139,8 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
    a stream's first call derives the array and the total with `init`,
    and returns -2 with the total in st[TOTAL] if it is above cfg[CAP] */
 #define MODEL(init)                                                        \
-    Model m = {a, b, b, cfg[K], cfg[ADAPTIVE], cfg[INTERVAL], cfg[CAP],    \
-               cfg[NEW_RESCALE], st[TOTAL], st[RESCALES]};                 \
+    Model m = {a, b, b, cfg[K], cfg[INTERVAL], cfg[CAP], cfg[NEW_RESCALE], \
+               st[TOTAL], st[RESCALES]};                                   \
     if (st[SYM] == 0) {                                                    \
         init(&m);                                                          \
         if (m.total > m.cap) {                                             \
@@ -171,48 +148,23 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
             return -2;                                                     \
         }                                                                  \
     }
-/* the loop head and tail the two families share; an interval rescale
-   follows each adaptive symbol's update */
+/* the loop head and tail the decodes share */
 #define DECODE_BEGIN(init)                                                 \
     MODEL(init)                                                            \
     Dec d = {buf, len, st[POS], (u32)st[RNG], (u32)st[CODE]};              \
     i64 i = st[SYM];                                                       \
     for (i64 o = 0; o < limit; o++, i++) {
-#define DECODE_END(rescale)                                                \
-        if (m.interval && (i + 1) % m.interval == 0)                       \
-            rescale(&m);                                                   \
+#define DECODE_END                                                         \
     }                                                                      \
     st[RNG] = d.rng; st[CODE] = d.code; st[POS] = d.pos;                   \
     st[SYM] = i; st[TOTAL] = m.total; st[RESCALES] = m.rescales;           \
     return limit;
 
-/* Each decode writes `limit` symbols to out and returns `limit`, or
-   returns -1 once the payload ends before the last of them (or -2, see
-   MODEL). */
-i64 linear_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
-                  u32 *out, u32 *a, u32 *b, const i64 *cfg) {
-    DECODE_BEGIN(linear_init)
-        u32 r, c = target(&d, m.total, &r);
-        /* bisect_right(hk, c) - 1, branch-free: the last of the n entries
-           from p that is <= c; hk[0] <= c < hk[K] */
-        const u32 *p = m.hk;
-        for (i64 n = m.k; n > 1;) {
-            i64 half = n >> 1;
-            p = p[half] <= c ? p + half : p;
-            n -= half;
-        }
-        i64 sym = p - m.hk;
-        if (!consume(&d, r, m.hk[sym], m.h[sym]))
-            return -1;
-        out[o] = (u32)sym;
-    DECODE_END(linear_rescale)
-}
-
 /* A static stream's symbol table: tab[c] is the symbol whose interval
    holds code value c, one uint16 entry for each c in [0, total), held in
    b after hk, where the first call writes it after the total check */
 static void table_init(Model *m) {
-    linear_init(m);
+    prefix_init(m);
     if (m->total > m->cap)
         return;
     uint16_t *tab = (uint16_t *)(m->hk + m->k + 1);
@@ -221,11 +173,11 @@ static void table_init(Model *m) {
             tab[c] = (uint16_t)s;
 }
 
-/* linear_decode's static stream with one table read in place of the
-   bisection: K at or above rangecoder.TABLE_MIN_K, where the read beats
-   log2 K dependent loads */
-i64 table_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
-                 u32 *out, u32 *a, u32 *b, const i64 *cfg) {
+/* Each decode writes `limit` symbols to out and returns `limit`, or
+   returns -1 once the payload ends before the last of them (or -2, see
+   MODEL). */
+i64 static_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
+                  u32 *out, u32 *a, u32 *b, const i64 *cfg) {
     const uint16_t *tab = (const uint16_t *)(b + cfg[K] + 1);
     DECODE_BEGIN(table_init)
         u32 r, c = target(&d, m.total, &r);
@@ -233,11 +185,11 @@ i64 table_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
         if (!consume(&d, r, m.hk[sym], m.h[sym]))
             return -1;
         out[o] = (u32)sym;
-    DECODE_END(linear_rescale)
+    DECODE_END
 }
 
-i64 fenwick_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
-                   u32 *out, u32 *a, u32 *b, const i64 *cfg) {
+i64 adaptive_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
+                    u32 *out, u32 *a, u32 *b, const i64 *cfg) {
     i64 top = 1;  /* top_level_index(K) */
     while (top <= cfg[K] >> 1)
         top <<= 1;
@@ -258,7 +210,9 @@ i64 fenwick_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
             return -1;
         out[o] = (u32)bottom;
         if (inc) m.total++; else fenwick_update(&m, bottom);
-    DECODE_END(fenwick_rescale)
+        if (m.interval && (i + 1) % m.interval == 0)
+            fenwick_rescale(&m);
+    DECODE_END
 }
 
 typedef struct {
@@ -303,9 +257,7 @@ static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
     i64 i = st[SYM];                                                       \
     for (i64 end = i + limit; i < end; i++) {                              \
         i64 s = syms[i];
-#define ENCODE_END(rescale)                                                \
-        if (m.interval && (i + 1) % m.interval == 0)                       \
-            rescale(&m);                                                   \
+#define ENCODE_END                                                         \
     }                                                                      \
     for (int j = 0; finish && j < 5; j++)  /* Encoder.finish */            \
         if (!shift_low(&e))                                                \
@@ -318,18 +270,16 @@ static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
 /* Each encode codes syms[st[SYM]:st[SYM] + limit], then flushes if
    `finish`, and returns the bytes now in out, or -1 if out (of `cap`
    bytes) is full (or -2, see MODEL). */
-i64 linear_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
+i64 static_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
                   const u32 *syms, u32 *a, u32 *b, const i64 *cfg) {
-    ENCODE_BEGIN(linear_init)
+    ENCODE_BEGIN(prefix_init)
         if (!encode(&e, m.total, m.hk[s], m.h[s]))
             return -1;
-        if (m.adaptive)
-            linear_update(&m, s);
-    ENCODE_END(linear_rescale)
+    ENCODE_END
 }
 
-i64 fenwick_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
-                   const u32 *syms, u32 *a, u32 *b, const i64 *cfg) {
+i64 adaptive_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
+                    const u32 *syms, u32 *a, u32 *b, const i64 *cfg) {
     ENCODE_BEGIN(fenwick_init)
         /* cum + count: count's walk down to the parent of s + 1 starts cum's */
         i64 parent = (s + 1) & s, j = s, low = 0;
@@ -341,5 +291,7 @@ i64 fenwick_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
         if (!encode(&e, m.total, low, freq))
             return -1;
         fenwick_update(&m, s);
-    ENCODE_END(fenwick_rescale)
+        if (m.interval && (i + 1) % m.interval == 0)
+            fenwick_rescale(&m);
+    ENCODE_END
 }

@@ -1,8 +1,8 @@
 """Loader of the compiled stream loops in ``_loops.c``.
 
 ``lib()`` compiles the C source with ``cc`` and ``CFLAGS`` on its first
-call and loads the result with ``ctypes``; ``-O3`` lets the compiler
-vectorise the linear model's K - sym tail update.  The shared object is
+call and loads the result with ``ctypes``: one encode and one decode
+loop per stream mode, named ``{mode}_{kind}``.  The shared object is
 cached in this package's ``__pycache__``, under a name keyed by a CRC of
 the source and ``CFLAGS``, and written atomically, so later processes
 load it at once; a new build removes the earlier ones beside it.  When
@@ -24,9 +24,8 @@ CFLAGS = ("-O3", "-shared", "-fPIC")
 _P, _N = ctypes.c_void_p, ctypes.c_int64
 _DECODE = (ctypes.c_char_p, _N, _P, _N, _P, _P, _P, _P)
 _ENCODE = (_P, _N, _P, _N, ctypes.c_int, _P, _P, _P, _P)
-_ARGTYPES = {"linear_decode": _DECODE, "table_decode": _DECODE,
-             "fenwick_decode": _DECODE,
-             "linear_encode": _ENCODE, "fenwick_encode": _ENCODE}
+_ARGTYPES = {"static_decode": _DECODE, "adaptive_decode": _DECODE,
+             "static_encode": _ENCODE, "adaptive_encode": _ENCODE}
 
 _UNTRIED = object()
 _lib = _UNTRIED

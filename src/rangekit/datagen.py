@@ -10,6 +10,7 @@ exact rather than a rejection approximation.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 from array import array
@@ -31,7 +32,12 @@ _ISY_SIZE = struct.calcsize(_ISY_FMT)
 def check_symbols(symbols, k: int) -> array:
     """``symbols`` as one ``array('I')``, checked against an alphabet of
     size k by one numpy reduction; a numpy array, whose fixed-width items
-    wrap in index arithmetic, goes through its list of ints."""
+    wrap in index arithmetic, goes through its list of ints.  K is any
+    integer type, numpy's too, as ``operator.index`` takes it."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"alphabet size must be an integer, got {k!r}") from None
     if not 1 <= k <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
     if hasattr(symbols, "tolist"):

@@ -19,6 +19,7 @@ the same loop as one that does not.  Both must stay bit-identical.
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 from array import array
@@ -57,19 +58,6 @@ _RESCALES = ("orig", "new")
 #: this many before it appends them and calls again.
 CHUNK = 1 << 16
 
-#: The least K at which a static stream decodes through a symbol table
-#: (``table_decode``) rather than the bisection of ``linear_decode``:
-#: below it the log2 K bisection steps cost no more than the table read
-#: (``BENCH_static_lookup.json``).
-TABLE_MIN_K = 8
-
-#: The least K at which a halving adaptive stream (linear, or Fenwick
-#: ``orig``) encodes in ``fenwick_encode`` rather than ``linear_encode``:
-#: below it the K - sym tail update costs less than the update chain
-#: (``BENCH_adaptive_loop.json``).  Every adaptive stream decodes in
-#: ``fenwick_decode``, which ties or wins at every K measured.
-FENWICK_MIN_K = 64
-
 #: A decode's default symbol limit: 8 bytes a symbol in the list, 128 MiB.
 MAX_SYMBOLS = 1 << 24
 
@@ -102,7 +90,12 @@ class CoderConfig:
             raise ValueError(f"unknown model: {self.model!r}")
         if self.rescale not in _RESCALES:
             raise ValueError(f"unknown rescale variant: {self.rescale!r}")
-        if not 0 <= self.rescale_interval < 1 << 32:
+        try:
+            interval = operator.index(self.rescale_interval)
+        except TypeError:
+            raise ValueError("rescale interval must be an integer, got "
+                             f"{self.rescale_interval!r}") from None
+        if not 0 <= interval < 1 << 32:
             # the header stores the interval as an unsigned 32-bit field
             raise ValueError("rescale interval must be in [0, 2**32)")
 
@@ -311,7 +304,7 @@ def _make_model(header: StreamHeader):
     # to the fenwick "orig" rounding); the variant field is carried in the
     # header for symmetry but does not change linear behaviour.  So the
     # Python loops stay per model, the reference of each algorithm, while
-    # the compiled ones pick their loop by behaviour (``_compiled_loop``)
+    # the compiled ones run one loop per mode (``_compiled_loop``)
     return LinearModel([1] * header.k)
 
 
@@ -466,36 +459,32 @@ def _decode_python(payload: bytes, offset: int,
 
 def _compiled_loop(lib, kind: str, header: StreamHeader):
     """The compiled ``kind`` loop, "encode" or "decode", of the stream,
-    and the buffers it takes after the symbols: the counts
-    (``header.counts``, which it only reads, or K ones), a K + 1 entry
-    array in which its first call derives ``hk`` or ``v`` and the total,
-    and the settings in ``cfg`` order.  The cap, at which a model
+    ``{mode}_{kind}``, and the buffers it takes after the symbols: the
+    counts (``header.counts``, which it only reads, or K ones), a K + 1
+    entry array in which its first call derives ``hk`` or ``v`` and the
+    total, and the settings in ``cfg`` order.  The cap, at which a model
     rescales and against which the first call checks the total, as
     ``prefix_sums`` does, is ``linear_model.MAX_TOTALCOUNT``, read at call
     time, so a cap patched there applies.  No model is built.
 
-    The loop follows from (kind, behaviour, K), not from the model byte.
-    A static stream codes through the prefix sums, as in ``_make_model``,
-    and decodes in ``table_decode`` from K = ``TABLE_MIN_K``: its symbol
-    table of ``header.total`` uint16 entries follows ``hk`` in that array.
+    The loop follows from the header's mode alone, not from its model
+    byte.  A static stream codes through the prefix sums, as in
+    ``_make_model``, and decodes through a symbol table of
+    ``header.total`` uint16 entries that follows ``hk`` in that array.
     The total is checked before the array is sized from it, and is the
     table's cap: a first call that finds a larger total returns -2 before
-    it writes the table.  An adaptive stream halves its counts (linear,
-    whatever its rescale byte, or Fenwick ``orig``: one bitstream) or
-    rescales by Fenwick ``new``; it decodes in ``fenwick_decode``, and
-    encodes there too unless it halves with K below ``FENWICK_MIN_K``."""
+    it writes the table.  An adaptive stream runs the Fenwick loops: it
+    halves its counts (linear, whatever its rescale byte, or Fenwick
+    ``orig``: one bitstream) unless it rescales by Fenwick ``new``."""
     k, adaptive = header.k, header.mode == "adaptive"
-    new = adaptive and header.model == "fenwick" and header.rescale == "new"
-    family = ("fenwick" if adaptive and (kind == "decode" or new
-                                         or k >= FENWICK_MIN_K) else "linear")
     cap, size = _linear.MAX_TOTALCOUNT, k + 1
-    if kind == "decode" and not adaptive and k >= TABLE_MIN_K:
+    if kind == "decode" and not adaptive:
         _linear.check_total(header.total)
-        family, cap = "table", header.total
+        cap = header.total
         size += (cap + 1) // 2
-    cfg = array("q", (k, adaptive, header.rescale_interval if adaptive else 0,
-                      cap, new))
-    return (getattr(lib, f"{family}_{kind}"),
+    cfg = array("q", (k, header.rescale_interval, cap,
+                      header.model == "fenwick" and header.rescale == "new"))
+    return (getattr(lib, f"{header.mode}_{kind}"),
             (array("I", [1]) * k if adaptive else header.counts,
              array("I", [0]) * size, cfg))
 

@@ -23,7 +23,8 @@ maps c to s by construction.  So decode picks its search by the stream
 alone, whatever the strategy: in the Python loops an adaptive Fenwick
 stream decodes with ``binary_indexed_interval``'s descent and a linear
 stream, static or adaptive, bisects with ``bisect_right``; the compiled
-loops decode every adaptive stream with the descent.  The same fact makes a
+loops decode every adaptive stream with the descent, and every static one
+through a symbol table, one read per symbol.  The same fact makes a
 comparison search's path, and its iteration count, depend on s alone
 (and, for ``log2``, on its first probe), so ``count_iterations`` derives
 the iteration histogram from the decoded symbols and the starting

@@ -23,9 +23,9 @@ from rangekit.datagen import MAX_ALPHABET, GenSpec, gen_sequence
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
-    FENWICK_MIN_K, TABLE_MIN_K, CoderConfig, DecodeStats, Encoder,
-    StreamFormatError, StreamHeader, count_stream, decode_stream,
-    encode_stream, normalize_counts, pack_header, unpack_header,
+    CoderConfig, DecodeStats, Encoder, StreamFormatError, StreamHeader,
+    count_stream, decode_stream, encode_stream, normalize_counts, pack_header,
+    unpack_header,
 )
 from rangekit.search import STRATEGIES, strategy_compatible
 
@@ -177,12 +177,11 @@ def test_table_whose_total_wraps_32_bits_raises_in_the_compiled_loops(model):
     """A hand-built table that ``unpack_header`` never sees, whose total
     2**32 + 1 wraps a 32-bit sum to 1, raises ``check_total``'s
     OverflowError from the loops' own first-call check, which sums in 64
-    bits, on encode and on decode; at ``TABLE_MIN_K`` too, where the
-    decode would read a symbol table sized from the total, and without
-    allocating one."""
+    bits, on encode and on decode, before the decode sizes a symbol table
+    from the total, so without allocating one."""
     lib = _loops.lib()
     want = overflow((1 << 32) + 1, linear_model.MAX_TOTALCOUNT)[1]
-    for k in (3, TABLE_MIN_K):
+    for k in (3, 8):
         header = StreamHeader("static", model, "orig", 0, k, 1,
                               (1 << 31, 1 << 31, 1) + (0,) * (k - 3))
         payload = pack_header(header) + b"\0" * 5
@@ -206,7 +205,7 @@ def test_symbol_table_is_never_written_past_its_size():
     total was read make the first call return -2 before it writes the
     table, and the decode raises; the sanitized build of the loops checks
     that nothing is written out of bounds."""
-    k = TABLE_MIN_K
+    k = 8
     payload = encode_stream(list(range(k)) * 10, k, CoderConfig("static"))
     header, offset = unpack_header(payload)  # reads header.total
     header.counts[0] += 1000
@@ -310,45 +309,20 @@ def test_largest_symbol_fills_the_top_of_the_symbol_table(model):
     assert both_sides(lambda: decode_stream(payload)[1]) == [syms] * 2
 
 
-@pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("k,loop", [(TABLE_MIN_K - 1, "linear_decode"),
-                                    (TABLE_MIN_K, "table_decode")])
-def test_static_decode_reads_a_symbol_table_from_table_min_k(model, k, loop):
-    """A static stream decodes with the bisection below ``TABLE_MIN_K``
-    and through the symbol table at it, and gives the Python loop's
-    symbols either way, on flat and geometric data; with ``CHUNK``
-    lowered to 5, a stream of 3 CHUNK + 1 symbols decodes alike too, so
-    the table the first call writes serves the later calls."""
-    cfg = CoderConfig("static", model)
-    payload = encode_stream([0], k, cfg)
-    chosen = rangecoder._compiled_loop(_loops.lib(), "decode",
-                                       unpack_header(payload)[0])[0]
-    assert chosen.__name__ == loop
-    for dist in ("flat", "geometric"):
-        for n, chunk in ((3000, rangecoder.CHUNK), (16, 5)):
-            syms = gen_sequence(GenSpec(dist, k, n, k)).tolist()
-            with mock.patch.object(rangecoder, "CHUNK", chunk):
-                check_round_trip(syms, k, cfg)
-
-
-@pytest.mark.parametrize("model,rescale", [
-    (model, rescale) for model in MODELS for rescale in RESCALES])
-@pytest.mark.parametrize("k", (FENWICK_MIN_K - 1, FENWICK_MIN_K))
-def test_adaptive_loop_follows_the_behaviour_and_k(model, rescale, k):
-    """Every adaptive stream decodes in ``fenwick_decode``; a halving one
-    (linear, whatever its rescale byte, or Fenwick ``orig``) encodes in
-    ``linear_encode`` below ``FENWICK_MIN_K`` and in ``fenwick_encode`` at
-    it, and a Fenwick ``new`` one in ``fenwick_encode``, the only loop
-    told to rescale by ``new``; each gives the Python loop's bytes and
-    symbols, on flat and geometric data, with ``CHUNK`` lowered to 5 too."""
-    cfg = CoderConfig("adaptive", model, rescale, 100)
-    header = unpack_header(encode_stream([0], k, cfg))[0]
+def check_compiled_loop(mode, model, rescale, k):
+    """A K-symbol stream encodes in ``{mode}_encode`` and decodes in
+    ``{mode}_decode``, told to rescale by ``new`` only when it is a
+    Fenwick ``new`` stream, and gives the Python loop's bytes and
+    symbols, on flat and geometric data, with ``CHUNK`` lowered to 5
+    too, so a static table that the first call writes serves the later
+    calls."""
+    cfg = CoderConfig(mode, model, rescale, 100)
     new = (model, rescale) == ("fenwick", "new")
-    encode = "linear" if k < FENWICK_MIN_K and not new else "fenwick"
-    for kind, family in (("encode", encode), ("decode", "fenwick")):
+    header = unpack_header(encode_stream([0], k, cfg))[0]
+    for kind in ("encode", "decode"):
         loop, (_, _, settings) = rangecoder._compiled_loop(_loops.lib(), kind,
                                                            header)
-        assert loop.__name__ == f"{family}_{kind}"
+        assert loop.__name__ == f"{mode}_{kind}"
         assert settings[-1] == new  # cfg[NEW_RESCALE]
     for dist in ("flat", "geometric"):
         for n, chunk in ((3000, rangecoder.CHUNK), (16, 5)):
@@ -357,8 +331,48 @@ def test_adaptive_loop_follows_the_behaviour_and_k(model, rescale, k):
                 check_round_trip(syms, k, cfg)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("model,rescale", [
+    (model, rescale) for model in MODELS for rescale in RESCALES])
+def test_compiled_loop_follows_the_mode_alone(mode, model, rescale):
+    """Every stream runs its mode's loops at every K, small or large,
+    whatever its model and rescale bytes (``check_compiled_loop``)."""
+    for k in (1, 2, 7, 8, 63, 64, 256):
+        check_compiled_loop(mode, model, rescale, k)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("k,former", [(7, "linear_decode"),
+                                      (8, "table_decode")])
+def test_static_decode_reads_a_symbol_table_from_table_min_k(model, k,
+                                                             former):
+    """K = 7 and 8 sat on either side of a former K switch, which decoded
+    a static stream with a bisection (``linear_decode``) below 8 and
+    through a symbol table (``table_decode``) from 8.  Neither loop is
+    left in the library: both K decode through the symbol table of
+    ``static_decode`` (``check_compiled_loop``)."""
+    assert not hasattr(_loops.lib(), former)
+    check_compiled_loop("static", model, "orig", k)
+
+
+@pytest.mark.parametrize("model,rescale", [
+    (model, rescale) for model in MODELS for rescale in RESCALES])
+@pytest.mark.parametrize("k", (63, 64))
+def test_adaptive_loop_follows_the_behaviour_and_k(model, rescale, k):
+    """K = 63 and 64 sat on either side of a former K switch between a
+    linear and a Fenwick adaptive encode.  No ``linear_*`` or
+    ``fenwick_*`` loop is left in the library: on both sides every
+    adaptive stream runs ``adaptive_encode`` and ``adaptive_decode``, and
+    only a Fenwick ``new`` one rescales by ``new`` (``check_compiled_loop``)."""
+    lib = _loops.lib()
+    for family in ("linear", "fenwick"):
+        for kind in ("encode", "decode"):
+            assert not hasattr(lib, f"{family}_{kind}")
+    check_compiled_loop("adaptive", model, rescale, k)
+
+
 @pytest.mark.parametrize("interval", (0, 7))
-@pytest.mark.parametrize("k", (3, FENWICK_MIN_K - 1, FENWICK_MIN_K, 256))
+@pytest.mark.parametrize("k", (3, 63, 64, 256))
 def test_adaptive_linear_stream_with_rescale_byte_new_halves(k, interval):
     """A linear header's rescale byte changes nothing: with the byte set
     to ``new``, the compiled loops, which decode it in the Fenwick loop,

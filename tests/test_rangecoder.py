@@ -4,6 +4,7 @@ import struct
 from array import array
 from collections import Counter
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rangekit.datagen import MAX_ALPHABET
 from rangekit.fenwick_model import FenwickModel
-from rangekit import linear_model
+from rangekit import linear_model, rangecoder
 from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
     MAGIC, MASK32, MAX_SYMBOLS, STATIC_TOTAL_LIMIT, TOP, VERSION, CoderConfig,
@@ -331,6 +332,22 @@ def test_config_validation():
         CoderConfig(rescale_interval=-1)
     with pytest.raises(ValueError):
         CoderConfig(rescale_interval=1 << 32)
+
+
+def test_non_integer_settings_raise_value_error_before_any_bytes():
+    """A float rescale interval or alphabet size raises ValueError when
+    the config is built or the symbols are checked, not struct.error
+    from ``pack_header``; numpy integers are integers."""
+    with mock.patch.object(rangecoder, "pack_header",
+                           side_effect=AssertionError("bytes produced")):
+        with pytest.raises(ValueError, match="rescale interval must be an integer"):
+            CoderConfig(rescale_interval=1.5)
+        with pytest.raises(ValueError, match="alphabet size must be an integer"):
+            encode_stream([0, 1], 2.0, CoderConfig())
+    cfg = CoderConfig("adaptive", "linear", "orig", np.int64(3))
+    payload = encode_stream([0, 1, 1], np.int64(2), cfg)
+    assert payload == encode_stream([0, 1, 1], 2, CoderConfig(rescale_interval=3))
+    assert decode_stream(payload)[1] == [0, 1, 1]
 
 
 def test_largest_rescale_interval_encodes():

@@ -5,7 +5,7 @@
 builds ``_loops.c`` with the flags it ships with, ``_loops.CFLAGS``, plus
 ``-g -fno-omit-frame-pointer -fsanitize=address,undefined
 -fno-sanitize-recover=all``, so that the sanitizers check the code that
-runs, vectorised loops included.  It reruns ``tests/test_loops.py`` and
+runs, at the optimisation level it ships with.  It reruns ``tests/test_loops.py`` and
 the mutated-stream test of ``tests/test_rangecoder.py`` in a child pytest
 that loads that build, with gcc's ASan runtime preloaded and
 ``PYTHONMALLOC=malloc``, so that every buffer the loops are handed comes
