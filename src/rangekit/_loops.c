@@ -12,23 +12,34 @@
    Python loop into one walk: the decode's descent is
    binary_indexed_interval + update, and the encode's walk is cum +
    count.  At the count cap a model rescales before the increment, and
-   an adaptive loop rescales after every cfg[INTERVAL]-th symbol.  Each
-   rescale raises st[RESCALES], the one work counter (see count_stream).
+   an adaptive loop rescales after every f[INTERVAL]-th symbol.  Each
+   rescale raises f[RESCALES], the one work counter (see count_stream).
 
-   No Python model is built for them.  Each loop takes the stream's
-   uint32 count vector h (K entries) and a K + 1 entry buffer, and on a
-   stream's first call (st[SYM] == 0) derives its working array there,
-   with the total: the prefix sums hk in a static stream, and v in an
-   adaptive one.  static_decode's buffer has room for its symbol table
+   No Python model is built for them.  Each loop reads the addresses of
+   the stream's uint32 count vector h (K entries) and of a K + 1 entry
+   work buffer from its frame (below), and on a stream's first call
+   (f[SYM] == 0) derives its working array there, with the total: the
+   prefix sums hk in a static stream, and v in an adaptive one.  static_decode's buffer has room for its symbol table
    after hk, ceil(total / 2) more entries, which the first call fills and
    later calls read.  A static stream's h is the caller's table, which no
    loop writes.  That first call also checks the total, summed in 64 bits
-   so that no table wraps it, against cfg[CAP]: above it, it stores the
-   total in st[TOTAL] and returns -2 before coding anything or writing a
+   so that no table wraps it, against f[CAP]: above it, it stores the
+   total in f[TOTAL] and returns -2 before coding anything or writing a
    symbol table.  A total within the cap (at most 2^20) keeps every count
-   and sum within 32 bits.  A call codes at most `limit` symbols and
-   resumes from st[], so the caller decides how many symbols a call may
-   produce. */
+   and sum within 32 bits.  A call codes at most f[LIMIT] symbols and
+   resumes from f[], so the caller decides how many symbols a call may
+   produce.
+
+   Each loop takes two arguments: the bytes it reads (decode) or writes
+   (encode), and the stream's frame f[], one int64 array laid out by
+   enum frame and mirrored by _loops.FRAME.  The frame holds what a call
+   resumes from, the stream's settings, the call's bounds and the
+   addresses of its buffers, so a call through ctypes converts two
+   arguments, not eight or nine, and a later call of the stream sets
+   only f[LIMIT] (and f[FINISH]).  first_pass is an encode's one read of
+   its symbols before the loop: the range check against K and, for a
+   static stream, the histogram that becomes the header's counts, so a
+   static encode of a short stream makes no numpy call. */
 
 #include <stdint.h>
 
@@ -36,14 +47,25 @@ typedef int64_t i64; typedef uint32_t u32; typedef uint64_t u64;
 
 #define TOP (1u << 24)
 
-/* st[]: what a call resumes from (CODE holds `low` when encoding; the
-   first call sets TOTAL), in 8 slots on encode and decode alike */
-enum { RNG, CODE, POS, SYM, TOTAL, CACHE, CACHE_SIZE, RESCALES };
-/* cfg[]: the stream's settings, of which the static loops read K and
-   CAP; CAP, linear_model.MAX_TOTALCOUNT, is where a model rescales and
-   what the first call checks the total against (for static_decode, the
-   total its symbol table has room for) */
-enum { K, INTERVAL, CAP, NEW_RESCALE };
+/* f[], the frame: what a call resumes from (CODE holds `low` when
+   encoding; the first call sets TOTAL); the stream's settings, of which
+   the static loops read K and CAP, where CAP, linear_model.MAX_TOTALCOUNT,
+   is where a model rescales and what the first call checks the total
+   against (for static_decode, the total its symbol table has room for);
+   the call's bounds: LEN, the payload's length on decode and the output's
+   room on encode, LIMIT, the most symbols a call codes, and FINISH, set
+   on an encode's last call to flush; and the buffers' addresses: SYMS,
+   the uint32 symbols an encode reads or a decode writes, H, the K counts,
+   and WORK, the working array */
+enum frame {
+    RNG, CODE, POS, SYM, TOTAL, CACHE, CACHE_SIZE, RESCALES,
+    K, INTERVAL, CAP, NEW_RESCALE,
+    LEN, LIMIT, FINISH,
+    SYMS, H, WORK
+};
+
+/* the buffer at the address in slot i of the frame */
+#define ADDR(type, i) ((type)(intptr_t)f[i])
 
 typedef struct {
     u32 *h, *hk, *v;
@@ -135,34 +157,37 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
     return 1;
 }
 
-/* the model of a call: the counts h = a, the working array hk = v = b;
-   a stream's first call derives the array and the total with `init`,
-   and returns -2 with the total in st[TOTAL] if it is above cfg[CAP] */
+/* the model of a call: the counts h, the working array hk = v; a
+   stream's first call derives the array and the total with `init`, and
+   returns -2 with the total in f[TOTAL] if it is above f[CAP] */
 #define MODEL(init)                                                        \
-    Model m = {a, b, b, cfg[K], cfg[INTERVAL], cfg[CAP], cfg[NEW_RESCALE], \
-               st[TOTAL], st[RESCALES]};                                   \
-    if (st[SYM] == 0) {                                                    \
+    u32 *work = ADDR(u32 *, WORK);                                         \
+    Model m = {ADDR(u32 *, H), work, work, f[K], f[INTERVAL], f[CAP],      \
+               f[NEW_RESCALE], f[TOTAL], f[RESCALES]};                     \
+    if (f[SYM] == 0) {                                                     \
         init(&m);                                                          \
         if (m.total > m.cap) {                                             \
-            st[TOTAL] = m.total;                                           \
+            f[TOTAL] = m.total;                                            \
             return -2;                                                     \
         }                                                                  \
     }
 /* the loop head and tail the decodes share */
 #define DECODE_BEGIN(init)                                                 \
     MODEL(init)                                                            \
-    Dec d = {buf, len, st[POS], (u32)st[RNG], (u32)st[CODE]};              \
-    i64 i = st[SYM];                                                       \
+    u32 *out = ADDR(u32 *, SYMS);                                          \
+    Dec d = {buf, f[LEN], f[POS], (u32)f[RNG], (u32)f[CODE]};              \
+    i64 i = f[SYM], limit = f[LIMIT];                                      \
     for (i64 o = 0; o < limit; o++, i++) {
 #define DECODE_END                                                         \
     }                                                                      \
-    st[RNG] = d.rng; st[CODE] = d.code; st[POS] = d.pos;                   \
-    st[SYM] = i; st[TOTAL] = m.total; st[RESCALES] = m.rescales;           \
+    f[RNG] = d.rng; f[CODE] = d.code; f[POS] = d.pos;                      \
+    f[SYM] = i; f[TOTAL] = m.total; f[RESCALES] = m.rescales;              \
     return limit;
 
 /* A static stream's symbol table: tab[c] is the symbol whose interval
    holds code value c, one uint16 entry for each c in [0, total), held in
-   b after hk, where the first call writes it after the total check */
+   the work array after hk, where the first call writes it after the
+   total check */
 static void table_init(Model *m) {
     prefix_init(m);
     if (m->total > m->cap)
@@ -173,12 +198,11 @@ static void table_init(Model *m) {
             tab[c] = (uint16_t)s;
 }
 
-/* Each decode writes `limit` symbols to out and returns `limit`, or
-   returns -1 once the payload ends before the last of them (or -2, see
-   MODEL). */
-i64 static_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
-                  u32 *out, u32 *a, u32 *b, const i64 *cfg) {
-    const uint16_t *tab = (const uint16_t *)(b + cfg[K] + 1);
+/* Each decode reads buf[0:f[LEN]], writes f[LIMIT] symbols to f[SYMS]
+   and returns f[LIMIT], or returns -1 once the payload ends before the
+   last of them (or -2, see MODEL). */
+i64 static_decode(const unsigned char *buf, i64 *f) {
+    const uint16_t *tab = (const uint16_t *)(ADDR(u32 *, WORK) + f[K] + 1);
     DECODE_BEGIN(table_init)
         u32 r, c = target(&d, m.total, &r);
         i64 sym = tab[c];
@@ -188,25 +212,24 @@ i64 static_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
     DECODE_END
 }
 
-i64 adaptive_decode(const unsigned char *buf, i64 len, i64 *st, i64 limit,
-                    u32 *out, u32 *a, u32 *b, const i64 *cfg) {
+i64 adaptive_decode(const unsigned char *buf, i64 *f) {
     i64 top = 1;  /* top_level_index(K) */
-    while (top <= cfg[K] >> 1)
+    while (top <= f[K] >> 1)
         top <<= 1;
     DECODE_BEGIN(fenwick_init)
         /* binary_indexed_interval + update: raise each probe not taken,
            unless at the cap, where update rescales first */
         u32 r, c0 = target(&d, m.total, &r);
-        i64 c = c0, f = m.total - c, bottom = 0, inc = m.total < m.cap;
+        i64 c = c0, rest = m.total - c, bottom = 0, inc = m.total < m.cap;
         for (i64 step = top; step; step >>= 1) {
             i64 test = bottom + step;
             if (test > m.k)
                 continue;
             i64 x = m.v[test];
             if (c >= x) { bottom = test; c -= x; }
-            else { f = x - c; m.v[test] = x + inc; }
+            else { rest = x - c; m.v[test] = x + inc; }
         }
-        if (!consume(&d, r, c0 - c, f + c))
+        if (!consume(&d, r, c0 - c, rest + c))
             return -1;
         out[o] = (u32)bottom;
         if (inc) m.total++; else fenwick_update(&m, bottom);
@@ -252,34 +275,33 @@ static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
 
 #define ENCODE_BEGIN(init)                                                 \
     MODEL(init)                                                            \
-    Enc e = {out, cap, st[POS], st[CACHE], st[CACHE_SIZE],                 \
-             (u64)st[CODE], (u32)st[RNG]};                                 \
-    i64 i = st[SYM];                                                       \
-    for (i64 end = i + limit; i < end; i++) {                              \
+    const u32 *syms = ADDR(const u32 *, SYMS);                             \
+    Enc e = {out, f[LEN], f[POS], f[CACHE], f[CACHE_SIZE],                 \
+             (u64)f[CODE], (u32)f[RNG]};                                   \
+    i64 i = f[SYM];                                                        \
+    for (i64 end = i + f[LIMIT]; i < end; i++) {                           \
         i64 s = syms[i];
 #define ENCODE_END                                                         \
     }                                                                      \
-    for (int j = 0; finish && j < 5; j++)  /* Encoder.finish */            \
+    for (int j = 0; f[FINISH] && j < 5; j++)  /* Encoder.finish */         \
         if (!shift_low(&e))                                                \
             return -1;                                                     \
-    st[RNG] = e.rng; st[CODE] = (i64)e.low; st[POS] = e.pos;               \
-    st[SYM] = i; st[TOTAL] = m.total; st[RESCALES] = m.rescales;           \
-    st[CACHE] = e.cache; st[CACHE_SIZE] = e.cache_size;                    \
+    f[RNG] = e.rng; f[CODE] = (i64)e.low; f[POS] = e.pos;                  \
+    f[SYM] = i; f[TOTAL] = m.total; f[RESCALES] = m.rescales;              \
+    f[CACHE] = e.cache; f[CACHE_SIZE] = e.cache_size;                      \
     return e.pos;
 
-/* Each encode codes syms[st[SYM]:st[SYM] + limit], then flushes if
-   `finish`, and returns the bytes now in out, or -1 if out (of `cap`
-   bytes) is full (or -2, see MODEL). */
-i64 static_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
-                  const u32 *syms, u32 *a, u32 *b, const i64 *cfg) {
+/* Each encode codes f[SYMS][f[SYM]:f[SYM] + f[LIMIT]] to out, then
+   flushes if f[FINISH], and returns the bytes now in out, or -1 if out
+   (of f[LEN] bytes) is full (or -2, see MODEL). */
+i64 static_encode(unsigned char *out, i64 *f) {
     ENCODE_BEGIN(prefix_init)
         if (!encode(&e, m.total, m.hk[s], m.h[s]))
             return -1;
     ENCODE_END
 }
 
-i64 adaptive_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
-                    const u32 *syms, u32 *a, u32 *b, const i64 *cfg) {
+i64 adaptive_encode(unsigned char *out, i64 *f) {
     ENCODE_BEGIN(fenwick_init)
         /* cum + count: count's walk down to the parent of s + 1 starts cum's */
         i64 parent = (s + 1) & s, j = s, low = 0;
@@ -294,4 +316,19 @@ i64 adaptive_encode(unsigned char *out, i64 cap, i64 *st, i64 limit, int finish,
         if (m.interval && (i + 1) % m.interval == 0)
             fenwick_rescale(&m);
     ENCODE_END
+}
+
+/* An encode's first pass over syms[0:n]: the index of the first symbol
+   at or above k, or n if there is none.  A non-NULL hist, k entries of
+   zero, gets the count of each symbol before that index: for a static
+   stream, the header's counts. */
+i64 first_pass(const u32 *syms, i64 n, i64 k, u32 *hist) {
+    i64 i = 0;
+    if (hist)
+        for (; i < n && syms[i] < k; i++)
+            hist[syms[i]]++;
+    else
+        for (; i < n && syms[i] < k; i++)
+            ;
+    return i;
 }

@@ -2,7 +2,10 @@
 
 ``lib()`` compiles the C source with ``cc`` and ``CFLAGS`` on its first
 call and loads the result with ``ctypes``: one encode and one decode
-loop per stream mode, named ``{mode}_{kind}``.  The shared object is
+loop per stream mode, named ``{mode}_{kind}``, and ``first_pass``, an
+encode's range check and static histogram.  Each loop takes the bytes
+it reads or writes and the address of the stream's frame, one
+``array('q')`` whose slots ``FRAME`` names.  The shared object is
 cached in this package's ``__pycache__``, under a name keyed by a CRC of
 the source and ``CFLAGS``, and written atomically, so later processes
 load it at once; a new build removes the earlier ones beside it.  When
@@ -21,11 +24,18 @@ from pathlib import Path
 _SOURCE = Path(__file__).with_name("_loops.c")
 CFLAGS = ("-O3", "-shared", "-fPIC")
 
+#: The slots of a loop's frame, in the order of ``enum frame`` in
+#: ``_loops.c``: what a call resumes from, the stream's settings, the
+#: call's bounds and the addresses of its buffers.
+FRAME = ("rng", "code", "pos", "sym", "total", "cache", "cache_size",
+         "rescales", "k", "interval", "cap", "new_rescale", "len", "limit",
+         "finish", "syms", "h", "work")
+
 _P, _N = ctypes.c_void_p, ctypes.c_int64
-_DECODE = (ctypes.c_char_p, _N, _P, _N, _P, _P, _P, _P)
-_ENCODE = (_P, _N, _P, _N, ctypes.c_int, _P, _P, _P, _P)
-_ARGTYPES = {"static_decode": _DECODE, "adaptive_decode": _DECODE,
-             "static_encode": _ENCODE, "adaptive_encode": _ENCODE}
+_LOOP = (_P, _P)  # the bytes (a bytes object or an address), the frame
+_ARGTYPES = {"static_decode": _LOOP, "adaptive_decode": _LOOP,
+             "static_encode": _LOOP, "adaptive_encode": _LOOP,
+             "first_pass": (_P, _N, _N, _P)}
 
 _UNTRIED = object()
 _lib = _UNTRIED

@@ -29,11 +29,12 @@ _ISY_FMT = "<4sIQ"
 _ISY_SIZE = struct.calcsize(_ISY_FMT)
 
 
-def check_symbols(symbols, k: int) -> array:
-    """``symbols`` as one ``array('I')``, checked against an alphabet of
-    size k by one numpy reduction; a numpy array, whose fixed-width items
-    wrap in index arithmetic, goes through its list of ints.  K is any
-    integer type, numpy's too, as ``operator.index`` takes it."""
+def convert_symbols(symbols, k) -> tuple[array, int]:
+    """``symbols`` as one ``array('I')``, and the alphabet size k as an
+    int, checked except for symbols at or above K below 2**32: the
+    conversion of ``check_symbols``.  A numpy array, whose fixed-width
+    items wrap in index arithmetic, goes through its list of ints.  K is
+    any integer type, numpy's too, as ``operator.index`` takes it."""
     try:
         k = operator.index(k)
     except TypeError:
@@ -46,12 +47,23 @@ def check_symbols(symbols, k: int) -> array:
         # an iterator must survive a rescan; bytes would fill the array as words
         symbols = list(symbols)
     try:
-        data = array("I", symbols)
+        return array("I", symbols), k
     except OverflowError:  # a symbol below 0 or at or above 2**32
-        data = None
-    if data is None or (data and np.frombuffer(data, np.uint32).max() >= k):
-        bad = next(s for s in symbols if not 0 <= s < k)
-        raise ValueError(f"symbol {bad} outside alphabet of size {k}")
+        raise outside_alphabet(next(s for s in symbols if not 0 <= s < k),
+                               k) from None
+
+
+def outside_alphabet(symbol: int, k: int) -> ValueError:
+    """The error that names the first symbol outside an alphabet of size k."""
+    return ValueError(f"symbol {symbol} outside alphabet of size {k}")
+
+
+def check_symbols(symbols, k) -> array:
+    """``symbols`` as one ``array('I')`` (``convert_symbols``), checked
+    against an alphabet of size k by one numpy reduction."""
+    data, k = convert_symbols(symbols, k)
+    if data and np.frombuffer(data, np.uint32).max() >= k:
+        raise outside_alphabet(next(s for s in data if s >= k), k)
     return data
 
 

@@ -34,7 +34,8 @@ import numpy as np
 from . import _loops
 from . import fenwick_model as _fenwick
 from . import linear_model as _linear
-from .datagen import MAX_ALPHABET, check_symbols
+from .datagen import (MAX_ALPHABET, check_symbols, convert_symbols,
+                      outside_alphabet)
 from .fenwick_model import FenwickModel
 from .linear_model import MAX_TOTALCOUNT, LinearModel
 from . import search as _search
@@ -232,11 +233,14 @@ def pack_header(header: StreamHeader) -> bytes:
         header.k, header.n,
     )
     if header.mode == "static":
-        table = np.asarray(header.counts, "<u4")  # a view on little-endian hosts
+        table = header.counts
         if len(table) != header.k:
             raise ValueError(f"{len(table)} counts for an alphabet of size "
                              f"{header.k}")
-        out += table.tobytes()
+        if sys.byteorder == "big":
+            table = array("I", table)
+            table.byteswap()
+        out += table
     return out
 
 
@@ -278,8 +282,9 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
 
 
 def normalize_counts(counts) -> array:
-    """Divide first-pass counts (an ``np.bincount`` result or a list) so
-    their total fits in STATIC_TOTAL_LIMIT, into an ``array('I')`` table.
+    """Divide first-pass counts (an ``array('I')``, an ``np.bincount``
+    result or a list) so their total fits in STATIC_TOTAL_LIMIT, into an
+    ``array('I')`` table.
 
     Nonzero counts never drop below one, so every observed symbol keeps a
     valid interval; that adds at most one per symbol, so the scaled total
@@ -315,23 +320,41 @@ def default_strategy(model: str) -> str:
 def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     """Compress a symbol sequence into a self-describing stream.
 
-    ``check_symbols`` converts the sequence once, to the ``array('I')``
-    both loops take, and checks it before either loop runs: the compiled
-    loops index the model unchecked.  A static stream's first pass is one
-    ``np.bincount`` of that array."""
-    symbols = check_symbols(symbols, k)
-    counts = None
-    if config.mode == "static":
-        counts = normalize_counts(
-            np.bincount(np.frombuffer(symbols, np.uint32), minlength=k))
+    The sequence is converted once, to the ``array('I')`` both loops
+    take, and read once more before either loop runs, to check it
+    against K (the compiled loops index the model unchecked) and count a
+    static stream's symbols: by ``first_pass`` in C where the compiled
+    loops loaded, else by ``check_symbols`` and one ``np.bincount``.
+    The histogram's total is the symbol count, so a stream of at most
+    ``STATIC_TOTAL_LIMIT`` symbols takes it as its table unscaled."""
+    lib = _loops.lib()
+    static = config.mode == "static"
+    if lib is None:
+        symbols = check_symbols(symbols, k)
+        counts = _histogram(symbols, k) if static else None
+    else:
+        symbols, k = convert_symbols(symbols, k)
+        counts = array("I", [0]) * k if static else None
+        bad = lib.first_pass(_address(symbols), len(symbols), k,
+                             None if counts is None else _address(counts))
+        if bad < len(symbols):
+            raise outside_alphabet(symbols[bad], k)
+    if static and len(symbols) > STATIC_TOTAL_LIMIT:
+        counts = normalize_counts(counts)
     header = StreamHeader(config.mode, config.model, config.rescale,
-                          config.rescale_interval if config.mode == "adaptive" else 0,
+                          0 if static else config.rescale_interval,
                           k, len(symbols), counts)
     head = pack_header(header)
-    lib = _loops.lib()
     coded = (_encode_python(symbols, header, _make_model(header)) if lib is None
              else _encode_compiled(lib, symbols, header))
     return b"".join((head, coded))
+
+
+def _histogram(symbols: array, k: int) -> array:
+    """The count of each symbol of ``symbols``, all below K, as the K
+    entries of an ``array('I')``."""
+    counts = np.bincount(np.frombuffer(symbols, np.uint32), minlength=k)
+    return array("I", counts.astype(np.uint32).tobytes())
 
 
 def _encode_python(symbols: array, header: StreamHeader, model) -> bytes:
@@ -457,15 +480,32 @@ def _decode_python(payload: bytes, offset: int,
     return symbols, offset + dec.pos, rescales
 
 
-def _compiled_loop(lib, kind: str, header: StreamHeader):
+# the frame slots that the stream functions set or read between calls
+_F_TOTAL, _F_RESCALES, _F_POS, _F_LIMIT, _F_FINISH = map(
+    _loops.FRAME.index, ("total", "rescales", "pos", "limit", "finish"))
+
+
+class _Frame(array):
+    """A compiled loop's frame, which keeps alive the buffers whose
+    addresses it holds."""
+    __slots__ = ("buffers",)
+
+
+def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
+                   length: int, pos: int = 0, code: int = 0):
     """The compiled ``kind`` loop, "encode" or "decode", of the stream,
-    ``{mode}_{kind}``, and the buffers it takes after the symbols: the
-    counts (``header.counts``, which it only reads, or K ones), a K + 1
-    entry array in which its first call derives ``hk`` or ``v`` and the
-    total, and the settings in ``cfg`` order.  The cap, at which a model
-    rescales and against which the first call checks the total, as
-    ``prefix_sums`` does, is ``linear_model.MAX_TOTALCOUNT``, read at call
-    time, so a cap patched there applies.  No model is built.
+    ``{mode}_{kind}``, and its frame: the starting state (the range
+    2**32 - 1, the position ``pos``, ``code``, which is ``low`` in an
+    encode, and a cache size of one, which only an encode reads), the
+    settings, the payload's length or the output's room ``length``, and
+    the addresses of ``syms`` (the symbols encoded or the room for those
+    decoded), the counts (``header.counts``, which the loop only reads,
+    or K ones) and a K + 1 entry array in which its first call derives
+    ``hk`` or ``v`` and the total.  The frame keeps the three buffers
+    alive.  The cap, at which a model rescales and against which
+    the first call checks the total, as ``prefix_sums`` does, is
+    ``linear_model.MAX_TOTALCOUNT``, read at call time, so a cap patched
+    there applies.  No model is built.
 
     The loop follows from the header's mode alone, not from its model
     byte.  A static stream codes through the prefix sums, as in
@@ -482,11 +522,16 @@ def _compiled_loop(lib, kind: str, header: StreamHeader):
         _linear.check_total(header.total)
         cap = header.total
         size += (cap + 1) // 2
-    cfg = array("q", (k, header.rescale_interval, cap,
-                      header.model == "fenwick" and header.rescale == "new"))
-    return (getattr(lib, f"{header.mode}_{kind}"),
-            (array("I", [1]) * k if adaptive else header.counts,
-             array("I", [0]) * size, cfg))
+    counts = array("I", [1]) * k if adaptive else header.counts
+    work = array("I", [0]) * size
+    new_rescale = header.model == "fenwick" and header.rescale == "new"
+    frame = _Frame("q", (  # in _loops.FRAME order, one array: no names to look up
+        MASK32, code, pos, 0, 0, 0, 1, 0,  # rng, code, pos, sym .. rescales
+        k, header.rescale_interval, cap, new_rescale,
+        length, 0, 0,  # len; limit and finish, set for each call
+        _address(syms), _address(counts), _address(work)))
+    frame.buffers = syms, counts, work
+    return getattr(lib, f"{header.mode}_{kind}"), frame
 
 
 def _address(buf: array) -> int:
@@ -496,22 +541,21 @@ def _address(buf: array) -> int:
 def _encode_compiled(lib, data: array, header: StreamHeader) -> memoryview:
     """``_encode_python`` in the compiled loop, ``CHUNK`` symbols a call:
     a view of the coded bytes in the loop's output buffer."""
-    loop, buffers = _compiled_loop(lib, "encode", header)
     # before a symbol the range is at least 2**24 and the total at most
     # 2**20, so the symbol leaves a range of at least 16 and shifts out
     # at most three bytes; the flush shifts out five
-    out = array("B", [0]) * (3 * len(data) + 5)
-    # range, low, bytes out, symbols coded, total, cache, cache size, rescales
-    state = array("q", (MASK32, 0, 0, 0, 0, 0, 1, 0))
-    args = [_address(x) for x in (data, *buffers)]
+    room = 3 * len(data) + 5
+    loop, frame = _compiled_loop(lib, "encode", header, data, room)
+    out = array("B", [0]) * room
+    at, frame_at = _address(out), _address(frame)
     done = 0
     while True:
         step = min(len(data) - done, CHUNK)
         done += step
-        size = loop(_address(out), len(out), _address(state), step,
-                    done == len(data), *args)
-        if size < 0:  # -2 leaves a total above the limit in st[TOTAL]
-            _linear.check_total(state[4])
+        frame[_F_LIMIT], frame[_F_FINISH] = step, done == len(data)
+        size = loop(at, frame_at)
+        if size < 0:  # -2 leaves a total above the limit in the frame
+            _linear.check_total(frame[_F_TOTAL])
             raise RuntimeError("compiled encode ran past its output bound")
         if done == len(data):
             return memoryview(out)[:size]
@@ -523,23 +567,22 @@ def _decode_compiled(lib, payload: bytes, offset: int,
     the buffer never grows with the header's symbol count, and signals
     are handled between calls.  An empty stream takes one call too, which
     checks its count total."""
-    loop, buffers = _compiled_loop(lib, "decode", header)
     n = header.n
     out = array("I", [0]) * min(n, CHUNK)
-    # range, code, payload position, symbols decoded, total, -, -, rescales;
     # the first payload byte is the flush artifact and falls out of 32 bits
-    code = int.from_bytes(payload[offset + 1:offset + 5], "big")
-    state = array("q", (MASK32, code, offset + 5, 0, 0, 0, 0, 0))
-    args = [_address(x) for x in (out, *buffers)]
+    loop, frame = _compiled_loop(
+        lib, "decode", header, out, len(payload), offset + 5,
+        int.from_bytes(payload[offset + 1:offset + 5], "big"))
+    frame_at = _address(frame)
     symbols: list[int] = []
     while True:
-        got = loop(payload, len(payload), _address(state),
-                   min(n - len(symbols), CHUNK), *args)
-        if got < 0:  # -2 leaves a total above the limit in st[TOTAL]
-            _linear.check_total(state[4])
+        frame[_F_LIMIT] = min(n - len(symbols), CHUNK)
+        got = loop(payload, frame_at)
+        if got < 0:  # -2 leaves a total above the limit in the frame
+            _linear.check_total(frame[_F_TOTAL])
             raise StreamFormatError("payload ends before the last symbol")
         if got == n:  # one call decoded the whole stream
-            return out.tolist(), state[2], state[7]
+            return out.tolist(), frame[_F_POS], frame[_F_RESCALES]
         symbols += out[:got].tolist()
         if len(symbols) == n:
-            return symbols, state[2], state[7]
+            return symbols, frame[_F_POS], frame[_F_RESCALES]

@@ -322,13 +322,20 @@ def _tree_count(hk, adaptive):
 
 def _log2_count(hk, adaptive):
     k = len(hk) - 1
-    i_mid = k >> 1 if adaptive else determine_initial_split(hk)
+    if not adaptive:
+        i_mid = determine_initial_split(hk)
+        return lambda sym: log2_search(hk[sym], hk, i_mid)[1]
+    # the first probe moves after each symbol; with hk fixed, a count
+    # depends on (i_mid, sym) alone, and a stream repeats few such pairs
+    i_mid, memo = k >> 1, {}
 
     def iterations(sym):
         nonlocal i_mid
-        iters = log2_search(hk[sym], hk, i_mid)[1]
-        if adaptive:  # the first probe moves after each symbol
-            i_mid = adapt_initial_split(k, i_mid, sym)
+        key = i_mid, sym
+        iters = memo.get(key)
+        if iters is None:
+            iters = memo[key] = log2_search(hk[sym], hk, i_mid)[1]
+        i_mid = adapt_initial_split(k, i_mid, sym)
         return iters
 
     return iterations
@@ -387,7 +394,8 @@ def count_iterations(strategy: str, hk, adaptive: bool, symbols,
     code value decoding to that symbol took, at any point of the stream.
     So each distinct symbol is counted once, weighted by how often it
     occurs, except by adaptive ``log2``, which keeps state between
-    symbols and replays every symbol in order.  ``tally``, if given, is
+    symbols and replays every symbol in order, searching once per
+    distinct (first probe, symbol) pair.  ``tally``, if given, is
     ``Counter(symbols)``, so a caller that counts several strategies over
     one decode tallies its symbols once.
     """

@@ -7,9 +7,11 @@ give the same bytes, the same symbols and the same errors.
 
 import contextlib
 import random
+import re
 import struct
 import tracemalloc
 from array import array
+from collections import Counter
 from itertools import accumulate
 from unittest import mock
 
@@ -23,7 +25,8 @@ from rangekit.datagen import MAX_ALPHABET, GenSpec, gen_sequence
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
-    CoderConfig, DecodeStats, Encoder, StreamFormatError, StreamHeader,
+    MASK32, STATIC_TOTAL_LIMIT, CoderConfig, DecodeStats, Encoder,
+    StreamFormatError, StreamHeader,
     count_stream, decode_stream, encode_stream, normalize_counts, pack_header,
     unpack_header,
 )
@@ -148,6 +151,110 @@ def test_float_symbol_raises_type_error_on_both_loops(mode, model):
                 encode_stream(syms, 10, CoderConfig(mode, model))
 
 
+def symbol_inputs(syms, k):
+    """``syms`` as a list, a generator and each numpy array that holds
+    them all: uint8 and uint16 where K fits, int64 always."""
+    inputs = [lambda: list(syms), lambda: (s for s in syms)]
+    for dtype in (np.uint8, np.uint16, np.int64):
+        info = np.iinfo(dtype)
+        if info.min <= min(syms, default=0) and max(syms, default=0) <= info.max:
+            inputs.append(lambda dtype=dtype: np.array(syms, dtype=dtype))
+    return inputs
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k", (1, 10, 256, MAX_ALPHABET))
+def test_first_pass_checks_symbols_as_check_symbols_does(mode, k):
+    """The compiled first pass takes K - 1 and names the first symbol at
+    K, as ``check_symbols`` does for the Python loops, and a symbol below
+    0 or at 2**32 fails the conversion both share: for a list, a
+    generator, numpy uint8, uint16 and int64 arrays and the empty
+    sequence, both loops give the same payload or ``ValueError`` text."""
+    cfg = CoderConfig(mode, "linear", "orig", 3 if mode == "adaptive" else 0)
+    good = [k - 1, 0, k // 2, k - 1]
+    for syms in ([], good):
+        want = encode_stream(syms, k, cfg)
+        for make in symbol_inputs(syms, k):
+            assert both_sides(lambda: encode_stream(make(), k, cfg)) == [want] * 2
+    for bad in (k, -1, 1 << 32):
+        syms = good + [bad, k - 1, k]
+        want = (ValueError, f"symbol {bad} outside alphabet of size {k}")
+        for make in symbol_inputs(syms, k):
+            assert both_sides(lambda: encode_stream(make(), k, cfg),
+                              ValueError) == [want] * 2
+
+
+@pytest.mark.parametrize("k", (1, 256))
+def test_first_pass_returns_the_first_symbol_at_or_above_k(k):
+    """``first_pass`` returns the index of the first symbol at or above K
+    (n if none) and, given a histogram, counts the symbols before it."""
+    lib = _loops.lib()
+    for syms, first in (([], 0), ([0] * 5, 5), ([k - 1, k, 0, k + 1], 1),
+                        ([k, 0], 0), ([0, 0, (1 << 32) - 1], 2)):
+        data = array("I", syms)
+        hist = array("I", [0]) * k
+        at = rangecoder._address
+        assert lib.first_pass(at(data), len(data), k, None) == first
+        assert lib.first_pass(at(data), len(data), k, at(hist)) == first
+        tally = Counter(syms[:first])
+        assert hist.tolist() == [tally[s] for s in range(k)]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_static_histogram_is_scaled_only_above_the_limit(model):
+    """A static stream of ``STATIC_TOTAL_LIMIT`` symbols takes its
+    histogram as its table, without entering ``normalize_counts``; one of
+    ``STATIC_TOTAL_LIMIT + 1`` symbols enters it once on either loop, and
+    both loops give the same bytes."""
+    cfg = CoderConfig("static", model)
+    for n in (STATIC_TOTAL_LIMIT, STATIC_TOTAL_LIMIT + 1):
+        syms = gen_sequence(GenSpec("geometric", 256, n, n)).tolist()
+        totals = []
+
+        def spy(counts):
+            totals.append(sum(counts))
+            return normalize_counts(counts)
+
+        with mock.patch.object(rangecoder, "normalize_counts", spy):
+            compiled, python = both_sides(lambda: encode_stream(syms, 256, cfg))
+        assert compiled == python
+        counts = unpack_header(compiled)[0].counts
+        if n == STATIC_TOTAL_LIMIT:
+            tally = Counter(syms)
+            assert totals == [] and counts == array("I", (tally[s] for s in range(256)))
+        else:
+            assert totals == [n, n] and sum(counts) < n
+
+
+def test_frame_slots_match_the_c_enum():
+    """``_loops.FRAME`` names the slots of ``enum frame`` in ``_loops.c``,
+    in its order, so that Python and C cannot lay the frame out apart."""
+    source = re.sub(r"/\*.*?\*/", "", _loops._SOURCE.read_text(), flags=re.S)
+    body = re.search(r"enum frame \{(.*?)\};", source, re.S).group(1)
+    assert tuple(name.strip().lower() for name in body.split(",")) == _loops.FRAME
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_frame_holds_each_slot_by_name(mode):
+    """``_compiled_loop`` writes each value into the slot of its name."""
+    cfg = CoderConfig(mode, "fenwick", "new", 5 if mode == "adaptive" else 0)
+    payload = encode_stream(SYMS, 10, cfg)
+    header = unpack_header(payload)[0]
+    out = array("I", [0]) * 4
+    loop, frame = rangecoder._compiled_loop(_loops.lib(), "decode", header,
+                                            out, 123, 45, 67)
+    syms, counts, work = frame.buffers
+    at = rangecoder._address
+    assert syms is out and (counts is header.counts) == (mode == "static")
+    assert dict(zip(_loops.FRAME, frame)) == {
+        "rng": MASK32, "code": 67, "pos": 45, "sym": 0, "total": 0,
+        "cache": 0, "cache_size": 1, "rescales": 0, "k": 10,
+        "interval": header.rescale_interval,
+        "cap": linear_model.MAX_TOTALCOUNT if mode == "adaptive" else header.total,
+        "new_rescale": True, "len": 123, "limit": 0,
+        "finish": 0, "syms": at(out), "h": at(counts), "work": at(work)}
+
+
 def overflow(total, cap):
     """What both loops raise for a count total above the cap."""
     return (OverflowError, f"total count {total} exceeds MAX_TOTALCOUNT="
@@ -225,11 +332,11 @@ def test_static_coding_leaves_the_header_table_unchanged(model):
     table = unpack_header(payload)[0].counts
     handed = []
 
-    def keep(counts):
-        handed.append(normalize_counts(counts))
-        return handed[-1]
+    def keep(header):
+        handed.append(header.counts)
+        return pack_header(header)
 
-    with mock.patch.object(rangecoder, "normalize_counts", keep):
+    with mock.patch.object(rangecoder, "pack_header", keep):
         assert both_sides(lambda: encode_stream(syms, 40, cfg)) == [payload] * 2
     assert handed == [table] * 2
     assert both_sides(lambda: decode_stream(payload)[0].counts) == [table] * 2
@@ -320,10 +427,10 @@ def check_compiled_loop(mode, model, rescale, k):
     new = (model, rescale) == ("fenwick", "new")
     header = unpack_header(encode_stream([0], k, cfg))[0]
     for kind in ("encode", "decode"):
-        loop, (_, _, settings) = rangecoder._compiled_loop(_loops.lib(), kind,
-                                                           header)
+        loop, frame = rangecoder._compiled_loop(_loops.lib(), kind, header,
+                                                array("I"), 0)
         assert loop.__name__ == f"{mode}_{kind}"
-        assert settings[-1] == new  # cfg[NEW_RESCALE]
+        assert frame[_loops.FRAME.index("new_rescale")] == new
     for dist in ("flat", "geometric"):
         for n, chunk in ((3000, rangecoder.CHUNK), (16, 5)):
             syms = gen_sequence(GenSpec(dist, k, n, k)).tolist()

@@ -344,6 +344,49 @@ def test_adapt_initial_split_literal_branches():
     assert adapt_initial_split(19, 19, 2) == 19  # clamped high
 
 
+def replay_adaptive_log2(k, syms):
+    """The adaptive ``log2`` histogram of ``syms``, one ``log2_search``
+    per symbol, and the first probes it started from."""
+    hk = list(range(k + 1))
+    i_mid, hist, starts = k >> 1, Counter(), set()
+    for sym in syms:
+        starts.add(i_mid)
+        hist[log2_search(hk[sym], hk, i_mid)[1]] += 1
+        i_mid = adapt_initial_split(k, i_mid, sym)
+    return hist, starts
+
+
+def symbol_runs():
+    """(K, symbols) pairs made of runs of one symbol: a run of K - 1 walks
+    the first probe down to 0 and a run of 0 up to K, where it clamps."""
+    return st.integers(1, 300).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+        st.tuples(st.one_of(st.just(0), st.just(k - 1), st.integers(0, k - 1)),
+                  st.integers(1, 2 * k + 2)), max_size=8).map(
+            lambda runs: [sym for sym, n in runs for _ in range(n)])))
+
+
+@settings(deadline=None, max_examples=100)
+@given(symbol_runs())
+def test_adaptive_log2_count_matches_the_per_symbol_replay(stream):
+    """``count_iterations`` looks an adaptive ``log2`` count up by its
+    (first probe, symbol) pair once the pair has been counted, and gives
+    the histogram of one ``log2_search`` per symbol."""
+    k, syms = stream
+    hk = list(range(k + 1))
+    assert count_iterations("log2", hk, True, syms) == replay_adaptive_log2(k, syms)[0]
+
+
+@pytest.mark.parametrize("k", (1, 3, 256))
+def test_adaptive_log2_count_at_clamped_first_probes(k):
+    """Runs that clamp the first probe at 0 and at K, and repeat symbols
+    at both clamps, count as the per-symbol replay does.  (At K = 2 the
+    probe never falls below 1: only a symbol above it lowers it.)"""
+    syms = [k - 1] * (k + 2) + [0] * (2 * k + 3) + [k - 1, 0, k - 1] * 3
+    want, starts = replay_adaptive_log2(k, syms)
+    assert {0, k} <= starts
+    assert count_iterations("log2", list(range(k + 1)), True, syms) == want
+
+
 @pytest.mark.parametrize("i_mid", range(1, 4))
 def test_log2_search_any_split_is_correct(i_mid):
     for c, sym in TOY_CASES:
