@@ -15,31 +15,34 @@
    an adaptive loop rescales after every f[INTERVAL]-th symbol.  Each
    rescale raises f[RESCALES], the one work counter (see count_stream).
 
-   No Python model is built for them.  Each loop reads the addresses of
-   the stream's uint32 count vector h (K entries) and of a K + 1 entry
-   work buffer from its frame (below), and on a stream's first call
-   (f[SYM] == 0) derives its working array there, with the total: the
-   prefix sums hk in a static stream, and v in an adaptive one.  static_decode's buffer has room for its symbol table
-   after hk, ceil(total / 2) more entries, which the first call fills and
-   later calls read.  A static stream's h is the caller's table, which no
-   loop writes.  That first call also checks the total, summed in 64 bits
-   so that no table wraps it, against f[CAP]: above it, it stores the
-   total in f[TOTAL] and returns -2 before coding anything or writing a
-   symbol table.  A total within the cap (at most 2^20) keeps every count
-   and sum within 32 bits.  A call codes at most f[LIMIT] symbols and
-   resumes from f[], so the caller decides how many symbols a call may
-   produce.
+   No Python model is built for them.  Each loop reads the address of a
+   K + 1 entry work buffer from its frame (below), and on a stream's
+   first call (f[SYM] == 0) derives its working array there, with the
+   total.  A static stream's is the prefix sums hk of its uint32 count
+   vector h (K entries, the caller's table, which no loop writes), and
+   static_decode's buffer has room for its symbol table after hk,
+   ceil(total / 2) more entries, which the first call fills and later
+   calls read.  An adaptive stream starts from K alone, every count one,
+   so its v and total K are in closed form and it has no h.  That first
+   call also checks the total, summed in 64 bits so that no table wraps
+   it, against f[CAP]: above it, it stores the total in f[TOTAL] and
+   returns -2 before coding anything or writing a symbol table.  A total
+   within the cap (at most 2^20) keeps every count and sum within 32
+   bits.  An encode codes its whole stream in one call: its input is
+   already in memory and its output room allocated.  A decode codes at
+   most f[LIMIT] symbols a call and resumes from f[], so the caller
+   bounds its buffer and handles signals between calls.
 
    Each loop takes two arguments: the bytes it reads (decode) or writes
-   (encode), and the stream's frame f[], one int64 array laid out by
-   enum frame and mirrored by _loops.FRAME.  The frame holds what a call
-   resumes from, the stream's settings, the call's bounds and the
-   addresses of its buffers, so a call through ctypes converts two
-   arguments, not eight or nine, and a later call of the stream sets
-   only f[LIMIT] (and f[FINISH]).  first_pass is an encode's one read of
-   its symbols before the loop: the range check against K and, for a
-   static stream, the histogram that becomes the header's counts, so a
-   static encode of a short stream makes no numpy call. */
+   (encode), and the stream's frame f[], one int64 array of 15 slots laid
+   out by enum frame and mirrored by _loops.FRAME.  The frame holds what
+   a decode resumes from, the stream's settings, the call's bounds and
+   the addresses of its buffers, so a call through ctypes converts two
+   arguments, not eight or nine, and a later decode call of the stream
+   sets only f[LIMIT].  first_pass is an encode's one read of its symbols
+   before the loop: the range check against K and, for a static stream,
+   the histogram that becomes the header's counts, so a static encode of
+   a short stream makes no numpy call. */
 
 #include <stdint.h>
 
@@ -47,20 +50,21 @@ typedef int64_t i64; typedef uint32_t u32; typedef uint64_t u64;
 
 #define TOP (1u << 24)
 
-/* f[], the frame: what a call resumes from (CODE holds `low` when
-   encoding; the first call sets TOTAL); the stream's settings, of which
-   the static loops read K and CAP, where CAP, linear_model.MAX_TOTALCOUNT,
-   is where a model rescales and what the first call checks the total
-   against (for static_decode, the total its symbol table has room for);
-   the call's bounds: LEN, the payload's length on decode and the output's
-   room on encode, LIMIT, the most symbols a call codes, and FINISH, set
-   on an encode's last call to flush; and the buffers' addresses: SYMS,
-   the uint32 symbols an encode reads or a decode writes, H, the K counts,
-   and WORK, the working array */
+/* f[], the frame: what a decode resumes from (the first call sets
+   TOTAL; an encode reads none of RNG, CODE and POS, and starts from
+   Encoder()); the stream's settings, of which the static loops read K
+   and CAP, where CAP, linear_model.MAX_TOTALCOUNT, is where a model
+   rescales and what the first call checks the total against (for
+   static_decode, the total its symbol table has room for); the call's
+   bounds: LEN, the payload's length on decode and the output's room on
+   encode, and LIMIT, the symbols a call codes, all of them on encode;
+   and the buffers' addresses: SYMS, the uint32 symbols an encode reads
+   or a decode writes, H, a static stream's K counts (0 in an adaptive
+   frame), and WORK, the working array */
 enum frame {
-    RNG, CODE, POS, SYM, TOTAL, CACHE, CACHE_SIZE, RESCALES,
+    RNG, CODE, POS, SYM, TOTAL, RESCALES,
     K, INTERVAL, CAP, NEW_RESCALE,
-    LEN, LIMIT, FINISH,
+    LEN, LIMIT,
     SYMS, H, WORK
 };
 
@@ -81,21 +85,13 @@ static void prefix_init(Model *m) {
     m->total = total;
 }
 
-/* FenwickModel's v from the counts in O(K): each slot, once complete,
-   adds itself into the next slot up its update chain, which leaves
-   v[i] = hk[i] - hk[i & (i - 1)] */
+/* FenwickModel's v for K counts of one, in closed form: with hk[i] = i,
+   v[i] = hk[i] - hk[i & (i - 1)] is the lowest set bit of i */
 static void fenwick_init(Model *m) {
-    u32 *v = m->v;
-    i64 k = m->k;
-    m->total = 0;
-    v[0] = 0;
-    for (i64 i = 1; i <= k; i++) {
-        v[i] = m->h[i - 1];
-        m->total += v[i];
-    }
-    for (i64 i = 1; i <= k; i++)
-        if (i + (i & -i) <= k)
-            v[i + (i & -i)] += v[i];
+    m->v[0] = 0;
+    for (i64 i = 1; i <= m->k; i++)
+        m->v[i] = (u32)(i & -i);
+    m->total = m->k;
 }
 
 /* FenwickModel.rescale_orig or rescale_new, then _total */
@@ -157,8 +153,8 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
     return 1;
 }
 
-/* the model of a call: the counts h, the working array hk = v; a
-   stream's first call derives the array and the total with `init`, and
+/* the model of a call: the counts h (NULL in an adaptive stream), the
+   working array hk = v; a stream's first call derives the array and the total with `init`, and
    returns -2 with the total in f[TOTAL] if it is above f[CAP] */
 #define MODEL(init)                                                        \
     u32 *work = ADDR(u32 *, WORK);                                         \
@@ -273,26 +269,23 @@ static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
     return 1;
 }
 
+/* an encode starts from Encoder(): range 2**32 - 1, low 0, cache 0 and
+   a cache size of one */
 #define ENCODE_BEGIN(init)                                                 \
     MODEL(init)                                                            \
     const u32 *syms = ADDR(const u32 *, SYMS);                             \
-    Enc e = {out, f[LEN], f[POS], f[CACHE], f[CACHE_SIZE],                 \
-             (u64)f[CODE], (u32)f[RNG]};                                   \
-    i64 i = f[SYM];                                                        \
-    for (i64 end = i + f[LIMIT]; i < end; i++) {                           \
+    Enc e = {out, f[LEN], 0, 0, 1, 0, 0xFFFFFFFFu};                        \
+    for (i64 i = 0, n = f[LIMIT]; i < n; i++) {                            \
         i64 s = syms[i];
 #define ENCODE_END                                                         \
     }                                                                      \
-    for (int j = 0; f[FINISH] && j < 5; j++)  /* Encoder.finish */         \
+    for (int j = 0; j < 5; j++)  /* Encoder.finish */                      \
         if (!shift_low(&e))                                                \
             return -1;                                                     \
-    f[RNG] = e.rng; f[CODE] = (i64)e.low; f[POS] = e.pos;                  \
-    f[SYM] = i; f[TOTAL] = m.total; f[RESCALES] = m.rescales;              \
-    f[CACHE] = e.cache; f[CACHE_SIZE] = e.cache_size;                      \
     return e.pos;
 
-/* Each encode codes f[SYMS][f[SYM]:f[SYM] + f[LIMIT]] to out, then
-   flushes if f[FINISH], and returns the bytes now in out, or -1 if out
+/* Each encode codes the stream's f[LIMIT] symbols f[SYMS][0:f[LIMIT]] to
+   out in one call, flushes, and returns the bytes in out, or -1 if out
    (of f[LEN] bytes) is full (or -2, see MODEL). */
 i64 static_encode(unsigned char *out, i64 *f) {
     ENCODE_BEGIN(prefix_init)

@@ -81,6 +81,13 @@ class GenSpec:
             raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
         if self.n < 0:
             raise ValueError("sequence length must be >= 0")
+        # splitmix64 takes n uint64 words, and numpy holds no array of more
+        # than the largest intp bytes: its arange then comes back empty or
+        # raises
+        most = np.iinfo(np.intp).max // 8
+        if self.n > most:
+            raise ValueError(f"sequence length must be at most {most}, "
+                             f"got {self.n}")
 
 
 def geom_params(k: int) -> tuple[int, float]:

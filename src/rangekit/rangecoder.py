@@ -55,8 +55,9 @@ _MODES = ("static", "adaptive")
 _MODELS = ("linear", "fenwick")
 _RESCALES = ("orig", "new")
 
-#: Symbols per call of a compiled stream loop.  A decode buffers at most
-#: this many before it appends them and calls again.
+#: Symbols per call of a compiled decode loop.  A decode buffers at most
+#: this many before it appends them and calls again; an encode codes its
+#: stream in one call.
 CHUNK = 1 << 16
 
 #: A decode's default symbol limit: 8 bytes a symbol in the list, 128 MiB.
@@ -282,9 +283,8 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
 
 
 def normalize_counts(counts) -> array:
-    """Divide first-pass counts (an ``array('I')``, an ``np.bincount``
-    result or a list) so their total fits in STATIC_TOTAL_LIMIT, into an
-    ``array('I')`` table.
+    """Divide first-pass counts (an ``array('I')`` or a list) so their
+    total fits in STATIC_TOTAL_LIMIT, into an ``array('I')`` table.
 
     Nonzero counts never drop below one, so every observed symbol keeps a
     valid interval; that adds at most one per symbol, so the scaled total
@@ -481,8 +481,8 @@ def _decode_python(payload: bytes, offset: int,
 
 
 # the frame slots that the stream functions set or read between calls
-_F_TOTAL, _F_RESCALES, _F_POS, _F_LIMIT, _F_FINISH = map(
-    _loops.FRAME.index, ("total", "rescales", "pos", "limit", "finish"))
+_F_TOTAL, _F_RESCALES, _F_POS, _F_LIMIT = map(
+    _loops.FRAME.index, ("total", "rescales", "pos", "limit"))
 
 
 class _Frame(array):
@@ -494,16 +494,17 @@ class _Frame(array):
 def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
                    length: int, pos: int = 0, code: int = 0):
     """The compiled ``kind`` loop, "encode" or "decode", of the stream,
-    ``{mode}_{kind}``, and its frame: the starting state (the range
-    2**32 - 1, the position ``pos``, ``code``, which is ``low`` in an
-    encode, and a cache size of one, which only an encode reads), the
-    settings, the payload's length or the output's room ``length``, and
-    the addresses of ``syms`` (the symbols encoded or the room for those
-    decoded), the counts (``header.counts``, which the loop only reads,
-    or K ones) and a K + 1 entry array in which its first call derives
-    ``hk`` or ``v`` and the total.  The frame keeps the three buffers
-    alive.  The cap, at which a model rescales and against which
-    the first call checks the total, as ``prefix_sums`` does, is
+    ``{mode}_{kind}``, and its frame: a decode's starting state (the
+    range 2**32 - 1, the position ``pos`` and ``code``; an encode starts
+    from ``Encoder()`` and reads none of them), the settings, the
+    payload's length or the output's room ``length``, and the addresses
+    of ``syms`` (the symbols encoded or the room for those decoded), of a
+    static stream's counts (``header.counts``, which the loop only reads;
+    0 in an adaptive frame, whose counts start at one) and of a K + 1
+    entry array in which its first call derives ``hk`` or ``v`` and the
+    total.  The frame keeps the buffers alive, ``None`` for an adaptive
+    stream's counts.  The cap, at which a model rescales and against
+    which the first call checks the total, as ``prefix_sums`` does, is
     ``linear_model.MAX_TOTALCOUNT``, read at call time, so a cap patched
     there applies.  No model is built.
 
@@ -513,23 +514,25 @@ def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
     ``header.total`` uint16 entries that follows ``hk`` in that array.
     The total is checked before the array is sized from it, and is the
     table's cap: a first call that finds a larger total returns -2 before
-    it writes the table.  An adaptive stream runs the Fenwick loops: it
-    halves its counts (linear, whatever its rescale byte, or Fenwick
-    ``orig``: one bitstream) unless it rescales by Fenwick ``new``."""
+    it writes the table.  An adaptive stream runs the Fenwick loops, from
+    K counts of one, whose ``v`` the first call writes in closed form,
+    ``v[i] = i & -i``: it halves its counts (linear, whatever its rescale
+    byte, or Fenwick ``orig``: one bitstream) unless it rescales by
+    Fenwick ``new``."""
     k, adaptive = header.k, header.mode == "adaptive"
     cap, size = _linear.MAX_TOTALCOUNT, k + 1
     if kind == "decode" and not adaptive:
         _linear.check_total(header.total)
         cap = header.total
         size += (cap + 1) // 2
-    counts = array("I", [1]) * k if adaptive else header.counts
+    counts = None if adaptive else header.counts
     work = array("I", [0]) * size
     new_rescale = header.model == "fenwick" and header.rescale == "new"
     frame = _Frame("q", (  # in _loops.FRAME order, one array: no names to look up
-        MASK32, code, pos, 0, 0, 0, 1, 0,  # rng, code, pos, sym .. rescales
+        MASK32, code, pos, 0, 0, 0,  # rng, code, pos, sym, total, rescales
         k, header.rescale_interval, cap, new_rescale,
-        length, 0, 0,  # len; limit and finish, set for each call
-        _address(syms), _address(counts), _address(work)))
+        length, 0,  # len; limit, set for each call
+        _address(syms), 0 if adaptive else _address(counts), _address(work)))
     frame.buffers = syms, counts, work
     return getattr(lib, f"{header.mode}_{kind}"), frame
 
@@ -539,26 +542,23 @@ def _address(buf: array) -> int:
 
 
 def _encode_compiled(lib, data: array, header: StreamHeader) -> memoryview:
-    """``_encode_python`` in the compiled loop, ``CHUNK`` symbols a call:
-    a view of the coded bytes in the loop's output buffer."""
+    """``_encode_python`` in one call of the compiled loop, which codes
+    every symbol and flushes: a view of the coded bytes in the loop's
+    output buffer.  The symbols are in memory and the room allocated
+    before the call, so chunking would bound neither; a signal takes
+    effect when the call returns."""
     # before a symbol the range is at least 2**24 and the total at most
     # 2**20, so the symbol leaves a range of at least 16 and shifts out
     # at most three bytes; the flush shifts out five
     room = 3 * len(data) + 5
     loop, frame = _compiled_loop(lib, "encode", header, data, room)
     out = array("B", [0]) * room
-    at, frame_at = _address(out), _address(frame)
-    done = 0
-    while True:
-        step = min(len(data) - done, CHUNK)
-        done += step
-        frame[_F_LIMIT], frame[_F_FINISH] = step, done == len(data)
-        size = loop(at, frame_at)
-        if size < 0:  # -2 leaves a total above the limit in the frame
-            _linear.check_total(frame[_F_TOTAL])
-            raise RuntimeError("compiled encode ran past its output bound")
-        if done == len(data):
-            return memoryview(out)[:size]
+    frame[_F_LIMIT] = len(data)
+    size = loop(_address(out), _address(frame))
+    if size < 0:  # -2 leaves a total above the limit in the frame
+        _linear.check_total(frame[_F_TOTAL])
+        raise RuntimeError("compiled encode ran past its output bound")
+    return memoryview(out)[:size]
 
 
 def _decode_compiled(lib, payload: bytes, offset: int,

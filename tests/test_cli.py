@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rangekit
-from rangekit import _loops
+from rangekit import _loops, datagen
 from rangekit.cli import main
 from rangekit.datagen import read_symbols, write_symbols
 from rangekit.rangecoder import StreamHeader, pack_header
@@ -272,3 +272,27 @@ def test_gen_rejects_alphabet_above_uint16(tmp_path, capsys):
     assert main(["gen", "--dist", "flat", "--k", "70000", "--n", "10",
                  "-o", str(tmp_path / "seq.isy")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_rejects_a_length_no_array_holds_and_writes_no_file(tmp_path,
+                                                                capsys):
+    out = tmp_path / "seq.isy"
+    assert main(["gen", "--dist", "geom", "--k", "10",
+                 "--n", "9223372036854775807", "-o", str(out)]) == 1
+    assert "sequence length must be at most" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", (MemoryError(), MemoryError("Unable to allocate")))
+def test_gen_out_of_memory_reports_one_error_line(tmp_path, capsys,
+                                                  monkeypatch, error):
+    """A length numpy accepts but memory cannot hold raises MemoryError
+    from the generator: one ``error:`` line, no traceback."""
+    def out_of_memory(spec):
+        raise error
+    monkeypatch.setattr(datagen, "gen_sequence", out_of_memory)
+    assert main(["gen", "--dist", "flat", "--k", "4", "--n", "10",
+                 "-o", str(tmp_path / "seq.isy")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and err != "error: \n"

@@ -32,6 +32,16 @@ def test_spec_validation():
         GenSpec("flat", 4, -1)
 
 
+@pytest.mark.parametrize("n", (2**60, 2**63 - 1))
+def test_spec_rejects_a_length_no_uint64_array_holds(n):
+    """SplitMix64 takes n uint64 words, 8 n bytes: from n = 2**60 that
+    exceeds numpy's array size, where its arange came back empty (a
+    sequence of 0 symbols) or raised.  The spec rejects it up front."""
+    with pytest.raises(ValueError, match="sequence length must be at most"):
+        GenSpec("flat", 4, n)
+    GenSpec("flat", 4, 2**60 - 1)  # checked only, never generated
+
+
 def test_splitmix64_reference_outputs():
     # first outputs for seed 0 of the standard SplitMix64 stream
     got = splitmix64(0, 3)

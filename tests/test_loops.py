@@ -245,14 +245,32 @@ def test_frame_holds_each_slot_by_name(mode):
                                             out, 123, 45, 67)
     syms, counts, work = frame.buffers
     at = rangecoder._address
-    assert syms is out and (counts is header.counts) == (mode == "static")
+    static = mode == "static"
+    assert syms is out and counts is (header.counts if static else None)
+    assert len(frame) == 15
     assert dict(zip(_loops.FRAME, frame)) == {
         "rng": MASK32, "code": 67, "pos": 45, "sym": 0, "total": 0,
-        "cache": 0, "cache_size": 1, "rescales": 0, "k": 10,
-        "interval": header.rescale_interval,
-        "cap": linear_model.MAX_TOTALCOUNT if mode == "adaptive" else header.total,
+        "rescales": 0, "k": 10, "interval": header.rescale_interval,
+        "cap": header.total if static else linear_model.MAX_TOTALCOUNT,
         "new_rescale": True, "len": 123, "limit": 0,
-        "finish": 0, "syms": at(out), "h": at(counts), "work": at(work)}
+        "syms": at(out), "h": at(counts) if static else 0, "work": at(work)}
+
+
+@pytest.mark.parametrize("kind", ("encode", "decode"))
+@pytest.mark.parametrize("k", (1, 2, 3, 64, 65535, 65536))
+def test_adaptive_first_call_starts_from_k_counts_of_one(kind, k):
+    """An adaptive stream's first call, of 0 symbols, writes
+    ``FenwickModel([1] * k).v`` to the work buffer in closed form, the
+    lowest set bit of each index, from K alone: the frame has no counts."""
+    header = StreamHeader("adaptive", "fenwick", "orig", 0, k, 0, None)
+    loop, frame = rangecoder._compiled_loop(_loops.lib(), kind, header,
+                                            array("I"), 5)
+    assert frame.buffers[1] is None
+    out = array("B", [0]) * 5
+    got = loop(rangecoder._address(out) if kind == "encode" else b"",
+               rangecoder._address(frame))
+    assert got == (5 if kind == "encode" else 0)
+    assert frame.buffers[2].tolist() == FenwickModel([1] * k).v
 
 
 def overflow(total, cap):
@@ -446,36 +464,6 @@ def test_compiled_loop_follows_the_mode_alone(mode, model, rescale):
     whatever its model and rescale bytes (``check_compiled_loop``)."""
     for k in (1, 2, 7, 8, 63, 64, 256):
         check_compiled_loop(mode, model, rescale, k)
-
-
-@pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("k,former", [(7, "linear_decode"),
-                                      (8, "table_decode")])
-def test_static_decode_reads_a_symbol_table_from_table_min_k(model, k,
-                                                             former):
-    """K = 7 and 8 sat on either side of a former K switch, which decoded
-    a static stream with a bisection (``linear_decode``) below 8 and
-    through a symbol table (``table_decode``) from 8.  Neither loop is
-    left in the library: both K decode through the symbol table of
-    ``static_decode`` (``check_compiled_loop``)."""
-    assert not hasattr(_loops.lib(), former)
-    check_compiled_loop("static", model, "orig", k)
-
-
-@pytest.mark.parametrize("model,rescale", [
-    (model, rescale) for model in MODELS for rescale in RESCALES])
-@pytest.mark.parametrize("k", (63, 64))
-def test_adaptive_loop_follows_the_behaviour_and_k(model, rescale, k):
-    """K = 63 and 64 sat on either side of a former K switch between a
-    linear and a Fenwick adaptive encode.  No ``linear_*`` or
-    ``fenwick_*`` loop is left in the library: on both sides every
-    adaptive stream runs ``adaptive_encode`` and ``adaptive_decode``, and
-    only a Fenwick ``new`` one rescales by ``new`` (``check_compiled_loop``)."""
-    lib = _loops.lib()
-    for family in ("linear", "fenwick"):
-        for kind in ("encode", "decode"):
-            assert not hasattr(lib, f"{family}_{kind}")
-    check_compiled_loop("adaptive", model, rescale, k)
 
 
 @pytest.mark.parametrize("interval", (0, 7))
@@ -688,6 +676,28 @@ def test_compiled_loops_match_python_loops_across_chunks(mode, model, rescale):
                   and not runs_out(payload[:cut], chunk))
         assert both_sides(lambda: decode_stream(payload[:cut])) == [
             (StreamFormatError, "payload ends before the last symbol")] * 2
+
+
+@pytest.mark.parametrize("mode,model,rescale", RUNNABLE)
+def test_encode_calls_its_loop_once(mode, model, rescale):
+    """With ``CHUNK`` lowered to 5, a stream of 3 CHUNK + 1 symbols is
+    coded by one call of the compiled encode loop, which gives the Python
+    loop's bytes: only a decode is chunked."""
+    calls = []
+    compiled_loop = rangecoder._compiled_loop
+
+    def spy(*args):
+        loop, frame = compiled_loop(*args)
+        return lambda *call: calls.append(call) or loop(*call), frame
+
+    syms = [i * 5 % 7 for i in range(16)]
+    cfg = CoderConfig(mode, model, rescale, 3 if mode == "adaptive" else 0)
+    with mock.patch.object(rangecoder, "CHUNK", 5), \
+            mock.patch.object(rangecoder, "_compiled_loop", spy):
+        payload = encode_stream(syms, 7, cfg)
+    with python_loops():
+        assert encode_stream(syms, 7, cfg) == payload
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode,model,kind", [
