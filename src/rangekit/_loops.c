@@ -11,9 +11,14 @@
    intrinsics or CPU dispatch).  The Fenwick loops fuse two steps of the
    Python loop into one walk: the decode's descent is
    binary_indexed_interval + update, and the encode's walk is cum +
-   count.  At the count cap a model rescales before the increment, and
-   an adaptive loop rescales after every f[INTERVAL]-th symbol.  Each
-   rescale raises f[RESCALES], the one work counter (see count_stream).
+   count.  Each symbol costs range / total, the width of one count.  A
+   static stream's total is fixed, so its loops multiply by
+   ceil(2^64 / total), which each call computes once (recip), where
+   Encoder/Decoder divide; an adaptive stream's total changes with every
+   symbol, so its loops divide.  At the count cap a model rescales
+   before the increment, and an adaptive loop rescales after every
+   f[INTERVAL]-th symbol.  Each rescale raises f[RESCALES], the one work
+   counter (see count_stream).
 
    No Python model is built for them.  Each loop reads the address of a
    K + 1 entry work buffer from its frame (below), and on a stream's
@@ -132,12 +137,32 @@ static void fenwick_update(Model *m, i64 sym) {
     m->total++;
 }
 
+/* rng / total for a static stream's fixed total without a division:
+   the high 64 bits of inv * rng, where inv = ceil(2^64 / total), are
+   exact for every 32-bit rng and total (Lemire, Kaser & Kurz,
+   "Faster Remainder by Direct Computation", 2019).  inv is kept as its
+   two 32-bit halves, so the 96-bit product takes two 64-bit multiplies,
+   and total 1, whose inv 2^64 takes 65 bits, is hi = 2^32 and lo = 0.
+   An empty stream's total 0 gives hi = lo = 0 and codes no symbol. */
+typedef struct { u64 hi, lo; } Recip;
+
+static Recip recip(i64 total) {
+    if (total <= 1)
+        return (Recip){(u64)total << 32, 0};
+    u64 inv = UINT64_MAX / (u64)total + 1;
+    return (Recip){inv >> 32, inv & 0xFFFFFFFFu};
+}
+
+static inline u32 quot(Recip q, u32 rng) {
+    return (u32)((q.hi * rng + ((q.lo * rng) >> 32)) >> 32);
+}
+
 typedef struct { const unsigned char *buf; i64 len, pos; u32 rng, code; } Dec;
 
-/* Decoder.decode_target: the code value, clamped below the total */
-static inline u32 target(Dec *d, i64 total, u32 *r) {
-    *r = d->rng / (u32)total;
-    u32 c = d->code / *r;
+/* Decoder.decode_target given r = rng / total: the code value, clamped
+   below the total */
+static inline u32 target(const Dec *d, u32 r, i64 total) {
+    u32 c = d->code / r;
     return c >= total ? (u32)(total - 1) : c;
 }
 
@@ -167,9 +192,8 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
             return -2;                                                     \
         }                                                                  \
     }
-/* the loop head and tail the decodes share */
-#define DECODE_BEGIN(init)                                                 \
-    MODEL(init)                                                            \
+/* the loop head and tail the decodes share, after MODEL */
+#define DECODE_BEGIN                                                       \
     u32 *out = ADDR(u32 *, SYMS);                                          \
     Dec d = {buf, f[LEN], f[POS], (u32)f[RNG], (u32)f[CODE]};              \
     i64 i = f[SYM], limit = f[LIMIT];                                      \
@@ -199,8 +223,10 @@ static void table_init(Model *m) {
    last of them (or -2, see MODEL). */
 i64 static_decode(const unsigned char *buf, i64 *f) {
     const uint16_t *tab = (const uint16_t *)(ADDR(u32 *, WORK) + f[K] + 1);
-    DECODE_BEGIN(table_init)
-        u32 r, c = target(&d, m.total, &r);
+    MODEL(table_init)
+    Recip q = recip(m.total);
+    DECODE_BEGIN
+        u32 r = quot(q, d.rng), c = target(&d, r, m.total);
         i64 sym = tab[c];
         if (!consume(&d, r, m.hk[sym], m.h[sym]))
             return -1;
@@ -212,10 +238,11 @@ i64 adaptive_decode(const unsigned char *buf, i64 *f) {
     i64 top = 1;  /* top_level_index(K) */
     while (top <= f[K] >> 1)
         top <<= 1;
-    DECODE_BEGIN(fenwick_init)
+    MODEL(fenwick_init)
+    DECODE_BEGIN
         /* binary_indexed_interval + update: raise each probe not taken,
            unless at the cap, where update rescales first */
-        u32 r, c0 = target(&d, m.total, &r);
+        u32 r = d.rng / (u32)m.total, c0 = target(&d, r, m.total);
         i64 c = c0, rest = m.total - c, bottom = 0, inc = m.total < m.cap;
         for (i64 step = top; step; step >>= 1) {
             i64 test = bottom + step;
@@ -258,9 +285,9 @@ static inline int shift_low(Enc *e) {
     return 1;
 }
 
-/* Encoder.encode, whose zero-width check cannot fire in a stream */
-static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
-    u32 r = e->rng / (u32)total;
+/* Encoder.encode given r = rng / total, whose zero-width check cannot
+   fire in a stream */
+static inline int encode(Enc *e, u32 r, i64 low, i64 freq) {
     e->low += (u64)r * (u64)low;
     e->rng = r * (u32)freq;
     for (; e->rng < TOP; e->rng <<= 8)
@@ -270,9 +297,8 @@ static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
 }
 
 /* an encode starts from Encoder(): range 2**32 - 1, low 0, cache 0 and
-   a cache size of one */
-#define ENCODE_BEGIN(init)                                                 \
-    MODEL(init)                                                            \
+   a cache size of one; the loop head follows MODEL */
+#define ENCODE_BEGIN                                                       \
     const u32 *syms = ADDR(const u32 *, SYMS);                             \
     Enc e = {out, f[LEN], 0, 0, 1, 0, 0xFFFFFFFFu};                        \
     for (i64 i = 0, n = f[LIMIT]; i < n; i++) {                            \
@@ -288,14 +314,17 @@ static inline int encode(Enc *e, i64 total, i64 low, i64 freq) {
    out in one call, flushes, and returns the bytes in out, or -1 if out
    (of f[LEN] bytes) is full (or -2, see MODEL). */
 i64 static_encode(unsigned char *out, i64 *f) {
-    ENCODE_BEGIN(prefix_init)
-        if (!encode(&e, m.total, m.hk[s], m.h[s]))
+    MODEL(prefix_init)
+    Recip q = recip(m.total);
+    ENCODE_BEGIN
+        if (!encode(&e, quot(q, e.rng), m.hk[s], m.h[s]))
             return -1;
     ENCODE_END
 }
 
 i64 adaptive_encode(unsigned char *out, i64 *f) {
-    ENCODE_BEGIN(fenwick_init)
+    MODEL(fenwick_init)
+    ENCODE_BEGIN
         /* cum + count: count's walk down to the parent of s + 1 starts cum's */
         i64 parent = (s + 1) & s, j = s, low = 0;
         for (; j != parent; j &= j - 1)
@@ -303,7 +332,7 @@ i64 adaptive_encode(unsigned char *out, i64 *f) {
         i64 freq = m.v[s + 1] - low;
         for (; j; j &= j - 1)
             low += m.v[j];
-        if (!encode(&e, m.total, low, freq))
+        if (!encode(&e, e.rng / (u32)m.total, low, freq))
             return -1;
         fenwick_update(&m, s);
         if (m.interval && (i + 1) % m.interval == 0)

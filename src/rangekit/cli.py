@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from . import _loops
@@ -60,11 +61,19 @@ def _cmd_bench(args) -> int:
     given = {"modes": None if args.suite == "full" else (args.suite,),
              "n": args.n, "seed": args.seed, "timing_reps": args.reps}
     grid = _bench.GridSpec(**{k: v for k, v in given.items() if v is not None})
-    # open the output before the first stream, so a bad path fails at once
-    out = (contextlib.nullcontext(sys.stdout) if args.csv == "-"
-           else open(args.csv, "w", newline=""))
-    with out as fh:
-        _bench.write_csv(_bench.run_suite(grid), fh)
+    # open the output before the first stream, so a bad path fails at once,
+    # and remove it if the run fails, so no partial CSV is left behind
+    to_file = args.csv != "-"
+    out = (open(args.csv, "w", newline="") if to_file
+           else contextlib.nullcontext(sys.stdout))
+    try:
+        with out as fh:
+            _bench.write_csv(_bench.run_suite(grid), fh)
+    except BaseException:
+        if to_file:
+            with contextlib.suppress(OSError):
+                os.remove(args.csv)
+        raise
     return 0
 
 

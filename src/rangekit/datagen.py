@@ -32,9 +32,14 @@ _ISY_SIZE = struct.calcsize(_ISY_FMT)
 def convert_symbols(symbols, k) -> tuple[array, int]:
     """``symbols`` as one ``array('I')``, and the alphabet size k as an
     int, checked except for symbols at or above K below 2**32: the
-    conversion of ``check_symbols``.  A numpy array, whose fixed-width
-    items wrap in index arithmetic, goes through its list of ints.  K is
-    any integer type, numpy's too, as ``operator.index`` takes it."""
+    conversion of ``check_symbols``.  Every input becomes a list: a
+    numpy array through ``tolist``, since its fixed-width items wrap in
+    index arithmetic, and anything else but a list through ``list()``, so
+    an iterator survives the rescan that names a bad symbol.  One
+    ``fromlist`` call then fills the array; it reads the list's items
+    directly, where ``array('I', seq)`` fetches each through the sequence
+    protocol.  K is any integer type, numpy's too, as ``operator.index``
+    takes it."""
     try:
         k = operator.index(k)
     except TypeError:
@@ -43,14 +48,15 @@ def convert_symbols(symbols, k) -> tuple[array, int]:
         raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
     if hasattr(symbols, "tolist"):
         symbols = symbols.tolist()
-    elif not isinstance(symbols, (list, tuple, range)):
-        # an iterator must survive a rescan; bytes would fill the array as words
+    elif not isinstance(symbols, list):
         symbols = list(symbols)
+    data = array("I")
     try:
-        return array("I", symbols), k
+        data.fromlist(symbols)
     except OverflowError:  # a symbol below 0 or at or above 2**32
         raise outside_alphabet(next(s for s in symbols if not 0 <= s < k),
                                k) from None
+    return data, k
 
 
 def outside_alphabet(symbol: int, k: int) -> ValueError:

@@ -268,6 +268,30 @@ def test_bench_bad_grid_reports_error_and_writes_no_csv(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error", (MemoryError(), KeyboardInterrupt()))
+def test_bench_failing_after_opening_the_csv_removes_it(tmp_path, monkeypatch,
+                                                        capsys, error):
+    """A run that fails once the CSV is open, as ``bench --n 100000000000``
+    does with its MemoryError, leaves no partial file behind, whether it
+    ends in an ``error:`` line or an interrupt."""
+    import rangekit.bench as bench
+
+    out = tmp_path / "bench.csv"
+
+    def run_suite(grid):
+        assert out.exists()  # opened before the first stream
+        raise error
+
+    monkeypatch.setattr(bench, "run_suite", run_suite)
+    if isinstance(error, MemoryError):
+        assert main(["bench", "--csv", str(out)]) == 1
+        assert "error: out of memory" in capsys.readouterr().err
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(["bench", "--csv", str(out)])
+    assert not out.exists()
+
+
 def test_gen_rejects_alphabet_above_uint16(tmp_path, capsys):
     assert main(["gen", "--dist", "flat", "--k", "70000", "--n", "10",
                  "-o", str(tmp_path / "seq.isy")]) == 1

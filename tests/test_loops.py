@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from rangekit import _loops, linear_model, rangecoder
 from rangekit.bench import iteration_histogram
-from rangekit.datagen import MAX_ALPHABET, GenSpec, gen_sequence
+from rangekit.datagen import (MAX_ALPHABET, GenSpec, convert_symbols,
+                              gen_sequence)
 from rangekit.fenwick_model import FenwickModel
 from rangekit.linear_model import LinearModel
 from rangekit.rangecoder import (
@@ -107,17 +108,41 @@ def test_compiled_loops_match_python_loops_at_large_k(k, mode, model, rescale):
 SYMS = [3, 1, 4, 1, 5, 9, 2, 6, 5]  # K = 10
 
 
+def same_symbols(syms):
+    """``syms`` as each input type ``convert_symbols`` takes: a list, the
+    equal tuple, a generator, a list of numpy integer scalars and a numpy
+    int64 array, the last two where int64 holds every symbol."""
+    inputs = [lambda: list(syms), lambda: tuple(syms), lambda: (s for s in syms)]
+    if all(-1 << 63 <= s < 1 << 63 for s in syms):
+        inputs += [lambda: [np.int64(s) for s in syms],
+                   lambda: np.array(syms, dtype=np.int64)]
+    return inputs
+
+
+def converted(make, k=10):
+    """What ``convert_symbols`` makes of ``make()``: its array, or the
+    type and message of what it raised."""
+    try:
+        return convert_symbols(make(), k)[0]
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("mode,model", [
     (mode, model) for mode in MODES for model in MODELS])
 def test_every_input_type_encodes_as_its_list(mode, model):
-    """A tuple, range, generator, bytes or numpy array gives both loops
-    the IRC1 bytes of its list."""
+    """A tuple, range, generator, bytes, list of numpy integer scalars or
+    numpy array converts to the ``array('I')`` of its list, and gives
+    both loops the IRC1 bytes of its list."""
     cfg = CoderConfig(mode, model, "orig", 4 if mode == "adaptive" else 0)
     inputs = [lambda: tuple(SYMS), lambda: (s for s in SYMS),
-              lambda: bytes(SYMS), lambda: range(10)]
+              lambda: bytes(SYMS), lambda: range(10),
+              lambda: [np.int64(s) for s in SYMS],
+              lambda: [np.uint8(s) for s in SYMS]]
     inputs += [lambda dtype=dtype: np.array(SYMS, dtype=dtype)
                for dtype in (np.uint8, np.uint16, np.int32, np.int64)]
     for make in inputs:
+        assert converted(make) == array("I", list(make()))
         want = encode_stream(list(make()), 10, cfg)
         assert both_sides(lambda: encode_stream(make(), 10, cfg)) == [want] * 2
 
@@ -129,26 +154,41 @@ def test_every_input_type_encodes_as_its_list(mode, model):
 def test_out_of_range_symbol_raises_the_same_error_on_both_loops(mode, model,
                                                                  bad, at):
     """A symbol below 0, at or above K, or at or above 2**32 raises the
-    same ValueError on both loops, wherever it sits, in a list or from a
-    generator; a second bad symbol after it does not change which one is
-    named."""
+    same ValueError on both loops, wherever it sits, from each input type
+    (``same_symbols``); the conversion names one below 0 or at or above
+    2**32 itself.  A second bad symbol after it does not
+    change which one is named."""
     cfg = CoderConfig(mode, model)
-    want = [(ValueError, f"symbol {bad} outside alphabet of size 10")] * 2
+    error = (ValueError, f"symbol {bad} outside alphabet of size 10")
     for later in ((), (-1,), (10,), (1 << 32,)):
         syms = SYMS[:at] + [bad, *later] + SYMS[at + 1:]
-        for make in (lambda: syms, lambda: (s for s in syms)):
+        for make in same_symbols(syms):
+            if bad != 10:  # the conversion itself names it
+                assert converted(make) == error
             assert both_sides(lambda: encode_stream(make(), 10, cfg),
-                              ValueError) == want
+                              ValueError) == [error] * 2
 
 
 @pytest.mark.parametrize("mode,model", [
     (mode, model) for mode in MODES for model in MODELS])
 def test_float_symbol_raises_type_error_on_both_loops(mode, model):
+    """A float symbol raises the same TypeError from every input type,
+    and on both loops; a numpy float scalar in a list raises one too."""
+    cfg = CoderConfig(mode, model)
     for float_sym in (1.0, 2.5):
         syms = [0, float_sym, 3]
+        inputs = (lambda: syms, lambda: tuple(syms), lambda: (s for s in syms),
+                  lambda: np.array(syms))
+        want = converted(inputs[0])
+        assert want[0] is TypeError
+        for make in inputs:
+            assert converted(make) == want
+            assert both_sides(lambda: encode_stream(make(), 10, cfg),
+                              TypeError) == [want] * 2
+        numpy_float = [0, np.float64(float_sym), 3]
         for loops in (contextlib.nullcontext, python_loops):
             with loops(), pytest.raises(TypeError):
-                encode_stream(syms, 10, CoderConfig(mode, model))
+                encode_stream(numpy_float, 10, cfg)
 
 
 def symbol_inputs(syms, k):
@@ -432,6 +472,94 @@ def test_largest_symbol_fills_the_top_of_the_symbol_table(model):
     assert unpack_header(payload)[0].counts[k - 1] >= 300
     assert both_sides(lambda: encode_stream(syms, k, cfg)) == [payload] * 2
     assert both_sides(lambda: decode_stream(payload)[1]) == [syms] * 2
+
+
+#: Static count totals at the edges of the static loops' reciprocal: 1,
+#: whose multiplier 2**64 takes 65 bits, the smallest others, both sides
+#: of 2**16 (``STATIC_TOTAL_LIMIT``), the largest total the encoder's
+#: normalised table reaches at K = 64, and the count cap.  The encoder
+#: reaches the first five as the histogram of that many symbols.
+RECIPROCAL_K = 64
+RECIPROCAL_TOTALS = (1, 2, 3, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+                     STATIC_TOTAL_LIMIT + RECIPROCAL_K - 1,
+                     linear_model.MAX_TOTALCOUNT)
+
+
+def reciprocal_quotient(rng, total):
+    """``rng // total`` as ``recip`` and ``quot`` in ``_loops.c`` compute
+    it, in 64-bit unsigned arithmetic: the high 64 bits of
+    ``ceil(2**64 / total) * rng``, from the multiplier's 32-bit halves."""
+    m64 = (1 << 64) - 1
+    if total <= 1:  # 2**64 for total 1 takes 65 bits
+        hi, lo = total << 32, 0
+    else:
+        inv = (m64 // total + 1) & m64
+        hi, lo = inv >> 32, inv & MASK32
+    high, low = (hi * rng) & m64, ((lo * rng) & m64) >> 32
+    return (((high + low) & m64) >> 32) & MASK32
+
+
+def test_reciprocal_quotient_is_floor_division():
+    """The static loops' quotient equals ``rng // total`` for every total
+    of ``RECIPROCAL_TOTALS`` and a few more, at the smallest range before
+    a symbol, 2**24, the largest, 2**32 - 1, and at multiples of the
+    total and one either side of them, where a rounding error would show."""
+    rng = random.Random(30)
+    totals = {*RECIPROCAL_TOTALS, 5, 7, 255, (1 << 20) - 1, (1 << 20) + 1,
+              *(rng.randrange(2, 1 << 20) for _ in range(50))}
+    for total in sorted(totals):
+        first = -(-(1 << 24) // total) * total
+        last = MASK32 // total * total
+        multiples = {first, last, *(rng.randrange(first, last + 1, total)
+                                    for _ in range(20))}
+        ranges = {1 << 24, MASK32} | {m + d for m in multiples for d in (-1, 0, 1)}
+        for r in sorted(x for x in ranges if 1 << 24 <= x <= MASK32):
+            assert reciprocal_quotient(r, total) == r // total, (r, total)
+
+
+def reciprocal_stream(total, model):
+    """A static header whose count total is ``total``, over K =
+    ``RECIPROCAL_K``, and symbols drawn from it: the encoder's own
+    histogram of ``total`` symbols where it keeps one unscaled, else a
+    forged table, spread evenly, with 300 symbols."""
+    k = RECIPROCAL_K
+    if total <= STATIC_TOTAL_LIMIT:
+        syms = gen_sequence(GenSpec("geometric", k, total, total)).tolist()
+        header = unpack_header(encode_stream(syms, k, CoderConfig("static", model)))[0]
+    else:
+        counts = [total // k + (s < total % k) for s in range(k)]
+        rng = random.Random(total)
+        syms = rng.choices(range(k), counts, k=300)
+        header = StreamHeader("static", model, "orig", 0, k, len(syms), counts)
+    assert header.total == total
+    return header, syms
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("total", RECIPROCAL_TOTALS)
+def test_static_totals_at_the_reciprocal_edges_code_alike(total, model):
+    """A static stream whose count total is one of ``RECIPROCAL_TOTALS``
+    gives the same IRC1 bytes from the compiled encode, which multiplies
+    by the total's reciprocal, and the Python one, which divides, the
+    bytes ``encode_stream`` makes where the encoder reaches that total;
+    its payload decodes to the same symbols on both loops, and the same
+    payload cut short, or claiming one symbol more, gives both loops the
+    same symbols or ``StreamFormatError``."""
+    header, syms = reciprocal_stream(total, model)
+    data = array("I", syms)
+    coded = bytes(rangecoder._encode_compiled(_loops.lib(), data, header))
+    assert coded == rangecoder._encode_python(data, header,
+                                              rangecoder._make_model(header))
+    payload = pack_header(header) + coded
+    if total <= STATIC_TOTAL_LIMIT:
+        cfg = CoderConfig("static", model)
+        assert both_sides(lambda: encode_stream(syms, RECIPROCAL_K, cfg)) == [payload] * 2
+    assert both_sides(lambda: decode_stream(payload)[1]) == [syms] * 2
+    longer = bytearray(payload)
+    struct.pack_into("<Q", longer, N_AT, len(syms) + 1)
+    for forged in (payload[:len(payload) - len(coded) // 2], bytes(longer)):
+        compiled, python = both_sides(lambda: decode_stream(forged)[1])
+        assert compiled == python
 
 
 def check_compiled_loop(mode, model, rescale, k):
