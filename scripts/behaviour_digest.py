@@ -33,19 +33,18 @@ import hashlib
 import json
 import sys
 from array import array
+from itertools import product
 from unittest import mock
 
 from rangekit import linear_model
-from rangekit.datagen import GenSpec, gen_sequence
-from rangekit.rangecoder import CoderConfig, DecodeStats, count_stream, encode_stream
+from rangekit.datagen import DISTRIBUTIONS, GenSpec, gen_sequence
+from rangekit.fenwick_model import RESCALES
+from rangekit.rangecoder import (MODELS, MODES, CoderConfig, DecodeStats,
+                                 count_stream, encode_stream)
 from rangekit.search import STRATEGIES, strategy_compatible
 
-DISTRIBUTIONS = ("flat", "geometric")
 INTERVALS = (0, 1, 7, 500)
-CELLS = tuple((mode, model, rescale)
-              for mode in ("static", "adaptive")
-              for model in ("linear", "fenwick")
-              for rescale in ("orig", "new"))
+CELLS = tuple(product(MODES, MODELS, RESCALES))
 #: The hashed ``DecodeStats`` fields, named so that a new field leaves the
 #: digests as they are
 STATS_FIELDS = ("symbols", "search_iterations", "iteration_histogram",

@@ -1,9 +1,11 @@
 """Instrumented benchmark harness.
 
-One row per runnable (mode, model, search), 320 for the default axes; a
-pair ``strategy_compatible`` rejects gets no row.  A row holds exact,
-reproducible work counters (search iterations, model-array accesses,
-rescale accesses) and wall-clock throughput, which is informative only.
+One row per runnable (mode, model, search) of each distribution and K in
+``POW2_KS``, and per rescale of an adaptive Fenwick stream: 320 rows for
+both modes.  A pair ``strategy_compatible`` rejects gets no row.  A row
+holds exact, reproducible work counters (search iterations, model-array
+accesses, rescale accesses) and wall-clock throughput, which is
+informative only.
 Decode never depends on the search, so each stream is generated, encoded
 and counted once, and the timing columns (minimum of several repetitions)
 are per stream, the same on all of its rows.  They time the stream loops
@@ -20,15 +22,20 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from .datagen import GenSpec, check_symbols, gen_sequence
+from .datagen import DISTRIBUTIONS, GenSpec, check_symbols, gen_sequence
+from .fenwick_model import RESCALES
 from .linear_model import MAX_TOTALCOUNT
 from .rangecoder import (
-    CoderConfig, DecodeStats, count_stream, decode_stream, encode_stream,
-    strategy_compatible,
+    MODELS, MODES, CoderConfig, DecodeStats, count_stream, decode_stream,
+    encode_stream, strategy_compatible,
 )
 from . import search as _search
+from .search import STRATEGIES
 
+#: The grid's alphabet sizes and adaptive rescale interval; its other
+#: axes are the imported value sets, whose order is the CSV's row order
 POW2_KS = tuple(2 ** n for n in range(1, 11))
+RESCALE_INTERVAL = 1024
 
 
 @dataclass
@@ -56,34 +63,17 @@ CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
 
 @dataclass(frozen=True)
 class GridSpec:
-    ks: tuple = POW2_KS
-    distributions: tuple = ("flat", "geometric")
-    modes: tuple = ("static", "adaptive")
-    models: tuple = ("linear", "fenwick")
-    searches: tuple = _search.STRATEGIES
-    rescales: tuple = ("orig", "new")
+    """The settings of a grid run; its axes are the module's constants."""
+    modes: tuple = MODES
     n: int = 10 ** 6
     seed: int = 1
-    rescale_interval: int = 1024
     timing_reps: int = 5
 
     def __post_init__(self):
-        # build every cell's data and coder spec, so that a grid that
-        # cannot run fails here, before any of its cells runs
-        for axis in ("ks", "distributions", "modes", "models", "searches", "rescales"):
-            if not getattr(self, axis):
-                raise ValueError(f"grid axis {axis} is empty")
-        for dist, k in product(self.distributions, self.ks):
-            GenSpec(dist, k, self.n, self.seed)
-        for mode, model, rescale in product(self.modes, self.models, self.rescales):
-            CoderConfig(mode, model, rescale, self.rescale_interval)
-        for strategy in self.searches:
-            if strategy not in _search.STRATEGIES:
-                raise ValueError(f"unknown strategy {strategy!r}")
-        if all(strategy_compatible(strategy, model, mode)
-               for mode, model, strategy
-               in product(self.modes, self.models, self.searches)):
-            raise ValueError("grid has no runnable (mode, model, search) cell")
+        # a grid that cannot run fails here, before any of its cells runs
+        GenSpec(DISTRIBUTIONS[0], POW2_KS[0], self.n, self.seed)
+        for mode in self.modes:
+            CoderConfig(mode, rescale_interval=RESCALE_INTERVAL)
         # the timed minimum needs a repetition
         if self.timing_reps < 1:
             raise ValueError(
@@ -154,20 +144,18 @@ def run_suite(grid: GridSpec) -> list[BenchRecord]:
     """Every runnable search of each distribution x K x mode x model cell.
 
     The rescale variant only changes adaptive fenwick cells; every other
-    cell runs once, with the first entry of ``grid.rescales``.
+    cell runs once, with the first of ``RESCALES``.
     """
     records = []
-    for dist, k, mode, model in product(grid.distributions, grid.ks,
-                                        grid.modes, grid.models):
-        strategies = [s for s in grid.searches
+    for dist, k, mode, model in product(DISTRIBUTIONS, POW2_KS, grid.modes,
+                                        MODELS):
+        strategies = [s for s in STRATEGIES
                       if strategy_compatible(s, model, mode) is None]
-        if not strategies:
-            continue
-        rescales = (grid.rescales if (mode, model) == ("adaptive", "fenwick")
-                    else grid.rescales[:1])
+        rescales = (RESCALES if (mode, model) == ("adaptive", "fenwick")
+                    else RESCALES[:1])
         for rescale in rescales:
             records += run_stream(mode, dist, k, model, strategies, rescale,
-                                  grid.n, grid.seed, grid.rescale_interval,
+                                  grid.n, grid.seed, RESCALE_INTERVAL,
                                   grid.timing_reps)
     return records
 

@@ -6,14 +6,16 @@ import argparse
 import contextlib
 import os
 import sys
+from itertools import product
 
 from . import _loops
 from . import bench as _bench
 from . import datagen
 from . import search as _search
-from .fenwick_model import FenwickModel, forward_step, parent_index
+from .fenwick_model import RESCALES, FenwickModel, forward_step, parent_index
 from .linear_model import LinearModel
-from .rangecoder import MAX_SYMBOLS, CoderConfig, decode_stream, encode_stream
+from .rangecoder import (MAX_SYMBOLS, MODELS, MODES, CoderConfig,
+                         decode_stream, encode_stream)
 
 # Hand-checked reference tables for `selftest`: a 19-symbol count example
 # with its hierarchical representation, the bit-trick table, and the
@@ -117,12 +119,11 @@ def _cmd_selftest(_args) -> int:
             if loops == "compiled" and lib is None:
                 continue
             _loops._lib = lib
-            for mode in ("static", "adaptive"):
-                for model in ("linear", "fenwick"):
-                    cfg = CoderConfig(mode, model, "orig", 128)  # static ignores 128
-                    _, out = decode_stream(encode_stream(data, 7, cfg))
-                    _check(f"{mode} round trip ({model}, {loops} loop)", out,
-                           data, failures)
+            for mode, model in product(MODES, MODELS):
+                cfg = CoderConfig(mode, model, "orig", 128)  # static ignores 128
+                _, out = decode_stream(encode_stream(data, 7, cfg))
+                _check(f"{mode} round trip ({model}, {loops} loop)", out,
+                       data, failures)
     finally:
         _loops._lib = compiled
 
@@ -153,16 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("encode", help="compress a symbol file")
-    p.add_argument("--mode", choices=("static", "adaptive"), default="adaptive")
-    p.add_argument("--model", choices=("linear", "fenwick"), default="linear")
-    p.add_argument("--rescale", choices=("orig", "new"), default="orig")
+    p.add_argument("--mode", choices=MODES, default="adaptive")
+    p.add_argument("--model", choices=MODELS, default="linear")
+    p.add_argument("--rescale", choices=RESCALES, default="orig")
     p.add_argument("--rescale-interval", type=int, default=0)
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="decompress a stream")
-    p.add_argument("--search", choices=_search.STRATEGIES, default=None)
+    p.add_argument("--search", choices=_search.STRATEGIES, default=None,
+                   help="check this strategy against the stream; the "
+                   "decode's search depends on the stream alone")
     p.add_argument("--max-symbols", type=_symbol_limit, default=MAX_SYMBOLS,
                    help="reject a stream whose header claims more symbols")
     p.add_argument("-i", "--input", required=True)
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("bench", help="run the benchmark grid, emit CSV")
-    p.add_argument("--suite", choices=("static", "adaptive", "full"), default="full")
+    p.add_argument("--suite", choices=(*MODES, "full"), default="full")
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--reps", type=int)

@@ -20,6 +20,9 @@ import numpy as np
 
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
+#: The distributions ``gen_sequence`` draws from.
+DISTRIBUTIONS = ("flat", "geometric")
+
 #: ISY1 stores symbols as uint16, so no alphabet is larger than this; the
 #: stream header and the encoder share the limit.
 MAX_ALPHABET = 1 << 16
@@ -75,13 +78,13 @@ def check_symbols(symbols, k) -> array:
 
 @dataclass(frozen=True)
 class GenSpec:
-    distribution: str  # "flat" | "geometric"
+    distribution: str  # one of DISTRIBUTIONS
     k: int
     n: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.distribution not in ("flat", "geometric"):
+        if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution: {self.distribution!r}")
         if not 1 <= self.k <= MAX_ALPHABET:
             raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}]")
@@ -142,10 +145,13 @@ def gen_sequence(spec: GenSpec) -> np.ndarray:
 
 
 def write_symbols(path, k: int, symbols) -> None:
-    arr = np.asarray(symbols, dtype=np.uint16)
+    """Write an ISY1 file.  K and every symbol are checked
+    (``check_symbols``) before the file is opened, so no symbol wraps in
+    its uint16 field and ``encode`` takes every file written."""
+    data = check_symbols(symbols, k)
     with open(path, "wb") as fh:
-        fh.write(struct.pack(_ISY_FMT, ISY_MAGIC, k, len(arr)))
-        fh.write(arr.astype("<u2").tobytes())
+        fh.write(struct.pack(_ISY_FMT, ISY_MAGIC, k, len(data)))
+        fh.write(np.frombuffer(data, np.uint32).astype("<u2").tobytes())
 
 
 def read_symbols(path) -> tuple[int, np.ndarray]:

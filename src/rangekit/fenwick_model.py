@@ -22,6 +22,9 @@ from __future__ import annotations
 
 from . import linear_model
 
+#: The rescale variants, ``rescale_orig`` and ``rescale_new``.
+RESCALES = ("orig", "new")
+
 
 def top_level_index(k: int) -> int:
     """Root probe position: half of the smallest power of two > k."""
@@ -62,7 +65,7 @@ class FenwickModel:
 
     def __init__(self, counts, adaptive: bool = True, rescale_variant: str = "orig"):
         counts, hk = linear_model.prefix_sums(counts, adaptive)
-        if rescale_variant not in ("orig", "new"):
+        if rescale_variant not in RESCALES:
             raise ValueError(f"unknown rescale variant: {rescale_variant!r}")
         self.k = len(counts)
         self.v = [hk[i] - hk[i & (i - 1)] for i in range(self.k + 1)]

@@ -36,7 +36,7 @@ from . import fenwick_model as _fenwick
 from . import linear_model as _linear
 from .datagen import (MAX_ALPHABET, check_symbols, convert_symbols,
                       outside_alphabet)
-from .fenwick_model import FenwickModel
+from .fenwick_model import RESCALES, FenwickModel
 from .linear_model import MAX_TOTALCOUNT, LinearModel
 from . import search as _search
 from .search import binary_indexed_interval, strategy_compatible
@@ -51,9 +51,11 @@ VERSION = 1
 #: ``normalize_counts``), within MAX_TOTALCOUNT.
 STATIC_TOTAL_LIMIT = 1 << 16
 
-_MODES = ("static", "adaptive")
-_MODELS = ("linear", "fenwick")
-_RESCALES = ("orig", "new")
+#: A stream's modes and models; each one's position is its byte in the
+#: IRC1 header (as is a rescale's in ``fenwick_model.RESCALES``), so the
+#: order is fixed.
+MODES = ("static", "adaptive")
+MODELS = ("linear", "fenwick")
 
 #: Symbols per call of a compiled decode loop.  A decode buffers at most
 #: this many before it appends them and calls again; an encode codes its
@@ -86,11 +88,11 @@ class CoderConfig:
     rescale_interval: int = 0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.model not in _MODELS:
+        if self.model not in MODELS:
             raise ValueError(f"unknown model: {self.model!r}")
-        if self.rescale not in _RESCALES:
+        if self.rescale not in RESCALES:
             raise ValueError(f"unknown rescale variant: {self.rescale!r}")
         try:
             interval = operator.index(self.rescale_interval)
@@ -229,8 +231,8 @@ class Decoder:
 def pack_header(header: StreamHeader) -> bytes:
     out = struct.pack(
         _HEADER_FMT, MAGIC, VERSION,
-        _MODES.index(header.mode), _MODELS.index(header.model),
-        _RESCALES.index(header.rescale), header.rescale_interval,
+        MODES.index(header.mode), MODELS.index(header.model),
+        RESCALES.index(header.rescale), header.rescale_interval,
         header.k, header.n,
     )
     if header.mode == "static":
@@ -256,9 +258,9 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
     if version != VERSION:
         raise StreamFormatError(f"unsupported version {version}")
     try:
-        mode = _MODES[mode]
-        model = _MODELS[model]
-        rescale = _RESCALES[rescale]
+        mode = MODES[mode]
+        model = MODELS[model]
+        rescale = RESCALES[rescale]
     except IndexError:
         raise StreamFormatError("unknown mode/model/rescale id") from None
     if not 1 <= k <= MAX_ALPHABET:
@@ -578,8 +580,12 @@ def _decode_compiled(lib, payload: bytes, offset: int,
     while True:
         frame[_F_LIMIT] = min(n - len(symbols), CHUNK)
         got = loop(payload, frame_at)
-        if got < 0:  # -2 leaves a total above the limit in the frame
+        if got == -2:  # a total above the cap, left in the frame
             _linear.check_total(frame[_F_TOTAL])
+            raise StreamFormatError(
+                f"count total {frame[_F_TOTAL]} exceeds the total "
+                f"{header.total} that sized the symbol table")
+        if got < 0:
             raise StreamFormatError("payload ends before the last symbol")
         if got == n:  # one call decoded the whole stream
             return out.tolist(), frame[_F_POS], frame[_F_RESCALES]

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -49,18 +50,11 @@ def test_static_round_trip_default_options(tmp_path):
 def test_bench_writes_csv(tmp_path, monkeypatch):
     import rangekit.bench as bench
 
-    real = bench.GridSpec
-
-    def small_grid(**kw):
-        # shrink the default grid so the CLI path stays fast under test
-        kw.setdefault("ks", (4,))
-        kw.setdefault("distributions", ("flat",))
-        kw.setdefault("models", ("linear",))
-        kw.setdefault("searches", ("log", "table"))
-        kw.setdefault("rescales", ("orig",))
-        return real(**kw)
-
-    monkeypatch.setattr(bench, "GridSpec", small_grid)
+    # shrink the grid's axes so the CLI path stays fast under test
+    for name, value in (("POW2_KS", (4,)), ("DISTRIBUTIONS", ("flat",)),
+                        ("MODELS", ("linear",)),
+                        ("STRATEGIES", ("log", "table"))):
+        monkeypatch.setattr(bench, name, value)
     csv_path = tmp_path / "bench.csv"
     assert main(["bench", "--suite", "static", "--n", "200", "--reps", "1",
                  "--csv", str(csv_path)]) == 0
@@ -233,10 +227,10 @@ def test_decode_rejects_a_bad_symbol_limit_with_a_usage_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("mode", ("static", "adaptive"))
 def test_encode_out_of_alphabet_symbol_reports_error(tmp_path, mode):
-    # the ISY header says K=4 but the body holds symbol 9; both loops
-    # reject it before coding
+    # the ISY header says K=4 but the body holds symbol 9, a file that
+    # write_symbols refuses to write; both loops reject it before coding
     raw = tmp_path / "bad.isy"
-    write_symbols(raw, 4, [0, 9, 1])
+    raw.write_bytes(struct.pack("<4sIQ3H", b"ISY1", 4, 3, 0, 9, 1))
     for entry in (("-m", "rangekit.cli"), PYTHON_LOOPS_CLI):
         proc = _cli_in_subprocess("encode", "--mode", mode, "-i", raw,
                                   "-o", tmp_path / "out.irc", entry=entry)

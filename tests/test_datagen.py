@@ -127,6 +127,25 @@ def test_symbol_file_empty(tmp_path):
     assert len(got) == 0
 
 
+@pytest.mark.parametrize("k,symbols,message", [
+    (0, [], "alphabet size must be in"),
+    (MAX_ALPHABET + 1, [0], "alphabet size must be in"),
+    (4, [0, 4, 9], "symbol 4 outside alphabet of size 4"),
+    (4, [0, -1, 9], "symbol -1 outside alphabet of size 4"),
+    # uint16 would wrap these to [1, 65535]
+    (MAX_ALPHABET, np.array([65537, -1], dtype=np.int64),
+     "symbol 65537 outside alphabet of size 65536"),
+])
+def test_symbol_file_rejects_what_encode_rejects(tmp_path, k, symbols, message):
+    """K and every symbol are checked before the file is opened, so no
+    file is written that ``encode`` would reject or read back as other
+    symbols."""
+    path = tmp_path / "bad.isy"
+    with pytest.raises(ValueError, match=message):
+        write_symbols(path, k, symbols)
+    assert not path.exists()
+
+
 def test_symbol_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.isy"
     path.write_bytes(b"NOPE" + b"\x00" * 12)

@@ -374,7 +374,8 @@ def test_symbol_table_is_never_written_past_its_size():
     payload = encode_stream(list(range(k)) * 10, k, CoderConfig("static"))
     header, offset = unpack_header(payload)  # reads header.total
     header.counts[0] += 1000
-    with pytest.raises(StreamFormatError):
+    with pytest.raises(StreamFormatError, match="count total 1080 exceeds "
+                       "the total 80 that sized the symbol table"):
         rangecoder._decode_compiled(_loops.lib(), payload, offset, header)
 
 
