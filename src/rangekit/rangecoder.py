@@ -68,6 +68,11 @@ MAX_SYMBOLS = 1 << 24
 _HEADER_FMT = "<4sBBBBIIQ"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
+# one zero entry each, repeated into every per-stream buffer: a copy of
+# these costs less than a new array("I", [0]).  No loop is handed them.
+_ZERO_I = array("I", [0])
+_ZERO_B = array("B", [0])
+
 
 class StreamFormatError(ValueError):
     """Malformed compressed stream (bad magic, truncation, unknown ids,
@@ -108,7 +113,9 @@ class CoderConfig:
 class StreamHeader:
     """A stream's header fields.  A static stream's ``counts`` is one
     ``array('I')``, read by the compiled loops and written by none; a
-    tuple or list given here is converted to it once."""
+    tuple or list given here is converted to it once.  ``unpack_header``
+    stores the table's total on the header it returns; a header built
+    here sums its table on the first read of ``total``."""
     mode: str
     model: str
     rescale: str
@@ -124,7 +131,14 @@ class StreamHeader:
     @cached_property
     def total(self) -> int:
         """A static header's count total, summed once, in 64 bits."""
-        return int(np.frombuffer(self.counts, np.uint32).sum(dtype=np.int64))
+        if self.counts is None:
+            raise ValueError("an adaptive header has no count table")
+        return _table_total(self.counts)
+
+
+def _table_total(counts: array) -> int:
+    """The sum of an ``array('I')`` count table, in 64 bits."""
+    return int(np.add.reduce(np.frombuffer(counts, np.uint32), dtype=np.int64))
 
 
 @dataclass
@@ -248,7 +262,9 @@ def pack_header(header: StreamHeader) -> bytes:
 
 
 def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
-    """Parse the header; returns (header, offset of coded bytes)."""
+    """Parse the header; returns (header, offset of coded bytes).  A
+    static header's count total is summed here, once, checked and stored
+    on the header as its ``total``."""
     if len(payload) < _HEADER_SIZE:
         raise StreamFormatError("truncated header")
     magic, version, mode, model, rescale, interval, k, n = struct.unpack_from(
@@ -277,10 +293,13 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
             counts.byteswap()
         offset = end
     header = StreamHeader(mode, model, rescale, interval, k, n, counts)
-    # an empty static stream legitimately carries an all-zero table
-    if counts is not None and ((n and header.total == 0)
-                               or header.total > MAX_TOTALCOUNT):
-        raise StreamFormatError(f"invalid static count total {header.total}")
+    if counts is not None:
+        total = _table_total(counts)
+        # an empty static stream legitimately carries an all-zero table
+        if (n and total == 0) or total > MAX_TOTALCOUNT:
+            raise StreamFormatError(f"invalid static count total {total}")
+        # what the cached property stores: a later read finds it at once
+        header.__dict__["total"] = total
     return header, offset
 
 
@@ -336,7 +355,7 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
         counts = _histogram(symbols, k) if static else None
     else:
         symbols, k = convert_symbols(symbols, k)
-        counts = array("I", [0]) * k if static else None
+        counts = _ZERO_I * k if static else None
         bad = lib.first_pass(_address(symbols), len(symbols), k,
                              None if counts is None else _address(counts))
         if bad < len(symbols):
@@ -399,23 +418,25 @@ def count_stream(payload: bytes, counted: dict,
         raise StreamFormatError(f"header claims {header.n} symbols, more than "
                                 f"the limit of {max_symbols}")
     default = default_strategy(header.model)
-    for strategy in counted:
-        reason = strategy_compatible(default if strategy is None else strategy,
-                                     header.model, header.mode)
+    kept = []  # the (strategy, stats) pairs that count
+    for strategy, stats in counted.items():
+        if strategy is None:
+            strategy = default
+        reason = strategy_compatible(strategy, header.model, header.mode)
         if reason is not None:
             raise ValueError(reason)
+        if stats is not None:
+            kept.append((strategy, stats))
     if len(payload) < offset + 5:
         raise StreamFormatError("truncated payload")
-    counted = [(default if strategy is None else strategy, stats)
-               for strategy, stats in counted.items() if stats is not None]
     lib = _loops.lib()
     symbols, pos, rescales = (
         _decode_python(payload, offset, header) if lib is None
         else _decode_compiled(lib, bytes(payload), offset, header))
     if pos != len(payload):
         raise StreamFormatError("trailing bytes after the last symbol")
-    if counted:
-        _add_stats(counted, header, symbols, rescales)
+    if kept:
+        _add_stats(kept, header, symbols, rescales)
     return header, symbols
 
 
@@ -505,15 +526,19 @@ def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
     0 in an adaptive frame, whose counts start at one) and of a K + 1
     entry array in which its first call derives ``hk`` or ``v`` and the
     total.  The frame keeps the buffers alive, ``None`` for an adaptive
-    stream's counts.  The cap, at which a model rescales and against
-    which the first call checks the total, as ``prefix_sums`` does, is
-    ``linear_model.MAX_TOTALCOUNT``, read at call time, so a cap patched
-    there applies.  No model is built.
+    stream's counts.  That working array, like the room for the decoded
+    symbols and the encode's output and histogram, is a fresh copy of a
+    module-level zero entry, which no loop is handed.  The cap, at which
+    a model rescales and against which the first call checks the total,
+    as ``prefix_sums`` does, is ``linear_model.MAX_TOTALCOUNT``, read at
+    call time, so a cap patched there applies.  No model is built.
 
     The loop follows from the header's mode alone, not from its model
     byte.  A static stream codes through the prefix sums, as in
     ``_make_model``, and decodes through a symbol table of
-    ``header.total`` uint16 entries that follows ``hk`` in that array.
+    ``header.total`` uint16 entries that follows ``hk`` in that array:
+    the total ``unpack_header`` summed and stored, or, on a header built
+    by hand, the one ``StreamHeader.total`` sums on first read.
     The total is checked before the array is sized from it, and is the
     table's cap: a first call that finds a larger total returns -2 before
     it writes the table.  An adaptive stream runs the Fenwick loops, from
@@ -528,13 +553,15 @@ def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
         cap = header.total
         size += (cap + 1) // 2
     counts = None if adaptive else header.counts
-    work = array("I", [0]) * size
+    work = _ZERO_I * size
     new_rescale = header.model == "fenwick" and header.rescale == "new"
-    frame = _Frame("q", (  # in _loops.FRAME order, one array: no names to look up
+    # in _loops.FRAME order, one array: no names to look up; an array
+    # builds faster from a list than from a tuple
+    frame = _Frame("q", [
         MASK32, code, pos, 0, 0, 0,  # rng, code, pos, sym, total, rescales
         k, header.rescale_interval, cap, new_rescale,
         length, 0,  # len; limit, set for each call
-        _address(syms), 0 if adaptive else _address(counts), _address(work)))
+        _address(syms), 0 if adaptive else _address(counts), _address(work)])
     frame.buffers = syms, counts, work
     return getattr(lib, f"{header.mode}_{kind}"), frame
 
@@ -554,7 +581,7 @@ def _encode_compiled(lib, data: array, header: StreamHeader) -> memoryview:
     # at most three bytes; the flush shifts out five
     room = 3 * len(data) + 5
     loop, frame = _compiled_loop(lib, "encode", header, data, room)
-    out = array("B", [0]) * room
+    out = _ZERO_B * room
     frame[_F_LIMIT] = len(data)
     size = loop(_address(out), _address(frame))
     if size < 0:  # -2 leaves a total above the limit in the frame
@@ -570,7 +597,7 @@ def _decode_compiled(lib, payload: bytes, offset: int,
     are handled between calls.  An empty stream takes one call too, which
     checks its count total."""
     n = header.n
-    out = array("I", [0]) * min(n, CHUNK)
+    out = _ZERO_I * min(n, CHUNK)
     # the first payload byte is the flush artifact and falls out of 32 bits
     loop, frame = _compiled_loop(
         lib, "decode", header, out, len(payload), offset + 5,
