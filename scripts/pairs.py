@@ -2,15 +2,15 @@
 """Compare two source trees with alternating perfbench runs.
 
     python3 scripts/pairs.py PARENT CHANGE --pairs 10 --first-seed 32001 \\
-        --seconds 20 --out BENCH_name.json
+        --out BENCH_name.json
 
 PARENT and CHANGE are the roots of two rangekit checkouts.  For each
 workload, pair i runs ``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` in both trees, one process at a time, with seed
 ``first_seed + i`` on both sides; the parent runs first when i is even
-and the change first when it is odd.  The workloads are those of
-``--workload``, or else every workload in ``BENCHMARK.json`` beside this
-script.
+and the change first when it is odd.  T is ``run_seconds`` of
+``BENCHMARK.json`` beside this script, and the workloads are those of
+``--workload``, or else every workload in that file.
 
 The JSON written to ``--out`` (or printed) holds, per workload and
 metric, each side's runs in seed order with their min, quartiles
@@ -20,8 +20,10 @@ better lower.  ``median_change`` is the change's median minus the
 parent's, ``median_change_rel`` that over the parent's median, and
 ``median_change_over_parent_iqr`` that over the parent's interquartile
 range.  It also gives the host, the Python version, the commit each
-side's perfbench reported (``unknown`` outside a git checkout), the
-seeds and every run that failed: a nonzero exit, output that is not
+side's perfbench reported (``unknown`` outside a git checkout), whether
+the runs inherited ``PYTHONDONTWRITEBYTECODE`` and ``PYTHONPYCACHEPREFIX``
+(which decide whether each run compiles the imported sources afresh),
+the seeds and every run that failed: a nonzero exit, output that is not
 perfbench's, or streams that did not round-trip.  A failed run adds no
 metrics.
 """
@@ -154,27 +156,27 @@ def main(argv=None) -> int:
                          "workload in BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--out", type=Path, help="write the JSON here, not to stdout")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0 or args.first_seed < 0:
-        ap.error("--pairs must be >= 1, --seconds > 0 and --first-seed >= 0")
+    if args.pairs < 1 or args.first_seed < 0:
+        ap.error("--pairs must be >= 1 and --first-seed >= 0")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, tree in trees.items():
         if not (tree / "perfbench" / "run.py").is_file():
             ap.error(f"{side} tree {tree} has no perfbench/run.py")
-    workloads = args.workloads or [
-        w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())
-        ["workloads"]]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    results, commits = run_pairs(trees, workloads, seeds, args.seconds,
+    results, commits = run_pairs(trees, workloads, seeds, bench["run_seconds"],
                                  log=lambda msg: print(msg, file=sys.stderr))
     report = {
         "method": "perfbench/run.py --trace 0 in each tree, one process at a "
                   "time; pair i runs seed first_seed + i on both sides, the "
                   "parent first when i is even",
         "host": host(), "python": platform.python_version(),
-        "commits": commits, "seconds": args.seconds, "seeds": seeds,
+        "bytecode": {name: bool(os.environ.get(name)) for name in
+                     ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")},
+        "commits": commits, "seconds": bench["run_seconds"], "seeds": seeds,
         "workloads": results,
     }
     text = json.dumps(report, indent=1)

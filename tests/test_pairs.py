@@ -2,6 +2,7 @@
 prints fixed metrics, so no real workload runs."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "pairs.py"
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 # a stand-in for perfbench/run.py: decode reads BASE + seed, one stream
 # fails for the seed given as FAIL_SEED, and every call is logged in order
+# with the run length it was given
 STUB = '''
 import argparse, json, sys
 from pathlib import Path
@@ -22,7 +25,7 @@ for name in ("--workload", "--seed", "--seconds", "--trace"):
 args = ap.parse_args()
 here = Path(__file__).resolve().parent.parent
 with open(here.parent / "order.log", "a") as log:
-    log.write(f"{here.name} {args.workload} {args.seed}\\n")
+    log.write(f"{here.name} {args.workload} {args.seed} {args.seconds}\\n")
 seed = int(args.seed)
 failed = int(seed == FAIL_SEED)
 print(json.dumps({"info": {"errors": ["stream differs"] * failed,
@@ -42,27 +45,33 @@ def stub_tree(path: Path, base: float, fail_seed: int = -1) -> Path:
     return path
 
 
-def run(tmp_path, *args):
+def run(tmp_path, *args, env=None):
     out = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), str(tmp_path / "parent"),
          str(tmp_path / "change"), "--out", str(out), *args],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     return proc, (json.loads(out.read_text()) if out.exists() else None)
 
 
 def test_pairs_alternate_and_summarise(tmp_path):
     stub_tree(tmp_path / "parent", 100.0)
     stub_tree(tmp_path / "change", 90.0)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path / "pyc")
     proc, report = run(tmp_path, "--workload", "w1", "--workload", "w2",
-                       "--pairs", "4", "--first-seed", "10", "--seconds", "1")
+                       "--pairs", "4", "--first-seed", "10", env=env)
     assert proc.returncode == 0, proc.stderr
     order = (tmp_path / "order.log").read_text().split("\n")[:-1]
     seeds = (10, 11, 12, 13)
-    assert order == [f"{side} {w} {s}" for w in ("w1", "w2") for i, s in
-                     enumerate(seeds)
+    assert order == [f"{side} {w} {s} {RUN_SECONDS}" for w in ("w1", "w2")
+                     for i, s in enumerate(seeds)
                      for side in (("parent", "change") if i % 2 == 0
                                   else ("change", "parent"))]
+    assert report["seconds"] == RUN_SECONDS
+    assert report["bytecode"] == {"PYTHONDONTWRITEBYTECODE": False,
+                                  "PYTHONPYCACHEPREFIX": True}
     assert report["seeds"] == list(seeds)
     assert report["commits"] == {"parent": "parent", "change": "change"}
     assert report["python"] and report["host"]["cpus"]
@@ -87,7 +96,7 @@ def test_failed_runs_are_reported_and_left_out(tmp_path):
     stub_tree(tmp_path / "parent", 100.0)
     stub_tree(tmp_path / "change", 90.0, fail_seed=2)
     proc, report = run(tmp_path, "--workload", "w", "--pairs", "3",
-                       "--first-seed", "1", "--seconds", "1")
+                       "--first-seed", "1")
     assert proc.returncode == 1
     entry = report["workloads"]["w"]
     assert entry["failed"] == [{"side": "change", "seed": 2, "returncode": 1,

@@ -6,7 +6,7 @@ from array import array
 
 import pytest
 
-from rangekit import _loops, rangecoder
+from rangekit import rangecoder
 from rangekit.linear_model import MAX_TOTALCOUNT
 from rangekit.rangecoder import (CHUNK, CoderConfig, StreamFormatError,
                                  StreamHeader, decode_stream, encode_stream,
@@ -93,17 +93,3 @@ def test_zero_buffers_stay_one_zero_entry(loops, mode, k, n):
     assert rangecoder._ZERO_I == array("I", [0])
     assert rangecoder._ZERO_B == array("B", [0])
 
-
-def test_frame_holds_fresh_buffers():
-    """The buffers a compiled frame keeps alive are none of the zero
-    entries they were copied from."""
-    lib = _loops.lib()
-    if lib is None:
-        pytest.skip("the compiled stream loops did not load")
-    payload = encode_stream([0, 1, 2], 3, CoderConfig("static"))
-    header, offset = unpack_header(payload)
-    out = rangecoder._ZERO_I * header.n
-    _, frame = rangecoder._compiled_loop(lib, "decode", header, out,
-                                         len(payload), offset + 5)
-    zeros = (rangecoder._ZERO_I, rangecoder._ZERO_B)
-    assert not any(buf is zero for buf in frame.buffers for zero in zeros)
