@@ -9,45 +9,45 @@
    whatever its model byte: a linear stream halves as Fenwick `orig`
    does, to the same bytes.  The loops are plain C for _loops.CFLAGS (no
    intrinsics or CPU dispatch).  The Fenwick loops fuse two steps of the
-   Python loop into one walk: the decode's descent is
-   binary_indexed_interval + update, and the encode's walk is cum +
-   count.  Each symbol costs range / total, the width of one count.  A
-   static stream's total is fixed, so its loops multiply by
-   ceil(2^64 / total), which each call computes once (recip), where
-   Encoder/Decoder divide; an adaptive stream's total changes with every
-   symbol, so its loops divide.  At the count cap a model rescales
-   before the increment, and an adaptive loop rescales after every
-   f[INTERVAL]-th symbol.  Each rescale raises f[RESCALES], the one work
-   counter (see count_stream).
+   Python loop into one walk: the encode's is cum + count, the decode's
+   descent binary_indexed_interval + update, which loads both of the
+   next level's probes before each choice, a mask, not a branch (Khuong
+   & Morin, arXiv:1509.05053).  A static stream's total is fixed, so its
+   loops take range / total as a multiply by ceil(2^64 / total), which
+   each call computes once (recip), where Encoder/Decoder divide; an
+   adaptive stream's total changes with every symbol, so its loops
+   divide.  At the count cap a model rescales before the increment, and
+   an adaptive loop rescales after every f[INTERVAL]-th symbol.  Each
+   rescale raises f[RESCALES], the one work counter (see count_stream).
 
    No Python model is built for them.  Each loop reads the address of a
-   K + 1 entry work buffer from its frame (below), and on a stream's
-   first call (f[SYM] == 0) derives its working array there, with the
-   total.  A static stream's is the prefix sums hk of its uint32 count
-   vector h (K entries, the caller's table, which no loop writes), and
-   static_decode's buffer has room for its symbol table after hk,
+   work buffer from its frame (below), and on a stream's first call
+   (f[SYM] == 0) derives its working array and the total in its first
+   K + 1 entries.  A static stream's is the prefix sums hk of its uint32
+   count vector h (K entries, the caller's table, which no loop writes),
+   and static_decode's buffer has room for its symbol table after hk,
    ceil(total / 2) more entries, which the first call fills and later
    calls read.  An adaptive stream starts from K alone, every count one,
-   so its v and total K are in closed form and it has no h.  That first
-   call also checks the total, summed in 64 bits so that no table wraps
-   it, against f[CAP]: above it, it stores the total in f[TOTAL] and
-   returns -2 before coding anything or writing a symbol table.  A total
-   within the cap (at most 2^20) keeps every count and sum within 32
-   bits.  An encode codes its whole stream in one call: its input is
-   already in memory and its output room allocated.  A decode codes at
-   most f[LIMIT] symbols a call and resumes from f[], so the caller
-   bounds its buffer and handles signals between calls.
+   so its v and total K are in closed form and it has no h; its buffer
+   has 2 top entries, zero past K, the reach of the decode's lookahead,
+   which never compares or writes them.  That first call also checks the
+   total, summed in 64 bits so that no table wraps it, against f[CAP]:
+   above it, it stores the total in f[TOTAL] and returns -2 before
+   coding anything or writing a symbol table.  A total within the cap
+   (at most 2^20) keeps every count and sum within 32 bits.  An encode
+   codes its whole stream in one call: its input is already in memory
+   and its output room allocated.  A decode codes at most f[LIMIT]
+   symbols a call and resumes from f[], so the caller bounds its buffer
+   and handles signals between calls.
 
    Each loop takes two arguments: the bytes it reads (decode) or writes
    (encode), and the stream's frame f[], one int64 array of 15 slots laid
-   out by enum frame and mirrored by _loops.FRAME.  The frame holds what
-   a decode resumes from, the stream's settings, the call's bounds and
-   the addresses of its buffers, so a call through ctypes converts two
-   arguments, not eight or nine, and a later decode call of the stream
-   sets only f[LIMIT].  first_pass is an encode's one read of its symbols
-   before the loop: the range check against K and, for a static stream,
-   the histogram that becomes the header's counts, so a static encode of
-   a short stream makes no numpy call. */
+   out by enum frame and mirrored by _loops.FRAME, so a call through
+   ctypes converts two arguments, not eight or nine, and a later decode
+   call of the stream sets only f[LIMIT].  first_pass is an encode's one
+   read of its symbols before the loop: the range check against K and,
+   for a static stream, the histogram that becomes the header's counts,
+   so a static encode of a short stream makes no numpy call. */
 
 #include <stdint.h>
 
@@ -244,13 +244,17 @@ i64 adaptive_decode(const unsigned char *buf, i64 *f) {
            unless at the cap, where update rescales first */
         u32 r = d.rng / (u32)m.total, c0 = target(&d, r, m.total);
         i64 c = c0, rest = m.total - c, bottom = 0, inc = m.total < m.cap;
+        i64 x = m.v[top];
         for (i64 step = top; step; step >>= 1) {
-            i64 test = bottom + step;
-            if (test > m.k)
-                continue;
-            i64 x = m.v[test];
-            if (c >= x) { bottom = test; c -= x; }
-            else { rest = x - c; m.v[test] = x + inc; }
+            i64 test = bottom + step, half = step >> 1;
+            i64 xa = m.v[bottom + half], xb = m.v[test + half];
+            if (test > m.k) { x = xa; continue; }
+            i64 take = -(i64)(c >= x);
+            m.v[test] = (u32)(x + (inc & ~take));
+            rest ^= (rest ^ (x - c)) & ~take;
+            c -= x & take;
+            bottom += step & take;
+            x = xa ^ ((xa ^ xb) & take);
         }
         if (!consume(&d, r, c0 - c, rest + c))
             return -1;

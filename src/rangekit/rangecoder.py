@@ -523,9 +523,9 @@ def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
     payload's length or the output's room ``length``, and the addresses
     of ``syms`` (the symbols encoded or the room for those decoded), of a
     static stream's counts (``header.counts``, which the loop only reads;
-    0 in an adaptive frame, whose counts start at one) and of a K + 1
-    entry array in which its first call derives ``hk`` or ``v`` and the
-    total.  The frame keeps the buffers alive, ``None`` for an adaptive
+    0 in an adaptive frame, whose counts start at one) and of an array
+    in whose first K + 1 entries its first call derives ``hk`` or ``v``
+    and the total.  The frame keeps the buffers alive, ``None`` for an adaptive
     stream's counts.  That working array, like the room for the decoded
     symbols and the encode's output and histogram, is a fresh copy of a
     module-level zero entry, which no loop is handed.  The cap, at which
@@ -543,11 +543,11 @@ def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
     table's cap: a first call that finds a larger total returns -2 before
     it writes the table.  An adaptive stream runs the Fenwick loops, from
     K counts of one, whose ``v`` the first call writes in closed form,
-    ``v[i] = i & -i``: it halves its counts (linear, whatever its rescale
-    byte, or Fenwick ``orig``: one bitstream) unless it rescales by
-    Fenwick ``new``."""
+    ``v[i] = i & -i``, then zeros to index ``2 * top - 1``, the decode's
+    lookahead; it halves its counts (linear, whatever its rescale byte,
+    or Fenwick ``orig``) unless it rescales by Fenwick ``new``."""
     k, adaptive = header.k, header.mode == "adaptive"
-    cap, size = _linear.MAX_TOTALCOUNT, k + 1
+    cap, size = _linear.MAX_TOTALCOUNT, 1 << k.bit_length() if adaptive else k + 1
     if kind == "decode" and not adaptive:
         _linear.check_total(header.total)
         cap = header.total

@@ -300,8 +300,10 @@ def test_frame_holds_each_slot_by_name(mode):
 @pytest.mark.parametrize("k", (1, 2, 3, 64, 65535, 65536))
 def test_adaptive_first_call_starts_from_k_counts_of_one(kind, k):
     """An adaptive stream's first call, of 0 symbols, writes
-    ``FenwickModel([1] * k).v`` to the work buffer in closed form, the
-    lowest set bit of each index, from K alone: the frame has no counts."""
+    ``FenwickModel([1] * k).v`` to the first K + 1 entries of the work
+    buffer in closed form, the lowest set bit of each index, from K
+    alone: the frame has no counts.  The buffer has ``1 << K.bit_length()``
+    entries, room for the decode's lookahead, and the rest stay zero."""
     header = StreamHeader("adaptive", "fenwick", "orig", 0, k, 0, None)
     loop, frame = rangecoder._compiled_loop(_loops.lib(), kind, header,
                                             array("I"), 5)
@@ -310,7 +312,67 @@ def test_adaptive_first_call_starts_from_k_counts_of_one(kind, k):
     got = loop(rangecoder._address(out) if kind == "encode" else b"",
                rangecoder._address(frame))
     assert got == (5 if kind == "encode" else 0)
-    assert frame.buffers[2].tolist() == FenwickModel([1] * k).v
+    work = frame.buffers[2].tolist()
+    assert len(work) == 1 << k.bit_length()
+    assert work[:k + 1] == FenwickModel([1] * k).v
+    assert not any(work[k + 1:])
+
+
+def frames_of(fn):
+    """``fn()`` and the frames of the compiled loops it ran."""
+    frames, compiled_loop = [], rangecoder._compiled_loop
+
+    def spy(*args):
+        loop, frame = compiled_loop(*args)
+        frames.append(frame)
+        return loop, frame
+
+    with mock.patch.object(rangecoder, "_compiled_loop", spy):
+        return fn(), frames
+
+
+RESUMED = [_loops.FRAME.index(name) for name in
+           ("rng", "code", "pos", "sym", "total", "rescales")]
+
+
+@pytest.mark.parametrize("model,rescale", [
+    ("fenwick", "orig"), ("fenwick", "new"), ("linear", "orig")])
+@pytest.mark.parametrize("k,cap", [
+    *((k, None) for k in (1, 2, 3, 5, 9, 64, 200, 65535, 65536)), (200, 202)])
+def test_adaptive_decode_lookahead_stays_in_its_padded_array(k, cap, model,
+                                                             rescale):
+    """``adaptive_decode`` loads both of the next level's probes before
+    each choice, up to index ``2 * top - 1``, from the work array padded
+    to ``1 << K.bit_length()`` entries.  Decoded in three resumed calls,
+    on flat and geometric data, rescaling every 0 or 37 symbols, and
+    under a count cap lowered to K + 2, where most updates rescale first,
+    a stream gives its symbols, the resumable slots of a one-call decode,
+    the encode's ``v`` and ``FenwickModel``'s in the first K + 1 entries,
+    and zeros past them: the padding is never written.  At K = 5, 9 and
+    200 the descent skips probes above K mid-descent."""
+    n = 300
+    for dist in ("flat", "geometric"):
+        syms = gen_sequence(GenSpec(dist, k, n, k)).tolist()
+        for interval in (0, 37):
+            cfg = CoderConfig("adaptive", model, rescale, interval)
+            ref = FenwickModel([1] * k, rescale_variant=rescale)
+            with count_cap(cap):
+                payload, (encoded,) = frames_of(
+                    lambda: encode_stream(syms, k, cfg))
+                whole, (one,) = frames_of(lambda: decode_stream(payload)[1])
+                with mock.patch.object(rangecoder, "CHUNK", n // 3):
+                    out, (resumed,) = frames_of(
+                        lambda: decode_stream(payload)[1])
+                for i, s in enumerate(syms):
+                    ref.update(s)
+                    if interval and (i + 1) % interval == 0:
+                        ref.rescale()
+            assert out == whole == syms
+            assert [resumed[j] for j in RESUMED] == [one[j] for j in RESUMED]
+            work = resumed.buffers[2].tolist()
+            assert len(work) == 1 << k.bit_length()
+            assert work[:k + 1] == encoded.buffers[2].tolist()[:k + 1] == ref.v
+            assert not any(work[k + 1:])
 
 
 def overflow(total, cap):
