@@ -26,7 +26,6 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -109,13 +108,12 @@ class CoderConfig:
             raise ValueError("rescale interval must be in [0, 2**32)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StreamHeader:
     """A stream's header fields.  A static stream's ``counts`` is one
-    ``array('I')``, read by the compiled loops and written by none; a
-    tuple or list given here is converted to it once.  ``unpack_header``
-    stores the table's total on the header it returns; a header built
-    here sums its table on the first read of ``total``."""
+    ``array('I')`` of K entries, read by the compiled loops and written
+    by none; a tuple or list given here is converted to it once.
+    ``StreamHeader.total`` sums the table on first read and keeps it."""
     mode: str
     model: str
     rescale: str
@@ -123,17 +121,25 @@ class StreamHeader:
     k: int
     n: int
     counts: array | None  # static mode only
+    _total: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.counts is not None and getattr(self.counts, "typecode", "") != "I":
-            object.__setattr__(self, "counts", array("I", self.counts))
+        if (self.mode == "static") != (self.counts is not None):
+            raise ValueError("a static header, and no other, has a count table")
+        if self.counts is not None:
+            if getattr(self.counts, "typecode", "") != "I":
+                self.counts = array("I", self.counts)
+            if (size := len(self.counts)) != self.k:
+                raise ValueError(f"{size} counts for an alphabet of size {self.k}")
 
-    @cached_property
+    @property
     def total(self) -> int:
-        """A static header's count total, summed once, in 64 bits."""
-        if self.counts is None:
-            raise ValueError("an adaptive header has no count table")
-        return _table_total(self.counts)
+        """A static header's count total, in 64 bits."""
+        if self._total is None:
+            if self.counts is None:
+                raise ValueError("an adaptive header has no count table")
+            self._total = _table_total(self.counts)
+        return self._total
 
 
 def _table_total(counts: array) -> int:
@@ -251,9 +257,6 @@ def pack_header(header: StreamHeader) -> bytes:
     )
     if header.mode == "static":
         table = header.counts
-        if len(table) != header.k:
-            raise ValueError(f"{len(table)} counts for an alphabet of size "
-                             f"{header.k}")
         if sys.byteorder == "big":
             table = array("I", table)
             table.byteswap()
@@ -263,8 +266,7 @@ def pack_header(header: StreamHeader) -> bytes:
 
 def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
     """Parse the header; returns (header, offset of coded bytes).  A
-    static header's count total is summed here, once, checked and stored
-    on the header as its ``total``."""
+    static header's ``total`` is first read, and so summed, here."""
     if len(payload) < _HEADER_SIZE:
         raise StreamFormatError("truncated header")
     magic, version, mode, model, rescale, interval, k, n = struct.unpack_from(
@@ -293,13 +295,9 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
             counts.byteswap()
         offset = end
     header = StreamHeader(mode, model, rescale, interval, k, n, counts)
-    if counts is not None:
-        total = _table_total(counts)
-        # an empty static stream legitimately carries an all-zero table
-        if (n and total == 0) or total > MAX_TOTALCOUNT:
-            raise StreamFormatError(f"invalid static count total {total}")
-        # what the cached property stores: a later read finds it at once
-        header.__dict__["total"] = total
+    # an empty static stream legitimately carries an all-zero table
+    if counts is not None and not min(n, 1) <= header.total <= MAX_TOTALCOUNT:
+        raise StreamFormatError(f"invalid static count total {header.total}")
     return header, offset
 
 
@@ -356,8 +354,7 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     else:
         symbols, k = convert_symbols(symbols, k)
         counts = _ZERO_I * k if static else None
-        bad = lib.first_pass(_address(symbols), len(symbols), k,
-                             None if counts is None else _address(counts))
+        bad = lib.first_pass(_address(symbols), len(symbols), k, _address(counts))
         if bad < len(symbols):
             raise outside_alphabet(symbols[bad], k)
     if static and len(symbols) > STATIC_TOTAL_LIMIT:
@@ -536,9 +533,7 @@ def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
     The loop follows from the header's mode alone, not from its model
     byte.  A static stream codes through the prefix sums, as in
     ``_make_model``, and decodes through a symbol table of
-    ``header.total`` uint16 entries that follows ``hk`` in that array:
-    the total ``unpack_header`` summed and stored, or, on a header built
-    by hand, the one ``StreamHeader.total`` sums on first read.
+    ``header.total`` uint16 entries that follows ``hk`` in that array.
     The total is checked before the array is sized from it, and is the
     table's cap: a first call that finds a larger total returns -2 before
     it writes the table.  An adaptive stream runs the Fenwick loops, from
@@ -552,7 +547,6 @@ def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
         _linear.check_total(header.total)
         cap = header.total
         size += (cap + 1) // 2
-    counts = None if adaptive else header.counts
     work = _ZERO_I * size
     new_rescale = header.model == "fenwick" and header.rescale == "new"
     # in _loops.FRAME order, one array: no names to look up; an array
@@ -561,13 +555,13 @@ def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
         MASK32, code, pos, 0, 0, 0,  # rng, code, pos, sym, total, rescales
         k, header.rescale_interval, cap, new_rescale,
         length, 0,  # len; limit, set for each call
-        _address(syms), 0 if adaptive else _address(counts), _address(work)])
-    frame.buffers = syms, counts, work
+        _address(syms), _address(header.counts), _address(work)])
+    frame.buffers = syms, header.counts, work
     return getattr(lib, f"{header.mode}_{kind}"), frame
 
 
-def _address(buf: array) -> int:
-    return buf.buffer_info()[0]
+def _address(buf: array | None) -> int:
+    return 0 if buf is None else buf.buffer_info()[0]
 
 
 def _encode_compiled(lib, data: array, header: StreamHeader) -> memoryview:

@@ -143,6 +143,25 @@ def test_pack_header_rejects_a_table_of_the_wrong_size():
             pack_header(StreamHeader("static", "linear", "orig", 0, 3, 1, counts))
 
 
+@pytest.mark.parametrize("mode, counts, error", [
+    ("static", None, "a static header, and no other, has a count table"),
+    ("adaptive", (1, 2, 3), "a static header, and no other, has a count table"),
+    ("static", (1, 2), "2 counts for an alphabet of size 3"),
+    ("static", (1, 2, 3), None),
+    ("adaptive", None, None),
+])
+def test_header_builds_only_what_it_can_represent(mode, counts, error):
+    """A static header needs a table of K counts and an adaptive one has
+    none; any other header fails when it is built, not when it is packed
+    or coded.  One that builds packs and unpacks to an equal header."""
+    if error:
+        with pytest.raises(ValueError, match=error):
+            StreamHeader(mode, "linear", "orig", 0, 3, 1, counts)
+    else:
+        header = StreamHeader(mode, "linear", "orig", 0, 3, 1, counts)
+        assert unpack_header(pack_header(header))[0] == header
+
+
 def test_unpack_rejects_bad_magic():
     h = StreamHeader("adaptive", "linear", "orig", 0, 3, 1, None)
     bad = b"XXXX" + pack_header(h)[4:]

@@ -3,6 +3,7 @@ and the per-stream buffers the compiled loops are handed."""
 
 import contextlib
 from array import array
+from unittest import mock
 
 import pytest
 
@@ -22,29 +23,52 @@ def table(k: int, total: int) -> array:
     return array("I", (total // k + (i < total % k) for i in range(k)))
 
 
+def counting_sums():
+    """``_table_total`` patched to count its calls; it still sums."""
+    return mock.patch.object(rangecoder, "_table_total",
+                             wraps=rangecoder._table_total)
+
+
 @pytest.mark.parametrize("k", ALPHABETS)
 @pytest.mark.parametrize("total", (0, 1, MAX_TOTALCOUNT))
 def test_unpacked_header_carries_its_table_total(k, total):
-    """``unpack_header`` sums a static table once and stores the total on
-    the header it returns, so reading ``total`` sums nothing more."""
+    """``unpack_header`` sums a static table once, to check its total,
+    and later reads of ``total`` sum nothing more."""
     counts = table(k, total)
     packed = pack_header(StreamHeader("static", "linear", "orig", 0, k,
                                       1 if total else 0, counts))
-    header, offset = unpack_header(packed)
+    with counting_sums() as summed:
+        header, offset = unpack_header(packed)
+        assert summed.call_count == 1
+        assert header.total == header.total == sum(counts) == total
+    assert summed.call_count == 1
     assert offset == len(packed)
-    assert "total" in vars(header)  # stored, not left to the property
-    assert header.total == sum(counts) == total
 
 
 def test_hand_built_header_sums_its_table_on_first_read():
-    """A header built by hand sums its table when ``total`` is first
-    read, and keeps that sum."""
-    header = StreamHeader("static", "linear", "orig", 0, 3, 5, (2, 0, 3))
-    assert "total" not in vars(header)
-    header.counts[1] = 4  # before the first read: counted
-    assert header.total == 9
-    header.counts[1] = 0  # after it: the stored sum stays
-    assert header.total == 9
+    """A header built by hand sums nothing when built, and its table once,
+    on the first read of ``total``, which keeps that sum."""
+    with counting_sums() as summed:
+        header = StreamHeader("static", "linear", "orig", 0, 3, 5, (2, 0, 3))
+        assert summed.call_count == 0
+        header.counts[1] = 4  # before the first read: counted
+        assert header.total == 9
+        header.counts[1] = 0  # after it: the kept sum stays
+        assert header.total == 9
+    assert summed.call_count == 1
+
+
+@pytest.mark.parametrize("loops", (contextlib.nullcontext, python_loops),
+                         ids=("compiled", "python"))
+def test_static_stream_sums_its_table_once_to_decode_and_never_to_encode(loops):
+    """A static encode never sums its table, and a static decode sums it
+    once, in ``unpack_header``, however many chunks it decodes in."""
+    syms = [i % 5 for i in range(CHUNK + 1)]
+    with loops(), counting_sums() as summed:
+        payload = encode_stream(syms, 5, CoderConfig("static"))
+        assert summed.call_count == 0
+        assert decode_stream(payload)[1] == syms
+    assert summed.call_count == 1
 
 
 @pytest.mark.parametrize("model", ("linear", "fenwick"))
