@@ -1,53 +1,8 @@
-/* Compiled stream loops of rangekit's range coder, built and loaded by
-   _loops.py.  One encode and one decode loop per stream mode, each
-   running the algorithms of rangecoder.py's Python loops: the register
-   discipline of Encoder/Decoder, and FenwickModel's update chain and
-   both rescales.  rangecoder._compiled_loop picks a stream's loop by its
-   header's mode alone.  A static stream encodes through the prefix sums
-   hk and decodes through a uint16 symbol table, one read per symbol, the
-   paper's direct lookup.  An adaptive stream runs the Fenwick loops
-   whatever its model byte: a linear stream halves as Fenwick `orig`
-   does, to the same bytes.  The loops are plain C for _loops.CFLAGS (no
-   intrinsics or CPU dispatch).  The Fenwick loops fuse two steps of the
-   Python loop into one walk: the encode's is cum + count, the decode's
-   descent binary_indexed_interval + update, which loads both of the
-   next level's probes before each choice, a mask, not a branch (Khuong
-   & Morin, arXiv:1509.05053).  A static stream's total is fixed, so its
-   loops take range / total as a multiply by ceil(2^64 / total), which
-   each call computes once (recip), where Encoder/Decoder divide; an
-   adaptive stream's total changes with every symbol, so its loops
-   divide.  At the count cap a model rescales before the increment, and
-   an adaptive loop rescales after every f[INTERVAL]-th symbol.  Each
-   rescale raises f[RESCALES], the one work counter (see count_stream).
-
-   No Python model is built for them.  Each loop reads the address of a
-   work buffer from its frame (below), and on a stream's first call
-   (f[SYM] == 0) derives its working array and the total in its first
-   K + 1 entries.  A static stream's is the prefix sums hk of its uint32
-   count vector h (K entries, the caller's table, which no loop writes),
-   and static_decode's buffer has room for its symbol table after hk,
-   ceil(total / 2) more entries, which the first call fills and later
-   calls read.  An adaptive stream starts from K alone, every count one,
-   so its v and total K are in closed form and it has no h; its buffer
-   has 2 top entries, zero past K, the reach of the decode's lookahead,
-   which never compares or writes them.  That first call also checks the
-   total, summed in 64 bits so that no table wraps it, against f[CAP]:
-   above it, it stores the total in f[TOTAL] and returns -2 before
-   coding anything or writing a symbol table.  A total within the cap
-   (at most 2^20) keeps every count and sum within 32 bits.  An encode
-   codes its whole stream in one call: its input is already in memory
-   and its output room allocated.  A decode codes at most f[LIMIT]
-   symbols a call and resumes from f[], so the caller bounds its buffer
-   and handles signals between calls.
-
-   Each loop takes two arguments: the bytes it reads (decode) or writes
-   (encode), and the stream's frame f[], one int64 array of 15 slots laid
-   out by enum frame and mirrored by _loops.FRAME, so a call through
-   ctypes converts two arguments, not eight or nine, and a later decode
-   call of the stream sets only f[LIMIT].  first_pass is an encode's one
-   read of its symbols before the loop: the range check against K and,
-   for a static stream, the histogram that becomes the header's counts,
-   so a static encode of a short stream makes no numpy call. */
+/* The compiled stream loops of rangekit's range coder, built and loaded
+   by _loops.py: one encode and one decode loop per stream mode, which
+   must give the bytes, symbols and rescale counts of rangecoder.py's
+   Python loops.  rangecoder._compiled_loop picks a stream's loop.  Plain
+   C for _loops.CFLAGS: no intrinsics or CPU dispatch. */
 
 #include <stdint.h>
 
@@ -55,17 +10,18 @@ typedef int64_t i64; typedef uint32_t u32; typedef uint64_t u64;
 
 #define TOP (1u << 24)
 
-/* f[], the frame: what a decode resumes from (the first call sets
-   TOTAL; an encode reads none of RNG, CODE and POS, and starts from
-   Encoder()); the stream's settings, of which the static loops read K
-   and CAP, where CAP, linear_model.MAX_TOTALCOUNT, is where a model
-   rescales and what the first call checks the total against (for
-   static_decode, the total its symbol table has room for); the call's
-   bounds: LEN, the payload's length on decode and the output's room on
-   encode, and LIMIT, the symbols a call codes, all of them on encode;
-   and the buffers' addresses: SYMS, the uint32 symbols an encode reads
-   or a decode writes, H, a static stream's K counts (0 in an adaptive
-   frame), and WORK, the working array */
+/* f[], a stream's frame: 15 int64 slots, mirrored by _loops.FRAME and
+   set by rangecoder._compiled_loop.  A loop takes two arguments, the
+   frame and the bytes it reads or writes, so ctypes converts two, not
+   eight or nine, and a decode's later calls set only LIMIT, the symbols
+   a call codes.  A decode writes back the first row, which its next
+   call resumes from; an encode starts from Encoder() and reads none of
+   RNG, CODE and POS.  RESCALES, the one work counter, counts rescales.
+   CAP is where a model rescales, linear_model.MAX_TOTALCOUNT, or for
+   static_decode the total its table has room for.  LEN is the payload's
+   length (decode) or the output's room (encode).  SYMS holds the uint32
+   symbols coded, H a static stream's K counts (0 in an adaptive frame),
+   and WORK the working array of MODEL. */
 enum frame {
     RNG, CODE, POS, SYM, TOTAL, RESCALES,
     K, INTERVAL, CAP, NEW_RESCALE,
@@ -137,7 +93,8 @@ static void fenwick_update(Model *m, i64 sym) {
     m->total++;
 }
 
-/* rng / total for a static stream's fixed total without a division:
+/* rng / total for a static stream's fixed total without a division (an
+   adaptive total changes with every symbol, so those loops divide):
    the high 64 bits of inv * rng, where inv = ceil(2^64 / total), are
    exact for every 32-bit rng and total (Lemire, Kaser & Kurz,
    "Faster Remainder by Direct Computation", 2019).  inv is kept as its
@@ -178,9 +135,15 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
     return 1;
 }
 
-/* the model of a call: the counts h (NULL in an adaptive stream), the
-   working array hk = v; a stream's first call derives the array and the total with `init`, and
-   returns -2 with the total in f[TOTAL] if it is above f[CAP] */
+/* the model of a call over the working array at f[WORK].  A stream's
+   first call (SYM 0) derives, with `init`, the array and the total in
+   its first K + 1 entries: the prefix sums hk of a static stream's
+   counts h, which no loop writes, or the v of an adaptive stream, which
+   starts from K counts of one and has no h.  It checks the total,
+   summed in 64 bits so that no table wraps it, against f[CAP]: above
+   it, the call stores the total in f[TOTAL] and returns -2 before it
+   codes a symbol or writes a symbol table.  A total within the cap (at
+   most 2^20) keeps every count and sum within 32 bits. */
 #define MODEL(init)                                                        \
     u32 *work = ADDR(u32 *, WORK);                                         \
     Model m = {ADDR(u32 *, H), work, work, f[K], f[INTERVAL], f[CAP],      \
@@ -204,10 +167,10 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
     f[SYM] = i; f[TOTAL] = m.total; f[RESCALES] = m.rescales;              \
     return limit;
 
-/* A static stream's symbol table: tab[c] is the symbol whose interval
-   holds code value c, one uint16 entry for each c in [0, total), held in
-   the work array after hk, where the first call writes it after the
-   total check */
+/* A static stream's symbol table, the paper's direct lookup: tab[c] is
+   the symbol whose interval holds code value c, one uint16 entry for
+   each c in [0, total), in the work array after hk.  The first call
+   writes it after the total check, and later calls read it. */
 static void table_init(Model *m) {
     prefix_init(m);
     if (m->total > m->cap)
@@ -234,14 +197,18 @@ i64 static_decode(const unsigned char *buf, i64 *f) {
     DECODE_END
 }
 
+/* binary_indexed_interval and update in one descent: each probe not
+   taken is a node the update raises, unless the total is at the cap,
+   where fenwick_update rescales first.  It loads both of the next
+   level's probes before each choice, which a mask, not a branch, picks
+   (Khuong & Morin, arXiv:1509.05053).  The work array is zero past K
+   to 2 top - 1, the reach of those loads; no probe there is taken. */
 i64 adaptive_decode(const unsigned char *buf, i64 *f) {
     i64 top = 1;  /* top_level_index(K) */
     while (top <= f[K] >> 1)
         top <<= 1;
     MODEL(fenwick_init)
     DECODE_BEGIN
-        /* binary_indexed_interval + update: raise each probe not taken,
-           unless at the cap, where update rescales first */
         u32 r = d.rng / (u32)m.total, c0 = target(&d, r, m.total);
         i64 c = c0, rest = m.total - c, bottom = 0, inc = m.total < m.cap;
         i64 x = m.v[top];
@@ -315,8 +282,8 @@ static inline int encode(Enc *e, u32 r, i64 low, i64 freq) {
     return e.pos;
 
 /* Each encode codes the stream's f[LIMIT] symbols f[SYMS][0:f[LIMIT]] to
-   out in one call, flushes, and returns the bytes in out, or -1 if out
-   (of f[LEN] bytes) is full (or -2, see MODEL). */
+   out, flushes, and returns the bytes in out, or -1 if out (of f[LEN]
+   bytes) is full (or -2, see MODEL). */
 i64 static_encode(unsigned char *out, i64 *f) {
     MODEL(prefix_init)
     Recip q = recip(m.total);
@@ -347,7 +314,7 @@ i64 adaptive_encode(unsigned char *out, i64 *f) {
 /* An encode's first pass over syms[0:n]: the index of the first symbol
    at or above k, or n if there is none.  A non-NULL hist, k entries of
    zero, gets the count of each symbol before that index: for a static
-   stream, the header's counts. */
+   stream, the header's counts, with no numpy call. */
 i64 first_pass(const u32 *syms, i64 n, i64 k, u32 *hist) {
     i64 i = 0;
     if (hist)

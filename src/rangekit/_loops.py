@@ -1,18 +1,13 @@
 """Loader of the compiled stream loops in ``_loops.c``.
 
 ``lib()`` compiles the C source with ``cc`` and ``CFLAGS`` on its first
-call and loads the result with ``ctypes``: one encode and one decode
-loop per stream mode, named ``{mode}_{kind}``, and ``first_pass``, an
-encode's range check and static histogram.  Each loop takes the bytes
-it reads or writes and the address of the stream's frame, one
-``array('q')`` whose slots ``FRAME`` names.  An encode codes its stream
-in one call; a decode resumes from the frame, call after call.  The
-shared object is cached in this package's ``__pycache__``, under a name
-keyed by a CRC of the source and ``CFLAGS``, and written atomically, so
-later processes load it at once; a new build removes the earlier ones
-beside it.  When compiling, writing or loading fails, ``lib()`` returns
-None and the stream functions run their Python loops, which stay the
-reference.  Setting ``_lib`` to None turns the compiled loops off.
+call and loads the result with ``ctypes``.  The shared object is cached
+in this package's ``__pycache__``, under a name keyed by a CRC of the
+source and ``CFLAGS``, and written atomically, so later processes load
+it at once; a new build removes the earlier ones beside it.  When
+compiling, writing or loading fails, ``lib()`` returns None, and the
+stream functions of ``rangecoder`` run their Python loops; setting
+``_lib`` to None does the same.
 """
 
 from __future__ import annotations
@@ -25,10 +20,8 @@ from pathlib import Path
 _SOURCE = Path(__file__).with_name("_loops.c")
 CFLAGS = ("-O3", "-shared", "-fPIC")
 
-#: The 15 slots of a loop's frame, in the order of ``enum frame`` in
-#: ``_loops.c``: what a decode resumes from (an encode codes its stream
-#: in one call), the stream's settings, the call's bounds and the
-#: addresses of its buffers.
+#: The slots of a loop's frame, in the order of ``enum frame`` in
+#: ``_loops.c``, which says what each holds.
 FRAME = ("rng", "code", "pos", "sym", "total", "rescales", "k", "interval",
          "cap", "new_rescale", "len", "limit", "syms", "h", "work")
 

@@ -5,11 +5,9 @@ One row per runnable (mode, model, search) of each distribution and K in
 both modes.  A pair ``strategy_compatible`` rejects gets no row.  A row
 holds exact, reproducible work counters (search iterations, model-array
 accesses, rescale accesses) and wall-clock throughput, which is
-informative only.
-Decode never depends on the search, so each stream is generated, encoded
-and counted once, and the timing columns (minimum of several repetitions)
-are per stream, the same on all of its rows.  They time the stream loops
-that run: the compiled loops where ``_loops`` loaded them.
+informative only.  Decode's search follows the stream (see ``search``),
+so each stream is generated, encoded and counted once, and the timing
+columns (minimum of several repetitions) are the same on all its rows.
 """
 
 from __future__ import annotations
@@ -99,11 +97,8 @@ def empirical_entropy(symbols, k: int) -> float:
 def run_stream(mode: str, distribution: str, k: int, model: str,
                strategies, rescale: str, n: int, seed: int,
                rescale_interval: int, timing_reps: int = 5) -> list[BenchRecord]:
-    """One record per search in ``strategies``, all off one encoded stream.
-
-    Every search's counters come from one untimed counting decode, checked
-    against the symbols; ``count_stream`` rejects an incompatible search.
-    """
+    """One record per search in ``strategies``, all counted off one
+    untimed decode of one encoded stream."""
     interval = rescale_interval if mode == "adaptive" else 0
     symbols = gen_sequence(GenSpec(distribution, k, n, seed)).tolist()
     cfg = CoderConfig(mode, model, rescale, interval)
@@ -141,11 +136,8 @@ def _time_ns(fn) -> int:
 
 
 def run_suite(grid: GridSpec) -> list[BenchRecord]:
-    """Every runnable search of each distribution x K x mode x model cell.
-
-    The rescale variant only changes adaptive fenwick cells; every other
-    cell runs once, with the first of ``RESCALES``.
-    """
+    """Every runnable search of each distribution x K x mode x model cell,
+    and of each rescale in an adaptive Fenwick one."""
     records = []
     for dist, k, mode, model in product(DISTRIBUTIONS, POW2_KS, grid.modes,
                                         MODELS):
@@ -172,8 +164,7 @@ def iteration_histogram(strategy: str, sequence, k: int) -> IterationStats:
 
     The static boundaries are the raw sequence counts' prefix sums (no
     header normalization), so the statistics reflect the exact empirical
-    distribution.  The counts come from ``search.count_iterations``, as
-    a decode's ``DecodeStats`` do.
+    distribution.
     """
     reason = strategy_compatible(strategy, "linear", "static")
     if reason is not None:

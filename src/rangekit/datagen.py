@@ -33,16 +33,13 @@ _ISY_SIZE = struct.calcsize(_ISY_FMT)
 
 
 def convert_symbols(symbols, k) -> tuple[array, int]:
-    """``symbols`` as one ``array('I')``, and the alphabet size k as an
-    int, checked except for symbols at or above K below 2**32: the
-    conversion of ``check_symbols``.  Every input becomes a list: a
-    numpy array through ``tolist``, since its fixed-width items wrap in
-    index arithmetic, and anything else but a list through ``list()``, so
-    an iterator survives the rescan that names a bad symbol.  One
-    ``fromlist`` call then fills the array; it reads the list's items
-    directly, where ``array('I', seq)`` fetches each through the sequence
-    protocol.  K is any integer type, numpy's too, as ``operator.index``
-    takes it."""
+    """``symbols`` as one ``array('I')`` and K as an int, both checked
+    except for symbols at or above K below 2**32: the conversion of
+    ``check_symbols``.  A numpy array becomes a list through ``tolist``,
+    since its fixed-width items wrap in index arithmetic, and any other
+    non-list through ``list()``, so an iterator survives the rescan that
+    names a bad symbol; ``fromlist`` reads a list's items directly, where
+    ``array('I', seq)`` fetches each through the sequence protocol."""
     try:
         k = operator.index(k)
     except TypeError:

@@ -3,18 +3,10 @@
 Cumulative counts are stored implicitly in a hierarchical array ``v``:
 each entry covers a power-of-two span and a cumulative count is the sum
 of ``v`` along the chain obtained by repeatedly clearing the lowest set
-bit.  Queries and updates are O(log K) instead of O(K).  The array is built
-in O(K), as ``v[i] = hk[i] - hk[i & (i - 1)]`` (``v[0]`` is 0), from the
-prefix sums of ``linear_model.prefix_sums``, the one check of the counts.
+bit.  Queries and updates are O(log K) instead of O(K); the array is
+built in O(K) from the checked prefix sums of ``linear_model.prefix_sums``.
 
-An adaptive stream encodes a symbol with ``cum`` and ``count`` and
-decodes it with ``search.binary_indexed_interval``, then ``update`` raises
-the symbol's chain ``sym + 1, + lowbit, ...``.
-
-Two rescaling procedures are provided.  The original one halves each
-symbol count and pushes the correction through the update chain; the
-cheaper single-pass variant halves the ``v`` entries directly, clamping
-even-index entries so every implied count stays >= 1.  The two variants
+The two rescale variants, ``rescale_orig`` and the cheaper ``rescale_new``,
 round differently and are NOT interchangeable mid-stream.
 """
 
@@ -50,12 +42,12 @@ class FenwickModel:
     symbol 0 never moves).  ``total_count`` mirrors the full prefix sum so
     the top of the array never has to be queried.
 
-    Instrumentation counters are split by operation kind so the bench
-    harness can report update and rescale work separately.  A walk ticks
-    once per statement that reads or writes ``v`` (repeated reads of the
-    same slot inside one statement coalesce).  A rescale touches the same
-    slots whatever the counts, so it adds its per-K total, equal to the
-    per-statement tally of its loops, once.
+    The access counters are split by operation kind; perfbench's traced
+    decode reads them (``DecodeStats`` derives the same counts without a
+    model).  A walk ticks once per statement that reads or writes ``v``
+    (repeated reads of one slot in a statement coalesce).  A rescale
+    touches the same slots whatever the counts, so it adds its per-K
+    total, ``rescale_cost``, once.
     """
 
     __slots__ = (

@@ -54,7 +54,6 @@ class LinearModel:
 
     In adaptive mode every count stays >= 1 so no subinterval collapses;
     static models may carry zero counts for symbols known to be absent.
-    ``prefix_sums`` checks the counts.
     """
 
     __slots__ = (
@@ -88,10 +87,9 @@ class LinearModel:
     def update(self, sym: int) -> bool:
         """Increment the count of ``sym``; returns True if a rescale fired.
 
-        All boundaries above the symbol move up by one, so the cost is
-        K - sym writes.  When the total has reached MAX_TOTALCOUNT the
-        model is rescaled before the increment.  A symbol outside [0, K)
-        raises IndexError and leaves the model as it was.
+        All boundaries above the symbol move up by one: K - sym writes.
+        A symbol outside [0, K) raises IndexError and leaves the model as
+        it was.
         """
         if not self.adaptive:
             raise ValueError("static model cannot be updated")
@@ -112,11 +110,7 @@ class LinearModel:
         return rescaled
 
     def rescale(self) -> None:
-        """Halve every count (rounding up, so counts never reach zero).
-
-        Both lists are rewritten in place: callers hold on to ``h`` and
-        ``hk`` across a rescale.
-        """
+        """Halve every count in place, rounding up so none reaches zero."""
         h = self.h
         h[:] = [c - (c >> 1) for c in h]
         hk = self.hk

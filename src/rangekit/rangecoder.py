@@ -9,12 +9,12 @@ The stream self-describes via a fixed little-endian header; the search
 strategy is deliberately NOT part of the header because it does not
 affect the bitstream, only how fast the decoder finds each symbol.
 
-``Encoder`` and ``Decoder`` are the step-by-step reference of the register
-discipline.  The stream functions ``encode_stream``/``decode_stream`` run
-the compiled loops of ``_loops.c`` when ``_loops`` has loaded them, and
-otherwise their Python loops, the plain reference, which code one symbol
-a step on an ``Encoder`` or a ``Decoder``.  A decode that counts runs
-the same loop as one that does not.  Both must stay bit-identical.
+``encode_stream`` and ``decode_stream`` run the compiled loops of
+``_loops.c`` where ``_loops`` loaded them, and otherwise their Python
+loops: the fallback, and the reference that the compiled loops must
+match byte for byte.  These code each symbol with ``Encoder``/``Decoder``
+and the model's own methods, with no speed machinery, so under CPython
+the work counters, not their wall clock, compare the algorithms.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ MASK32 = 0xFFFFFFFF
 MAGIC = b"IRC1"
 VERSION = 1
 
-#: Static-mode counts are scaled to a total below this limit plus K (see
-#: ``normalize_counts``), within MAX_TOTALCOUNT.
+#: The total that ``normalize_counts`` scales static counts to.
 STATIC_TOTAL_LIMIT = 1 << 16
 
 #: A stream's modes and models; each one's position is its byte in the
@@ -56,9 +55,7 @@ STATIC_TOTAL_LIMIT = 1 << 16
 MODES = ("static", "adaptive")
 MODELS = ("linear", "fenwick")
 
-#: Symbols per call of a compiled decode loop.  A decode buffers at most
-#: this many before it appends them and calls again; an encode codes its
-#: stream in one call.
+#: Symbols per call of a compiled decode loop (``_decode_compiled``).
 CHUNK = 1 << 16
 
 #: A decode's default symbol limit: 8 bytes a symbol in the list, 128 MiB.
@@ -92,27 +89,35 @@ class CoderConfig:
     rescale_interval: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model: {self.model!r}")
-        if self.rescale not in RESCALES:
-            raise ValueError(f"unknown rescale variant: {self.rescale!r}")
+        _check_names(self.mode, self.model, self.rescale)
         try:
             interval = operator.index(self.rescale_interval)
         except TypeError:
             raise ValueError("rescale interval must be an integer, got "
                              f"{self.rescale_interval!r}") from None
-        if not 0 <= interval < 1 << 32:
-            # the header stores the interval as an unsigned 32-bit field
-            raise ValueError("rescale interval must be in [0, 2**32)")
+        _check_width("rescale interval", interval, 32)
+
+
+def _check_names(mode: str, model: str, rescale: str) -> None:
+    """Raise ValueError unless each name has a byte in the IRC1 header."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode: {mode!r}")
+    if model not in MODELS:
+        raise ValueError(f"unknown model: {model!r}")
+    if rescale not in RESCALES:
+        raise ValueError(f"unknown rescale variant: {rescale!r}")
+
+
+def _check_width(name: str, value: int, bits: int) -> None:
+    """Raise ValueError unless ``value`` fits the header's unsigned field."""
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must be in [0, 2**{bits}), got {value}")
 
 
 @dataclass(slots=True)
 class StreamHeader:
     """A stream's header fields.  A static stream's ``counts`` is one
-    ``array('I')`` of K entries, read by the compiled loops and written
-    by none; a tuple or list given here is converted to it once.
+    ``array('I')`` of K entries, converted once from a tuple or list.
     ``StreamHeader.total`` sums the table on first read and keeps it."""
     mode: str
     model: str
@@ -124,6 +129,13 @@ class StreamHeader:
     _total: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_names(self.mode, self.model, self.rescale)
+        # one test on every header's way; only a failure names its field
+        if not (0 <= self.rescale_interval < 1 << 32 and 0 <= self.k < 1 << 32
+                and 0 <= self.n < 1 << 64):
+            _check_width("rescale interval", self.rescale_interval, 32)
+            _check_width("alphabet size", self.k, 32)
+            _check_width("symbol count", self.n, 64)
         if (self.mode == "static") != (self.counts is not None):
             raise ValueError("a static header, and no other, has a count table")
         if self.counts is not None:
@@ -265,8 +277,7 @@ def pack_header(header: StreamHeader) -> bytes:
 
 
 def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
-    """Parse the header; returns (header, offset of coded bytes).  A
-    static header's ``total`` is first read, and so summed, here."""
+    """Parse the header; returns (header, offset of coded bytes)."""
     if len(payload) < _HEADER_SIZE:
         raise StreamFormatError("truncated header")
     magic, version, mode, model, rescale, interval, k, n = struct.unpack_from(
@@ -319,16 +330,11 @@ def normalize_counts(counts) -> array:
 
 def _make_model(header: StreamHeader):
     # a static model never updates, so every static stream codes through
-    # the prefix sums; the Fenwick array serves adaptive streams alone
+    # the prefix sums; the linear model has one rescale (_compiled_loop)
     if header.mode == "static":
         return LinearModel(header.counts, adaptive=False)
     if header.model == "fenwick":
         return FenwickModel([1] * header.k, rescale_variant=header.rescale)
-    # the linear model has a single rescale rule (count halving, identical
-    # to the fenwick "orig" rounding); the variant field is carried in the
-    # header for symmetry but does not change linear behaviour.  So the
-    # Python loops stay per model, the reference of each algorithm, while
-    # the compiled ones run one loop per mode (``_compiled_loop``)
     return LinearModel([1] * header.k)
 
 
@@ -339,13 +345,9 @@ def default_strategy(model: str) -> str:
 def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     """Compress a symbol sequence into a self-describing stream.
 
-    The sequence is converted once, to the ``array('I')`` both loops
-    take, and read once more before either loop runs, to check it
-    against K (the compiled loops index the model unchecked) and count a
-    static stream's symbols: by ``first_pass`` in C where the compiled
-    loops loaded, else by ``check_symbols`` and one ``np.bincount``.
-    The histogram's total is the symbol count, so a stream of at most
-    ``STATIC_TOTAL_LIMIT`` symbols takes it as its table unscaled."""
+    One pass checks the symbols against K, which the compiled loops
+    index unchecked, and counts a static stream's symbols, the table of
+    a stream of at most ``STATIC_TOTAL_LIMIT`` symbols unscaled."""
     lib = _loops.lib()
     static = config.mode == "static"
     if lib is None:
@@ -392,8 +394,9 @@ def _encode_python(symbols: array, header: StreamHeader, model) -> bytes:
 def decode_stream(payload: bytes, strategy: str | None = None,
                   stats: DecodeStats | None = None,
                   max_symbols: int = MAX_SYMBOLS) -> tuple[StreamHeader, list[int]]:
-    """Decompress a stream, the one-strategy case of ``count_stream``:
-    the strategy is checked but never changes the output."""
+    """Decompress a stream, the one-strategy case of ``count_stream``;
+    ``strategy`` is checked against the stream, whose search it does not
+    pick (see ``search``)."""
     return count_stream(payload, {strategy: stats}, max_symbols)
 
 
@@ -403,10 +406,7 @@ def count_stream(payload: bytes, counted: dict,
 
     ``counted`` maps strategies (None: the stream's default) to
     ``DecodeStats`` (None: count nothing), checked with the header's
-    symbol count (at most ``max_symbols`` >= 0) before any decode work.  The
-    stream decodes in the compiled loop where ``_loops`` loaded it, and
-    in the Python loop otherwise; ``_add_stats`` then counts each
-    strategy off the symbols and the loop's rescale count.
+    symbol count (at most ``max_symbols`` >= 0) before any decode work.
     """
     if max_symbols < 0:
         raise ValueError(f"symbol limit must be at least 0, got {max_symbols}")
@@ -441,8 +441,8 @@ def _add_stats(counted: list, header: StreamHeader, symbols: list[int],
                rescales: int) -> None:
     """Add the counts the models tally for a decode of ``symbols`` with
     ``rescales`` rescales: an update of s makes K + 1 - s accesses in the
-    linear model, one per entry of its chain from s + 1 in the Fenwick
-    one, and a rescale its model's per-K cost."""
+    linear model and one per entry of its chain from s + 1 in the Fenwick
+    one."""
     k, adaptive = header.k, header.mode == "adaptive"
     # a list, not a range: adaptive log2 indexes it once per symbol
     hk = list(range(k + 1) if adaptive else accumulate(header.counts, initial=0))
@@ -470,12 +470,7 @@ def _add_stats(counted: list, header: StreamHeader, symbols: list[int],
 def _decode_python(payload: bytes, offset: int,
                    header: StreamHeader) -> tuple[list[int], int, int]:
     """The reference stream loop: the decoded symbols, the position after
-    the last byte read and the number of rescales.
-
-    An adaptive fenwick stream finds its symbol with
-    ``binary_indexed_interval``; every linear stream, static or adaptive,
-    bisects the prefix sums with ``bisect_right``.
-    """
+    the last byte read and the number of rescales."""
     model = _make_model(header)
     interval = header.rescale_interval
     adaptive = header.mode == "adaptive"
@@ -513,37 +508,21 @@ class _Frame(array):
 
 def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
                    length: int, pos: int = 0, code: int = 0):
-    """The compiled ``kind`` loop, "encode" or "decode", of the stream,
-    ``{mode}_{kind}``, and its frame: a decode's starting state (the
-    range 2**32 - 1, the position ``pos`` and ``code``; an encode starts
-    from ``Encoder()`` and reads none of them), the settings, the
-    payload's length or the output's room ``length``, and the addresses
-    of ``syms`` (the symbols encoded or the room for those decoded), of a
-    static stream's counts (``header.counts``, which the loop only reads;
-    0 in an adaptive frame, whose counts start at one) and of an array
-    in whose first K + 1 entries its first call derives ``hk`` or ``v``
-    and the total.  The frame keeps the buffers alive, ``None`` for an adaptive
-    stream's counts.  That working array, like the room for the decoded
-    symbols and the encode's output and histogram, is a fresh copy of a
-    module-level zero entry, which no loop is handed.  The cap, at which
-    a model rescales and against which the first call checks the total,
-    as ``prefix_sums`` does, is ``linear_model.MAX_TOTALCOUNT``, read at
-    call time, so a cap patched there applies.  No model is built.
+    """The compiled ``kind`` loop, "encode" or "decode", of the stream and
+    its frame (``enum frame`` in ``_loops.c``).  ``length`` is the
+    payload's length or the output's room; a decode starts from ``pos``
+    and ``code``.  The cap is read at each call, so a patched one applies.
 
-    The loop follows from the header's mode alone, not from its model
-    byte.  A static stream codes through the prefix sums, as in
-    ``_make_model``, and decodes through a symbol table of
-    ``header.total`` uint16 entries that follows ``hk`` in that array.
-    The total is checked before the array is sized from it, and is the
-    table's cap: a first call that finds a larger total returns -2 before
-    it writes the table.  An adaptive stream runs the Fenwick loops, from
-    K counts of one, whose ``v`` the first call writes in closed form,
-    ``v[i] = i & -i``, then zeros to index ``2 * top - 1``, the decode's
-    lookahead; it halves its counts (linear, whatever its rescale byte,
-    or Fenwick ``orig``) unless it rescales by Fenwick ``new``."""
+    The loop follows the header's mode alone, not its model byte.  A
+    static stream codes through the prefix sums.  Every adaptive stream
+    runs the Fenwick loops, which halve the counts at a rescale, as
+    Fenwick ``orig`` does and as the linear model does whatever its
+    rescale byte, so a linear stream codes to the same bytes; only a
+    Fenwick ``new`` header rescales by ``new``."""
     k, adaptive = header.k, header.mode == "adaptive"
+    # an adaptive array reaches 2 top, the decode's lookahead (_loops.c)
     cap, size = _linear.MAX_TOTALCOUNT, 1 << k.bit_length() if adaptive else k + 1
-    if kind == "decode" and not adaptive:
+    if kind == "decode" and not adaptive:  # room for the table after hk
         _linear.check_total(header.total)
         cap = header.total
         size += (cap + 1) // 2

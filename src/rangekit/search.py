@@ -2,33 +2,18 @@
 
 Every strategy answers the same question: given a code value c in
 [0, totalCount), find the symbol index i with hk[i] <= c < hk[i+1].
-The linear-model strategies operate on the raw boundary array ``hk``
-(K+1 entries) and return ``(symbol, iterations)``; the binary-indexed
-strategy works on a FenwickModel and also returns the symbol's lower
-bound, which the decoder needs anyway.  These functions are the
-reference searches: their iteration counts are the work the paper
-compares.
+These functions are the reference searches: their iteration counts are
+the work the paper compares.  ``KERNELS`` is the one place that knows
+each strategy.
 
-``KERNELS`` is the one place that knows each strategy: which model it
-runs on, whether it needs a static model, and how to count its
-iterations.
-
-Decoding and counting are separate, and decode depends on the stream
-alone.  Every comparison search probes ``c < hk[i]``.  For a code
-value c in symbol s's nonempty interval that probe holds exactly when
-i > s, so every comparison search (``lin-fwd``, ``lin-bwd``, ``log``,
-``log2``, ``exp``, ``tree``) finds the symbol that the C-level
-``bisect_right`` finds, and so does the lookup table (``table``), which
-maps c to s by construction.  So decode picks its search by the stream
-alone, whatever the strategy: in the Python loops an adaptive Fenwick
-stream decodes with ``binary_indexed_interval``'s descent and a linear
-stream, static or adaptive, bisects with ``bisect_right``; the compiled
-loops decode every adaptive stream with the descent, and every static one
-through a symbol table, one read per symbol.  The same fact makes a
-comparison search's path, and its iteration count, depend on s alone
-(and, for ``log2``, on its first probe), so ``count_iterations`` derives
-the iteration histogram from the decoded symbols and the starting
-boundaries ``hk``, after decoding and only when asked; it builds no model.
+Decode's search follows the stream, not the strategy.  Every
+comparison search probes ``c < hk[i]``, which, for a code value c in
+symbol s's nonempty interval, holds exactly when i > s.  So every
+comparison search (``lin-fwd``, ``lin-bwd``, ``log``, ``log2``,
+``exp``, ``tree``) finds the symbol that ``bisect_right`` finds, and
+the lookup table (``table``) maps c to s by construction: a stream
+decodes with one search, which ``rangecoder`` picks by its mode and
+model, and ``count_iterations`` counts each strategy afterwards.
 """
 
 from __future__ import annotations
@@ -235,7 +220,9 @@ class LookupTable:
     ``total_count`` entries.  An adaptive increment adds one slot to the
     symbol's run, and the repair rewrites the last slot of every run from
     the symbol up: the K - sym writes the paper charges the table with.
-    This is the reference of that upkeep; decode builds no table.
+    This is the reference of that upkeep, which no decode runs: the
+    compiled static decode fills its table once (``table_init`` in
+    ``_loops.c``), and no adaptive decode keeps one.
     """
 
     __slots__ = ("t",)
@@ -257,12 +244,8 @@ class LookupTable:
         return self.t[c]
 
     def update(self, hk, sym: int) -> None:
-        """Repair the table after the count of ``sym`` was incremented.
-
-        ``hk`` must already reflect the increment, and every count must be
-        >= 1, as in adaptive mode.  Exactly the last slot of each run from
-        ``sym`` up changes, K - sym slots, the last of them appended.
-        """
+        """Repair the table after the count of ``sym`` was incremented;
+        ``hk`` must already reflect it, and every count must be >= 1."""
         t = self.t
         k = len(hk) - 1
         for i in range(sym, k - 1):
@@ -307,10 +290,8 @@ def binary_indexed_interval(c: int, model: FenwickModel) -> tuple[int, int, int]
 
 
 def binary_indexed(c: int, model: FenwickModel) -> tuple[int, int, int]:
-    """``(symbol, lower_bound, iterations)`` of the power-of-two descent.
-
-    Always log2(topLevIdx)+1 iterations.
-    """
+    """``(symbol, lower_bound, iterations)`` of the power-of-two descent,
+    always log2(topLevIdx)+1 iterations."""
     sym, low, _ = binary_indexed_interval(c, model)
     return sym, low, model.top_lev_idx.bit_length()
 
@@ -346,15 +327,9 @@ def _bi_count(hk, adaptive):
     return lambda sym: iters
 
 
-#: Strategy name -> (model family, static_only, count).
-#:
-#: Decode reads no row: it picks its search by the stream alone (see the
-#: module docstring), whatever the strategy.
-#:
-#: ``count(hk, adaptive)`` is called by ``count_iterations`` only, with
-#: the starting boundaries, and returns the function that gives a decoded
-#: symbol's iteration count: in closed form for the linear scans, the
-#: table and ``bi``, else by the reference search at ``hk[sym]``.
+#: Strategy name -> (model family, static_only, count), where
+#: ``count(hk, adaptive)`` gives ``count_iterations`` the function from
+#: a decoded symbol to its iteration count.
 KERNELS = {
     "lin-fwd": ("linear", False, lambda hk, _: lambda sym: sym + 1),
     "lin-bwd": ("linear", False, lambda hk, _: lambda sym: len(hk) - 1 - sym),
@@ -386,18 +361,19 @@ def count_iterations(strategy: str, hk, adaptive: bool, symbols,
                      tally: Counter | None = None) -> Counter:
     """Iteration histogram of ``strategy``'s reference search over ``symbols``.
 
-    ``hk`` is the boundary list of the stream's starting model: the
-    header's table, or K counts of one.  Every symbol a stream decodes
+    A decode that counts calls it afterwards, with its symbols and
+    ``hk``, the boundaries of the stream's starting model (the header's
+    table, or K counts of one); no model is built.  Every decoded symbol
     has a nonzero count in it, and adaptive counts stay at least one, so
-    a comparison search's path depends on the symbol alone: the bottom of
-    a symbol's interval leads the reference search down the path that any
-    code value decoding to that symbol took, at any point of the stream.
-    So each distinct symbol is counted once, weighted by how often it
-    occurs, except by adaptive ``log2``, which keeps state between
-    symbols and replays every symbol in order, searching once per
-    distinct (first probe, symbol) pair.  ``tally``, if given, is
-    ``Counter(symbols)``, so a caller that counts several strategies over
-    one decode tallies its symbols once.
+    a comparison search's path depends on the symbol alone: from
+    ``hk[sym]``, the bottom of its interval, the reference search takes
+    the path of any code value that decodes to it, at any point of the
+    stream.  So each distinct symbol is searched once, weighted by its
+    tally (the linear scans, the table and ``bi`` count in closed form),
+    except by adaptive ``log2``, whose first probe moves after each
+    symbol: it replays every symbol, searching once per distinct (first
+    probe, symbol) pair.  ``tally``, if given, is ``Counter(symbols)``,
+    so several strategies counted off one decode tally it once.
     """
     if not symbols:  # nothing to count; an empty static model has no code values
         return Counter()

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
-from rangekit import _loops, linear_model
+from rangekit import _loops, cli, linear_model
 from rangekit.datagen import MAX_ALPHABET
 from rangekit.rangecoder import _HEADER_SIZE
 from rangekit.search import (
@@ -15,17 +15,17 @@ from rangekit.search import (
     log2_search, logarithmic, tree_search,
 )
 
-# 19-symbol reference example: counts, boundary array, hierarchical array
-REF19_COUNTS = [3, 2, 2, 1, 4, 1, 5, 2, 3, 1, 2, 3, 1, 4, 2, 1, 1, 3, 2]
-REF19_V = [0, 3, 5, 2, 8, 4, 5, 5, 20, 3, 4, 2, 9, 1, 5, 2, 37, 1, 4, 2]
-REF19_HK = [0, 3, 5, 7, 8, 12, 13, 18, 20, 23, 24, 26, 29, 30, 34, 36, 37,
-             38, 41, 43]
+# the paper's fixtures, as lists, from the tuples `rangekit selftest` checks:
+# the 19-symbol example's counts, hierarchical array and boundary array
+REF19_COUNTS = list(cli.REF_COUNTS_19)
+REF19_V = list(cli.REF_V_19)
+REF19_HK = list(cli.REF_HK_19)
 
 # 4-symbol walkthrough: counts, boundaries, lookup table before/after
-TOY_COUNTS = [3, 2, 1, 4]
+TOY_COUNTS = list(cli.REF_TOY_COUNTS)
 TOY_HK = [0, 3, 5, 6, 10]
-TOY_TABLE = [0, 0, 0, 1, 1, 2, 3, 3, 3, 3]
-TOY_TABLE_AFTER = [0, 0, 0, 1, 1, 1, 2, 3, 3, 3, 3]
+TOY_TABLE = list(cli.REF_TOY_TABLE)
+TOY_TABLE_AFTER = list(cli.REF_TOY_TABLE_AFTER)
 
 
 @pytest.fixture

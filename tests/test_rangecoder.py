@@ -143,22 +143,40 @@ def test_pack_header_rejects_a_table_of_the_wrong_size():
             pack_header(StreamHeader("static", "linear", "orig", 0, 3, 1, counts))
 
 
-@pytest.mark.parametrize("mode, counts, error", [
+@pytest.mark.parametrize("fields, counts, error", [
     ("static", None, "a static header, and no other, has a count table"),
     ("adaptive", (1, 2, 3), "a static header, and no other, has a count table"),
     ("static", (1, 2), "2 counts for an alphabet of size 3"),
     ("static", (1, 2, 3), None),
     ("adaptive", None, None),
+    ({"mode": "bogus"}, None, "unknown mode: 'bogus'"),
+    ({"model": "bogus"}, None, "unknown model: 'bogus'"),
+    ({"rescale": "bogus"}, None, "unknown rescale variant: 'bogus'"),
+    ({"rescale_interval": 1 << 33}, None,
+     r"rescale interval must be in \[0, 2\*\*32\), got 8589934592"),
+    ({"rescale_interval": -1}, None,
+     r"rescale interval must be in \[0, 2\*\*32\), got -1"),
+    ({"k": 1 << 33}, None,
+     r"alphabet size must be in \[0, 2\*\*32\), got 8589934592"),
+    ({"n": 1 << 65}, None,
+     r"symbol count must be in \[0, 2\*\*64\), got 36893488147419103232"),
+    ({"n": -1}, None, r"symbol count must be in \[0, 2\*\*64\), got -1"),
+    ({"rescale_interval": (1 << 32) - 1, "n": (1 << 64) - 1}, None, None),
 ])
-def test_header_builds_only_what_it_can_represent(mode, counts, error):
+def test_header_builds_only_what_it_can_represent(fields, counts, error):
     """A static header needs a table of K counts and an adaptive one has
-    none; any other header fails when it is built, not when it is packed
-    or coded.  One that builds packs and unpacks to an equal header."""
+    none, and every field must fit its IRC1 byte or word; any other
+    header fails when it is built, not when it is packed or coded.  One
+    that builds packs and unpacks to an equal header.  ``fields`` is the
+    mode, or the fields that differ from a K=3 adaptive header's."""
+    args = {"mode": "adaptive", "model": "linear", "rescale": "orig",
+            "rescale_interval": 0, "k": 3, "n": 1, "counts": counts}
+    args.update({"mode": fields} if isinstance(fields, str) else fields)
     if error:
         with pytest.raises(ValueError, match=error):
-            StreamHeader(mode, "linear", "orig", 0, 3, 1, counts)
+            StreamHeader(**args)
     else:
-        header = StreamHeader(mode, "linear", "orig", 0, 3, 1, counts)
+        header = StreamHeader(**args)
         assert unpack_header(pack_header(header))[0] == header
 
 
