@@ -1,40 +1,27 @@
-/* The compiled stream loops of rangekit's range coder, built and loaded
-   by _loops.py: one encode and one decode loop per stream mode, which
-   must give the bytes, symbols and rescale counts of rangecoder.py's
-   Python loops.  rangecoder._compiled_loop picks a stream's loop.  Plain
-   C for _loops.CFLAGS: no intrinsics or CPU dispatch. */
+/* The compiled stream loops of rangekit's range coder, an extension
+   module that _loops.py builds and imports: one encode and one decode
+   loop per stream mode, which must give the bytes, symbols and rescale
+   counts of rangecoder.py's Python loops, and the encode's first pass.
+   rangecoder._loop_args says which loop a stream runs.  Plain C for
+   _loops.CFLAGS: no intrinsics or CPU dispatch. */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 
-typedef int64_t i64; typedef uint32_t u32; typedef uint64_t u64;
+typedef long long i64; typedef uint32_t u32; typedef uint64_t u64;
 
 #define TOP (1u << 24)
+#define CHUNK (1 << 16)  /* the symbols a decode adds to its output at once */
 
-/* f[], a stream's frame: 15 int64 slots, mirrored by _loops.FRAME and
-   set by rangecoder._compiled_loop.  A loop takes two arguments, the
-   frame and the bytes it reads or writes, so ctypes converts two, not
-   eight or nine, and a decode's later calls set only LIMIT, the symbols
-   a call codes.  A decode writes back the first row, which its next
-   call resumes from; an encode starts from Encoder() and reads none of
-   RNG, CODE and POS.  RESCALES, the one work counter, counts rescales.
-   CAP is where a model rescales, linear_model.MAX_TOTALCOUNT, or for
-   static_decode the total its table has room for.  LEN is the payload's
-   length (decode) or the output's room (encode).  SYMS holds the uint32
-   symbols coded, H a static stream's K counts (0 in an adaptive frame),
-   and WORK the working array of MODEL. */
-enum frame {
-    RNG, CODE, POS, SYM, TOTAL, RESCALES,
-    K, INTERVAL, CAP, NEW_RESCALE,
-    LEN, LIMIT,
-    SYMS, H, WORK
-};
-
-/* the buffer at the address in slot i of the frame */
-#define ADDR(type, i) ((type)(intptr_t)f[i])
-
+/* A stream's model.  h holds a static stream's K counts (NULL in an
+   adaptive stream), and hk or v is the working array that model_init
+   allocates.  CAP is where a model rescales, linear_model.MAX_TOTALCOUNT.
+   RESCALES, the one work counter, counts rescales. */
 typedef struct {
     u32 *h, *hk, *v;
-    i64 k, interval, cap, new_rescale, total, rescales;
+    i64 k, interval, cap, total, rescales;
+    int new_rescale;
 } Model;
 
 /* prefix_sums: hk[i] is the sum of the counts below symbol i */
@@ -135,59 +122,75 @@ static inline int consume(Dec *d, u32 r, i64 low, i64 freq) {
     return 1;
 }
 
-/* the model of a call over the working array at f[WORK].  A stream's
-   first call (SYM 0) derives, with `init`, the array and the total in
-   its first K + 1 entries: the prefix sums hk of a static stream's
-   counts h, which no loop writes, or the v of an adaptive stream, which
-   starts from K counts of one and has no h.  It checks the total,
-   summed in 64 bits so that no table wraps it, against f[CAP]: above
-   it, the call stores the total in f[TOTAL] and returns -2 before it
-   codes a symbol or writes a symbol table.  A total within the cap (at
-   most 2^20) keeps every count and sum within 32 bits. */
-#define MODEL(init)                                                        \
-    u32 *work = ADDR(u32 *, WORK);                                         \
-    Model m = {ADDR(u32 *, H), work, work, f[K], f[INTERVAL], f[CAP],      \
-               f[NEW_RESCALE], f[TOTAL], f[RESCALES]};                     \
-    if (f[SYM] == 0) {                                                     \
-        init(&m);                                                          \
-        if (m.total > m.cap) {                                             \
-            f[TOTAL] = m.total;                                            \
-            return -2;                                                     \
-        }                                                                  \
-    }
-/* the loop head and tail the decodes share, after MODEL */
-#define DECODE_BEGIN                                                       \
-    u32 *out = ADDR(u32 *, SYMS);                                          \
-    Dec d = {buf, f[LEN], f[POS], (u32)f[RNG], (u32)f[CODE]};              \
-    i64 i = f[SYM], limit = f[LIMIT];                                      \
-    for (i64 o = 0; o < limit; o++, i++) {
-#define DECODE_END                                                         \
-    }                                                                      \
-    f[RNG] = d.rng; f[CODE] = d.code; f[POS] = d.pos;                      \
-    f[SYM] = i; f[TOTAL] = m.total; f[RESCALES] = m.rescales;              \
-    return limit;
-
 /* A static stream's symbol table, the paper's direct lookup: tab[c] is
    the symbol whose interval holds code value c, one uint16 entry for
-   each c in [0, total), in the work array after hk.  The first call
-   writes it after the total check, and later calls read it. */
+   each c in [0, total), in the working array after hk. */
 static void table_init(Model *m) {
-    prefix_init(m);
-    if (m->total > m->cap)
-        return;
     uint16_t *tab = (uint16_t *)(m->hk + m->k + 1);
     for (i64 s = 0; s < m->k; s++)
         for (u32 c = m->hk[s]; c < m->hk[s + 1]; c++)
             tab[c] = (uint16_t)s;
 }
 
-/* Each decode reads buf[0:f[LEN]], writes f[LIMIT] symbols to f[SYMS]
-   and returns f[LIMIT], or returns -1 once the payload ends before the
-   last of them (or -2, see MODEL). */
-i64 static_decode(const unsigned char *buf, i64 *f) {
-    const uint16_t *tab = (const uint16_t *)(ADDR(u32 *, WORK) + f[K] + 1);
-    MODEL(table_init)
-    Recip q = recip(m.total);
+/* Set up the model of a stream of K symbols in [1, 65536] whose static
+   counts, K uint32, are in `counts` (an adaptive stream's buffer holds
+   none): allocate its working array at its exact size, zeroed, and
+   derive the total and the first K + 1 entries, the prefix sums hk of
+   the counts, which no loop writes, or the v of K counts of one.  The
+   total, summed in 64 bits so that no table wraps it, is checked against
+   the cap before the array is sized from it; a total within the cap (at
+   most 2^20) keeps every count and sum within 32 bits.  A static decode's
+   array holds the symbol table after hk, and an adaptive decode's has 2
+   top entries, the least power of two above K, for its lookahead.  0
+   sets an exception. */
+static int model_init(Model *m, const Py_buffer *counts, int decode) {
+    i64 total = m->k, size = m->k + 1;
+    m->h = counts->buf;
+    if (m->k < 1 || m->k > 1 << 16 || counts->len != (m->h ? 4 * m->k : 0)) {
+        PyErr_SetString(PyExc_ValueError, "K or its counts out of range");
+        return 0;
+    }
+    if (m->h) {
+        total = 0;
+        for (i64 s = 0; s < m->k; s++)
+            total += m->h[s];
+        size += decode ? (total + 1) / 2 : 0;
+    } else if (decode)
+        for (size = 2; size <= m->k; size <<= 1)
+            ;
+    if (total > m->cap) {
+        PyErr_Format(PyExc_OverflowError, "total count %lld exceeds "
+                     "MAX_TOTALCOUNT=%lld; caller must pre-normalize",
+                     total, m->cap);
+        return 0;
+    }
+    if (!(m->hk = m->v = PyMem_Calloc(size, sizeof(u32)))) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    (m->h ? prefix_init : fenwick_init)(m);
+    if (m->h && decode)
+        table_init(m);
+    return 1;
+}
+
+/* the loop head and tail the decodes share: a call decodes the symbols
+   i to i + limit - 1 to out[0:limit] from the model and decoder at mp
+   and dp, writes both back and returns limit, or returns -1 once the
+   payload ends before the last of them */
+#define DECODE_BEGIN                                                       \
+    Model m = *mp;                                                         \
+    Dec d = *dp;                                                           \
+    for (i64 o = 0; o < limit; o++, i++) {
+#define DECODE_END                                                         \
+    }                                                                      \
+    *mp = m;                                                               \
+    *dp = d;                                                               \
+    return limit;
+
+static i64 static_decode(Model *mp, Dec *dp, u32 *out, i64 i, i64 limit) {
+    const uint16_t *tab = (const uint16_t *)(mp->hk + mp->k + 1);
+    Recip q = recip(mp->total);
     DECODE_BEGIN
         u32 r = quot(q, d.rng), c = target(&d, r, m.total);
         i64 sym = tab[c];
@@ -203,11 +206,10 @@ i64 static_decode(const unsigned char *buf, i64 *f) {
    level's probes before each choice, which a mask, not a branch, picks
    (Khuong & Morin, arXiv:1509.05053).  The work array is zero past K
    to 2 top - 1, the reach of those loads; no probe there is taken. */
-i64 adaptive_decode(const unsigned char *buf, i64 *f) {
+static i64 adaptive_decode(Model *mp, Dec *dp, u32 *out, i64 i, i64 limit) {
     i64 top = 1;  /* top_level_index(K) */
-    while (top <= f[K] >> 1)
+    while (top <= mp->k >> 1)
         top <<= 1;
-    MODEL(fenwick_init)
     DECODE_BEGIN
         u32 r = d.rng / (u32)m.total, c0 = target(&d, r, m.total);
         i64 c = c0, rest = m.total - c, bottom = 0, inc = m.total < m.cap;
@@ -267,12 +269,14 @@ static inline int encode(Enc *e, u32 r, i64 low, i64 freq) {
     return 1;
 }
 
-/* an encode starts from Encoder(): range 2**32 - 1, low 0, cache 0 and
-   a cache size of one; the loop head follows MODEL */
+/* an encode codes syms[0:n] with the model at mp to out, of room bytes,
+   starting from Encoder(): range 2**32 - 1, low 0, cache 0 and a cache
+   size of one.  It flushes, and returns the bytes in out, or -1 if out
+   is full. */
 #define ENCODE_BEGIN                                                       \
-    const u32 *syms = ADDR(const u32 *, SYMS);                             \
-    Enc e = {out, f[LEN], 0, 0, 1, 0, 0xFFFFFFFFu};                        \
-    for (i64 i = 0, n = f[LIMIT]; i < n; i++) {                            \
+    Model m = *mp;                                                         \
+    Enc e = {out, room, 0, 0, 1, 0, 0xFFFFFFFFu};                          \
+    for (i64 i = 0; i < n; i++) {                                          \
         i64 s = syms[i];
 #define ENCODE_END                                                         \
     }                                                                      \
@@ -281,20 +285,17 @@ static inline int encode(Enc *e, u32 r, i64 low, i64 freq) {
             return -1;                                                     \
     return e.pos;
 
-/* Each encode codes the stream's f[LIMIT] symbols f[SYMS][0:f[LIMIT]] to
-   out, flushes, and returns the bytes in out, or -1 if out (of f[LEN]
-   bytes) is full (or -2, see MODEL). */
-i64 static_encode(unsigned char *out, i64 *f) {
-    MODEL(prefix_init)
-    Recip q = recip(m.total);
+static i64 static_encode(Model *mp, const u32 *syms, i64 n,
+                         unsigned char *out, i64 room) {
+    Recip q = recip(mp->total);
     ENCODE_BEGIN
         if (!encode(&e, quot(q, e.rng), m.hk[s], m.h[s]))
             return -1;
     ENCODE_END
 }
 
-i64 adaptive_encode(unsigned char *out, i64 *f) {
-    MODEL(fenwick_init)
+static i64 adaptive_encode(Model *mp, const u32 *syms, i64 n,
+                           unsigned char *out, i64 room) {
     ENCODE_BEGIN
         /* cum + count: count's walk down to the parent of s + 1 starts cum's */
         i64 parent = (s + 1) & s, j = s, low = 0;
@@ -311,17 +312,129 @@ i64 adaptive_encode(unsigned char *out, i64 *f) {
     ENCODE_END
 }
 
-/* An encode's first pass over syms[0:n]: the index of the first symbol
-   at or above k, or n if there is none.  A non-NULL hist, k entries of
-   zero, gets the count of each symbol before that index: for a static
-   stream, the header's counts, with no numpy call. */
-i64 first_pass(const u32 *syms, i64 n, i64 k, u32 *hist) {
-    i64 i = 0;
-    if (hist)
-        for (; i < n && syms[i] < k; i++)
-            hist[syms[i]]++;
+/* encode(symbols, counts, k, interval, cap, new_rescale) and
+   decode(payload, offset, counts, k, interval, cap, new_rescale, n) code
+   one stream each, in the loops of its mode: static if counts, the
+   stream's K uint32 counts, is a buffer, adaptive if it is None.  The
+   symbols are uint32, each below K (first_pass checks them); interval
+   is the header's rescale interval, cap the count cap, and new_rescale
+   picks FenwickModel.rescale_new over rescale_orig.  encode returns the
+   coded bytes, flushed.  decode reads the coded bytes from
+   payload[offset:] and returns (symbols, the position after the last
+   byte read, rescales), or None once the payload ends before the last
+   symbol.  It decodes CHUNK symbols at a time, so its output grows with
+   the payload it reads, not with n, and signals are handled between
+   chunks.  Both raise OverflowError for a count total above the cap. */
+static PyObject *py_encode(PyObject *Py_UNUSED(self), PyObject *args) {
+    Py_buffer syms, counts;
+    Model m = {0};
+    PyObject *out = NULL;
+    if (!PyArg_ParseTuple(args, "y*z*LLLp", &syms, &counts, &m.k, &m.interval,
+                          &m.cap, &m.new_rescale))
+        return NULL;
+    /* before a symbol the range is at least 2**24 and the total at most
+       2**20, so the symbol leaves a range of at least 16 and shifts out
+       at most three bytes; the flush shifts out five */
+    i64 n = syms.len / 4, room = 3 * n + 5;
+    if (model_init(&m, &counts, 0)
+            && (out = PyBytes_FromStringAndSize(NULL, room))) {
+        i64 size = (m.h ? static_encode : adaptive_encode)(
+            &m, syms.buf, n, (unsigned char *)PyBytes_AS_STRING(out), room);
+        if (size < 0) {
+            PyErr_SetString(PyExc_RuntimeError, "encode ran past its room");
+            Py_CLEAR(out);
+        } else
+            _PyBytes_Resize(&out, size);
+    }
+    PyMem_Free(m.hk);
+    PyBuffer_Release(&syms);
+    PyBuffer_Release(&counts);
+    return out;
+}
+
+static PyObject *py_decode(PyObject *Py_UNUSED(self), PyObject *args) {
+    Py_buffer payload, counts;
+    Py_ssize_t offset;
+    unsigned long long n;
+    Model m = {0};
+    u32 *out = NULL;
+    PyObject *list = NULL, *result = NULL;
+    if (!PyArg_ParseTuple(args, "y*nz*LLLpK", &payload, &offset, &counts, &m.k,
+                          &m.interval, &m.cap, &m.new_rescale, &n))
+        return NULL;
+    /* the first payload byte is the flush artifact and falls out of 32 bits */
+    Dec d = {payload.buf, payload.len, offset + 5, 0xFFFFFFFFu, 0};
+    if (!model_init(&m, &counts, 1))
+        goto done;
+    if (offset < 0 || offset > payload.len - 5)
+        goto ran_out;
+    for (int j = 1; j < 5; j++)
+        d.code = d.code << 8 | d.buf[offset + j];
+    for (u64 i = 0, limit; i < n; i += limit) {
+        limit = n - i < CHUNK ? n - i : CHUNK;
+        u32 *grown = PyMem_Realloc(out, (i + limit) * sizeof *out);
+        if (!grown) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        out = grown;
+        if ((m.h ? static_decode : adaptive_decode)(&m, &d, out + i, i, limit) < 0)
+            goto ran_out;
+        if (PyErr_CheckSignals())
+            goto done;
+    }
+    if (!(list = PyList_New(n)))
+        goto done;
+    for (u64 i = 0; i < n; i++) {
+        PyObject *sym = PyLong_FromUnsignedLong(out[i]);
+        if (!sym)
+            goto done;
+        PyList_SET_ITEM(list, i, sym);
+    }
+    result = Py_BuildValue("OLL", list, d.pos, m.rescales);
+    goto done;
+ran_out:
+    result = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(list);
+    PyMem_Free(out);
+    PyMem_Free(m.hk);
+    PyBuffer_Release(&payload);
+    PyBuffer_Release(&counts);
+    return result;
+}
+
+/* first_pass(symbols, k[, hist]): the index of the first of the uint32
+   symbols at or above K, or their number if there is none.  A hist, K
+   uint32 entries of zero, gets the count of each symbol before that
+   index: for a static stream, the header's counts, with no numpy call. */
+static PyObject *py_first_pass(PyObject *Py_UNUSED(self), PyObject *args) {
+    Py_buffer symbols, counted = {0};
+    i64 k, i = 0;
+    if (!PyArg_ParseTuple(args, "y*L|w*", &symbols, &k, &counted))
+        return NULL;
+    const u32 *syms = symbols.buf;
+    u32 *hist = counted.buf;
+    if (hist && counted.len < 4 * k)
+        PyErr_SetString(PyExc_ValueError, "hist must hold K uint32 entries");
     else
-        for (; i < n && syms[i] < k; i++)
-            ;
-    return i;
+        for (; i < symbols.len / 4 && syms[i] < k; i++)
+            if (hist)
+                hist[syms[i]]++;
+    PyBuffer_Release(&symbols);
+    PyBuffer_Release(&counted);
+    return PyErr_Occurred() ? NULL : PyLong_FromLongLong(i);
+}
+
+static PyMethodDef methods[] = {
+    {"encode", py_encode, METH_VARARGS, NULL},
+    {"decode", py_decode, METH_VARARGS, NULL},
+    {"first_pass", py_first_pass, METH_VARARGS, NULL},
+    {NULL, NULL, 0, NULL}};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, .m_name = "_loops", .m_methods = methods};
+
+PyMODINIT_FUNC PyInit__loops(void) {
+    return PyModuleDef_Init(&module);
 }

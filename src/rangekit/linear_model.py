@@ -14,7 +14,8 @@ MAX_TOTALCOUNT = 1 << 20
 
 def check_total(total: int) -> None:
     """Raise OverflowError if a total exceeds the cap as it stands: the
-    check of ``prefix_sums``, and the error of the compiled loops' own."""
+    check of ``prefix_sums``, whose words the compiled loops' own check
+    repeats."""
     if total > MAX_TOTALCOUNT:
         raise OverflowError(f"total count {total} exceeds MAX_TOTALCOUNT="
                             f"{MAX_TOTALCOUNT}; caller must pre-normalize")

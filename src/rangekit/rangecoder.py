@@ -55,19 +55,15 @@ STATIC_TOTAL_LIMIT = 1 << 16
 MODES = ("static", "adaptive")
 MODELS = ("linear", "fenwick")
 
-#: Symbols per call of a compiled decode loop (``_decode_compiled``).
-CHUNK = 1 << 16
-
 #: A decode's default symbol limit: 8 bytes a symbol in the list, 128 MiB.
 MAX_SYMBOLS = 1 << 24
 
 _HEADER_FMT = "<4sBBBBIIQ"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
-# one zero entry each, repeated into every per-stream buffer: a copy of
-# these costs less than a new array("I", [0]).  No loop is handed them.
+# one zero entry, repeated into a static stream's first-pass counts: a
+# copy of it costs less than a new array("I", [0]).  No loop is handed it.
 _ZERO_I = array("I", [0])
-_ZERO_B = array("B", [0])
 
 
 class StreamFormatError(ValueError):
@@ -90,12 +86,7 @@ class CoderConfig:
 
     def __post_init__(self):
         _check_names(self.mode, self.model, self.rescale)
-        try:
-            interval = operator.index(self.rescale_interval)
-        except TypeError:
-            raise ValueError("rescale interval must be an integer, got "
-                             f"{self.rescale_interval!r}") from None
-        _check_width("rescale interval", interval, 32)
+        _check_int("rescale interval", self.rescale_interval, 32)
 
 
 def _check_names(mode: str, model: str, rescale: str) -> None:
@@ -108,8 +99,13 @@ def _check_names(mode: str, model: str, rescale: str) -> None:
         raise ValueError(f"unknown rescale variant: {rescale!r}")
 
 
-def _check_width(name: str, value: int, bits: int) -> None:
-    """Raise ValueError unless ``value`` fits the header's unsigned field."""
+def _check_int(name: str, value, bits: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (``operator.index``
+    takes it) that fits the header's unsigned field of ``bits`` bits."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if not 0 <= value < 1 << bits:
         raise ValueError(f"{name} must be in [0, 2**{bits}), got {value}")
 
@@ -130,17 +126,25 @@ class StreamHeader:
 
     def __post_init__(self):
         _check_names(self.mode, self.model, self.rescale)
-        # one test on every header's way; only a failure names its field
-        if not (0 <= self.rescale_interval < 1 << 32 and 0 <= self.k < 1 << 32
-                and 0 <= self.n < 1 << 64):
-            _check_width("rescale interval", self.rescale_interval, 32)
-            _check_width("alphabet size", self.k, 32)
-            _check_width("symbol count", self.n, 64)
+        # one test on every header's way, which a float fails with
+        # TypeError; only a failure names its field
+        try:
+            fits = not ((self.rescale_interval | self.k) >> 32 or self.n >> 64)
+        except TypeError:
+            fits = False
+        if not fits:
+            _check_int("rescale interval", self.rescale_interval, 32)
+            _check_int("alphabet size", self.k, 32)
+            _check_int("symbol count", self.n, 64)
         if (self.mode == "static") != (self.counts is not None):
             raise ValueError("a static header, and no other, has a count table")
         if self.counts is not None:
             if getattr(self.counts, "typecode", "") != "I":
-                self.counts = array("I", self.counts)
+                try:
+                    self.counts = array("I", self.counts)
+                except (OverflowError, TypeError):
+                    raise ValueError("counts must be integers in [0, 2**32), "
+                                     f"got {self.counts!r}") from None
             if (size := len(self.counts)) != self.k:
                 raise ValueError(f"{size} counts for an alphabet of size {self.k}")
 
@@ -330,7 +334,7 @@ def normalize_counts(counts) -> array:
 
 def _make_model(header: StreamHeader):
     # a static model never updates, so every static stream codes through
-    # the prefix sums; the linear model has one rescale (_compiled_loop)
+    # the prefix sums; the linear model has one rescale (_loop_args)
     if header.mode == "static":
         return LinearModel(header.counts, adaptive=False)
     if header.model == "fenwick":
@@ -356,7 +360,8 @@ def encode_stream(symbols, k: int, config: CoderConfig) -> bytes:
     else:
         symbols, k = convert_symbols(symbols, k)
         counts = _ZERO_I * k if static else None
-        bad = lib.first_pass(_address(symbols), len(symbols), k, _address(counts))
+        bad = (lib.first_pass(symbols, k, counts) if static
+               else lib.first_pass(symbols, k))
         if bad < len(symbols):
             raise outside_alphabet(symbols[bad], k)
     if static and len(symbols) > STATIC_TOTAL_LIMIT:
@@ -429,7 +434,7 @@ def count_stream(payload: bytes, counted: dict,
     lib = _loops.lib()
     symbols, pos, rescales = (
         _decode_python(payload, offset, header) if lib is None
-        else _decode_compiled(lib, bytes(payload), offset, header))
+        else _decode_compiled(lib, payload, offset, header))
     if pos != len(payload):
         raise StreamFormatError("trailing bytes after the last symbol")
     if kept:
@@ -495,23 +500,10 @@ def _decode_python(payload: bytes, offset: int,
     return symbols, offset + dec.pos, rescales
 
 
-# the frame slots that the stream functions set or read between calls
-_F_TOTAL, _F_RESCALES, _F_POS, _F_LIMIT = map(
-    _loops.FRAME.index, ("total", "rescales", "pos", "limit"))
-
-
-class _Frame(array):
-    """A compiled loop's frame, which keeps alive the buffers whose
-    addresses it holds."""
-    __slots__ = ("buffers",)
-
-
-def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
-                   length: int, pos: int = 0, code: int = 0):
-    """The compiled ``kind`` loop, "encode" or "decode", of the stream and
-    its frame (``enum frame`` in ``_loops.c``).  ``length`` is the
-    payload's length or the output's room; a decode starts from ``pos``
-    and ``code``.  The cap is read at each call, so a patched one applies.
+def _loop_args(header: StreamHeader) -> tuple:
+    """The arguments ``(counts, k, interval, cap, new_rescale)`` that
+    ``_loops.c``'s ``encode`` and ``decode`` take for the stream; the cap
+    is read at each call, so a patched one applies.
 
     The loop follows the header's mode alone, not its model byte.  A
     static stream codes through the prefix sums.  Every adaptive stream
@@ -519,76 +511,20 @@ def _compiled_loop(lib, kind: str, header: StreamHeader, syms: array,
     Fenwick ``orig`` does and as the linear model does whatever its
     rescale byte, so a linear stream codes to the same bytes; only a
     Fenwick ``new`` header rescales by ``new``."""
-    k, adaptive = header.k, header.mode == "adaptive"
-    # an adaptive array reaches 2 top, the decode's lookahead (_loops.c)
-    cap, size = _linear.MAX_TOTALCOUNT, 1 << k.bit_length() if adaptive else k + 1
-    if kind == "decode" and not adaptive:  # room for the table after hk
-        _linear.check_total(header.total)
-        cap = header.total
-        size += (cap + 1) // 2
-    work = _ZERO_I * size
-    new_rescale = header.model == "fenwick" and header.rescale == "new"
-    # in _loops.FRAME order, one array: no names to look up; an array
-    # builds faster from a list than from a tuple
-    frame = _Frame("q", [
-        MASK32, code, pos, 0, 0, 0,  # rng, code, pos, sym, total, rescales
-        k, header.rescale_interval, cap, new_rescale,
-        length, 0,  # len; limit, set for each call
-        _address(syms), _address(header.counts), _address(work)])
-    frame.buffers = syms, header.counts, work
-    return getattr(lib, f"{header.mode}_{kind}"), frame
+    return (header.counts, header.k, header.rescale_interval,
+            _linear.MAX_TOTALCOUNT,
+            header.model == "fenwick" and header.rescale == "new")
 
 
-def _address(buf: array | None) -> int:
-    return 0 if buf is None else buf.buffer_info()[0]
-
-
-def _encode_compiled(lib, data: array, header: StreamHeader) -> memoryview:
-    """``_encode_python`` in one call of the compiled loop, which codes
-    every symbol and flushes: a view of the coded bytes in the loop's
-    output buffer.  The symbols are in memory and the room allocated
-    before the call, so chunking would bound neither; a signal takes
-    effect when the call returns."""
-    # before a symbol the range is at least 2**24 and the total at most
-    # 2**20, so the symbol leaves a range of at least 16 and shifts out
-    # at most three bytes; the flush shifts out five
-    room = 3 * len(data) + 5
-    loop, frame = _compiled_loop(lib, "encode", header, data, room)
-    out = _ZERO_B * room
-    frame[_F_LIMIT] = len(data)
-    size = loop(_address(out), _address(frame))
-    if size < 0:  # -2 leaves a total above the limit in the frame
-        _linear.check_total(frame[_F_TOTAL])
-        raise RuntimeError("compiled encode ran past its output bound")
-    return memoryview(out)[:size]
+def _encode_compiled(lib, symbols: array, header: StreamHeader) -> bytes:
+    """``_encode_python`` in one call of the compiled encode."""
+    return lib.encode(symbols, *_loop_args(header))
 
 
 def _decode_compiled(lib, payload: bytes, offset: int,
                      header: StreamHeader) -> tuple[list[int], int, int]:
-    """``_decode_python`` in the compiled loop, ``CHUNK`` symbols a call:
-    the buffer never grows with the header's symbol count, and signals
-    are handled between calls.  An empty stream takes one call too, which
-    checks its count total."""
-    n = header.n
-    out = _ZERO_I * min(n, CHUNK)
-    # the first payload byte is the flush artifact and falls out of 32 bits
-    loop, frame = _compiled_loop(
-        lib, "decode", header, out, len(payload), offset + 5,
-        int.from_bytes(payload[offset + 1:offset + 5], "big"))
-    frame_at = _address(frame)
-    symbols: list[int] = []
-    while True:
-        frame[_F_LIMIT] = min(n - len(symbols), CHUNK)
-        got = loop(payload, frame_at)
-        if got == -2:  # a total above the cap, left in the frame
-            _linear.check_total(frame[_F_TOTAL])
-            raise StreamFormatError(
-                f"count total {frame[_F_TOTAL]} exceeds the total "
-                f"{header.total} that sized the symbol table")
-        if got < 0:
-            raise StreamFormatError("payload ends before the last symbol")
-        if got == n:  # one call decoded the whole stream
-            return out.tolist(), frame[_F_POS], frame[_F_RESCALES]
-        symbols += out[:got].tolist()
-        if len(symbols) == n:
-            return symbols, frame[_F_POS], frame[_F_RESCALES]
+    """``_decode_python`` in one call of the compiled decode."""
+    decoded = lib.decode(payload, offset, *_loop_args(header), header.n)
+    if decoded is None:
+        raise StreamFormatError("payload ends before the last symbol")
+    return decoded

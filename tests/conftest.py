@@ -71,6 +71,10 @@ def time_limit(seconds):
 # header field offsets of the "<4sBBBBIIQ" layout
 K_AT, N_AT = 12, 16
 
+#: The symbols a compiled decode adds to its output at once (CHUNK in
+#: ``_loops.c``), between which it handles signals.
+CHUNK = 1 << 16
+
 
 def mutate(payload, kind, data):
     """``payload`` with one mutation of ``kind`` applied."""

@@ -7,12 +7,12 @@ give the same bytes, the same symbols and the same errors.
 
 import contextlib
 import random
-import re
 import struct
+import sysconfig
 import tracemalloc
 from array import array
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, product
 from unittest import mock
 
 import numpy as np
@@ -33,7 +33,7 @@ from rangekit.rangecoder import (
 )
 from rangekit.search import STRATEGIES, strategy_compatible
 
-from conftest import N_AT, count_cap, mutate, python_loops, time_limit
+from conftest import CHUNK, N_AT, count_cap, mutate, python_loops, time_limit
 
 MODES = ("static", "adaptive")
 MODELS = ("linear", "fenwick")
@@ -108,14 +108,17 @@ def test_compiled_loops_match_python_loops_at_large_k(k, mode, model, rescale):
 SYMS = [3, 1, 4, 1, 5, 9, 2, 6, 5]  # K = 10
 
 
-def same_symbols(syms):
+def symbol_inputs(syms):
     """``syms`` as each input type ``convert_symbols`` takes: a list, the
-    equal tuple, a generator, a list of numpy integer scalars and a numpy
-    int64 array, the last two where int64 holds every symbol."""
+    equal tuple, a generator and, where the type holds every symbol, a
+    list of numpy int64 scalars and numpy uint8, uint16 and int64 arrays."""
     inputs = [lambda: list(syms), lambda: tuple(syms), lambda: (s for s in syms)]
     if all(-1 << 63 <= s < 1 << 63 for s in syms):
-        inputs += [lambda: [np.int64(s) for s in syms],
-                   lambda: np.array(syms, dtype=np.int64)]
+        inputs.append(lambda: [np.int64(s) for s in syms])
+    for dtype in (np.uint8, np.uint16, np.int64):
+        info = np.iinfo(dtype)
+        if info.min <= min(syms, default=0) and max(syms, default=0) <= info.max:
+            inputs.append(lambda dtype=dtype: np.array(syms, dtype=dtype))
     return inputs
 
 
@@ -155,14 +158,14 @@ def test_out_of_range_symbol_raises_the_same_error_on_both_loops(mode, model,
                                                                  bad, at):
     """A symbol below 0, at or above K, or at or above 2**32 raises the
     same ValueError on both loops, wherever it sits, from each input type
-    (``same_symbols``); the conversion names one below 0 or at or above
+    (``symbol_inputs``); the conversion names one below 0 or at or above
     2**32 itself.  A second bad symbol after it does not
     change which one is named."""
     cfg = CoderConfig(mode, model)
     error = (ValueError, f"symbol {bad} outside alphabet of size 10")
     for later in ((), (-1,), (10,), (1 << 32,)):
         syms = SYMS[:at] + [bad, *later] + SYMS[at + 1:]
-        for make in same_symbols(syms):
+        for make in symbol_inputs(syms):
             if bad != 10:  # the conversion itself names it
                 assert converted(make) == error
             assert both_sides(lambda: encode_stream(make(), 10, cfg),
@@ -191,35 +194,24 @@ def test_float_symbol_raises_type_error_on_both_loops(mode, model):
                 encode_stream(numpy_float, 10, cfg)
 
 
-def symbol_inputs(syms, k):
-    """``syms`` as a list, a generator and each numpy array that holds
-    them all: uint8 and uint16 where K fits, int64 always."""
-    inputs = [lambda: list(syms), lambda: (s for s in syms)]
-    for dtype in (np.uint8, np.uint16, np.int64):
-        info = np.iinfo(dtype)
-        if info.min <= min(syms, default=0) and max(syms, default=0) <= info.max:
-            inputs.append(lambda dtype=dtype: np.array(syms, dtype=dtype))
-    return inputs
-
-
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("k", (1, 10, 256, MAX_ALPHABET))
 def test_first_pass_checks_symbols_as_check_symbols_does(mode, k):
     """The compiled first pass takes K - 1 and names the first symbol at
     K, as ``check_symbols`` does for the Python loops, and a symbol below
-    0 or at 2**32 fails the conversion both share: for a list, a
-    generator, numpy uint8, uint16 and int64 arrays and the empty
-    sequence, both loops give the same payload or ``ValueError`` text."""
+    0 or at 2**32 fails the conversion both share: for each input type
+    of ``symbol_inputs`` and the empty sequence, both loops give the same
+    payload or ``ValueError`` text."""
     cfg = CoderConfig(mode, "linear", "orig", 3 if mode == "adaptive" else 0)
     good = [k - 1, 0, k // 2, k - 1]
     for syms in ([], good):
         want = encode_stream(syms, k, cfg)
-        for make in symbol_inputs(syms, k):
+        for make in symbol_inputs(syms):
             assert both_sides(lambda: encode_stream(make(), k, cfg)) == [want] * 2
     for bad in (k, -1, 1 << 32):
         syms = good + [bad, k - 1, k]
         want = (ValueError, f"symbol {bad} outside alphabet of size {k}")
-        for make in symbol_inputs(syms, k):
+        for make in symbol_inputs(syms):
             assert both_sides(lambda: encode_stream(make(), k, cfg),
                               ValueError) == [want] * 2
 
@@ -233,11 +225,12 @@ def test_first_pass_returns_the_first_symbol_at_or_above_k(k):
                         ([k, 0], 0), ([0, 0, (1 << 32) - 1], 2)):
         data = array("I", syms)
         hist = array("I", [0]) * k
-        at = rangecoder._address
-        assert lib.first_pass(at(data), len(data), k, None) == first
-        assert lib.first_pass(at(data), len(data), k, at(hist)) == first
+        assert lib.first_pass(data, k) == first
+        assert lib.first_pass(data, k, hist) == first
         tally = Counter(syms[:first])
         assert hist.tolist() == [tally[s] for s in range(k)]
+    with pytest.raises(ValueError, match="hist must hold K uint32 entries"):
+        lib.first_pass(array("I", [0]), k, array("I", [0]) * (k - 1))
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -266,73 +259,27 @@ def test_static_histogram_is_scaled_only_above_the_limit(model):
             assert totals == [n, n] and sum(counts) < n
 
 
-def test_frame_slots_match_the_c_enum():
-    """``_loops.FRAME`` names the slots of ``enum frame`` in ``_loops.c``,
-    in its order, so that Python and C cannot lay the frame out apart."""
-    source = re.sub(r"/\*.*?\*/", "", _loops._SOURCE.read_text(), flags=re.S)
-    body = re.search(r"enum frame \{(.*?)\};", source, re.S).group(1)
-    assert tuple(name.strip().lower() for name in body.split(",")) == _loops.FRAME
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_frame_holds_each_slot_by_name(mode):
-    """``_compiled_loop`` writes each value into the slot of its name."""
-    cfg = CoderConfig(mode, "fenwick", "new", 5 if mode == "adaptive" else 0)
-    payload = encode_stream(SYMS, 10, cfg)
-    header = unpack_header(payload)[0]
-    out = array("I", [0]) * 4
-    loop, frame = rangecoder._compiled_loop(_loops.lib(), "decode", header,
-                                            out, 123, 45, 67)
-    syms, counts, work = frame.buffers
-    at = rangecoder._address
-    static = mode == "static"
-    assert syms is out and counts is (header.counts if static else None)
-    assert len(frame) == 15
-    assert dict(zip(_loops.FRAME, frame)) == {
-        "rng": MASK32, "code": 67, "pos": 45, "sym": 0, "total": 0,
-        "rescales": 0, "k": 10, "interval": header.rescale_interval,
-        "cap": header.total if static else linear_model.MAX_TOTALCOUNT,
-        "new_rescale": True, "len": 123, "limit": 0,
-        "syms": at(out), "h": at(counts) if static else 0, "work": at(work)}
-
-
 @pytest.mark.parametrize("kind", ("encode", "decode"))
 @pytest.mark.parametrize("k", (1, 2, 3, 64, 65535, 65536))
 def test_adaptive_first_call_starts_from_k_counts_of_one(kind, k):
-    """An adaptive stream's first call, of 0 symbols, writes
-    ``FenwickModel([1] * k).v`` to the first K + 1 entries of the work
-    buffer in closed form, the lowest set bit of each index, from K
-    alone: the frame has no counts.  The buffer has ``1 << K.bit_length()``
-    entries, room for the decode's lookahead, and the rest stay zero."""
-    header = StreamHeader("adaptive", "fenwick", "orig", 0, k, 0, None)
-    loop, frame = rangecoder._compiled_loop(_loops.lib(), kind, header,
-                                            array("I"), 5)
-    assert frame.buffers[1] is None
-    out = array("B", [0]) * 5
-    got = loop(rangecoder._address(out) if kind == "encode" else b"",
-               rangecoder._address(frame))
-    assert got == (5 if kind == "encode" else 0)
-    work = frame.buffers[2].tolist()
-    assert len(work) == 1 << k.bit_length()
-    assert work[:k + 1] == FenwickModel([1] * k).v
-    assert not any(work[k + 1:])
+    """An adaptive stream's one call starts from ``FenwickModel([1] * k)``,
+    which the loops derive in closed form from K alone: an empty stream
+    and one of the symbols K - 1, 0 and K // 2, whose intervals the
+    first counts set, give the Python loop's bytes on encode and its
+    symbols and rescale count on decode."""
+    cfg = CoderConfig("adaptive", "fenwick", "orig", 2)
+    for syms in ([], [k - 1, 0, k // 2]):
+        payload = encode_stream(syms, k, cfg)
+        if kind == "encode":
+            assert both_sides(lambda: encode_stream(syms, k, cfg)) == [payload] * 2
+        else:
+            assert both_sides(lambda: decoded(payload)) == [(syms, len(syms) // 2)] * 2
 
 
-def frames_of(fn):
-    """``fn()`` and the frames of the compiled loops it ran."""
-    frames, compiled_loop = [], rangecoder._compiled_loop
-
-    def spy(*args):
-        loop, frame = compiled_loop(*args)
-        frames.append(frame)
-        return loop, frame
-
-    with mock.patch.object(rangecoder, "_compiled_loop", spy):
-        return fn(), frames
-
-
-RESUMED = [_loops.FRAME.index(name) for name in
-           ("rng", "code", "pos", "sym", "total", "rescales")]
+def decoded(payload):
+    """The symbols and the rescale count of a decode of ``payload``."""
+    stats = DecodeStats()
+    return decode_stream(payload, None, stats)[1], stats.rescale_events
 
 
 @pytest.mark.parametrize("model,rescale", [
@@ -342,37 +289,27 @@ RESUMED = [_loops.FRAME.index(name) for name in
 def test_adaptive_decode_lookahead_stays_in_its_padded_array(k, cap, model,
                                                              rescale):
     """``adaptive_decode`` loads both of the next level's probes before
-    each choice, up to index ``2 * top - 1``, from the work array padded
-    to ``1 << K.bit_length()`` entries.  Decoded in three resumed calls,
-    on flat and geometric data, rescaling every 0 or 37 symbols, and
-    under a count cap lowered to K + 2, where most updates rescale first,
-    a stream gives its symbols, the resumable slots of a one-call decode,
-    the encode's ``v`` and ``FenwickModel``'s in the first K + 1 entries,
-    and zeros past them: the padding is never written.  At K = 5, 9 and
-    200 the descent skips probes above K mid-descent."""
-    n = 300
+    each choice, up to index ``2 * top - 1``, from a work array of
+    ``2 * top`` entries, zero past K.  On flat and geometric data,
+    rescaling every 0 or 37 symbols, and under a count cap lowered to
+    K + 2, where most updates rescale first, a stream decodes to its
+    symbols and gives the coded bytes of the Python loop's Fenwick
+    stream, which a linear one codes as (``rangecoder._loop_args``).  At
+    K = 5, 9 and 200 the descent skips probes above K mid-descent.  The
+    sanitized build checks that no load reaches past the array
+    (``tests/test_sanitizers.py``)."""
     for dist in ("flat", "geometric"):
-        syms = gen_sequence(GenSpec(dist, k, n, k)).tolist()
+        syms = gen_sequence(GenSpec(dist, k, 300, k)).tolist()
         for interval in (0, 37):
             cfg = CoderConfig("adaptive", model, rescale, interval)
-            ref = FenwickModel([1] * k, rescale_variant=rescale)
             with count_cap(cap):
-                payload, (encoded,) = frames_of(
-                    lambda: encode_stream(syms, k, cfg))
-                whole, (one,) = frames_of(lambda: decode_stream(payload)[1])
-                with mock.patch.object(rangecoder, "CHUNK", n // 3):
-                    out, (resumed,) = frames_of(
-                        lambda: decode_stream(payload)[1])
-                for i, s in enumerate(syms):
-                    ref.update(s)
-                    if interval and (i + 1) % interval == 0:
-                        ref.rescale()
-            assert out == whole == syms
-            assert [resumed[j] for j in RESUMED] == [one[j] for j in RESUMED]
-            work = resumed.buffers[2].tolist()
-            assert len(work) == 1 << k.bit_length()
-            assert work[:k + 1] == encoded.buffers[2].tolist()[:k + 1] == ref.v
-            assert not any(work[k + 1:])
+                payload = encode_stream(syms, k, cfg)
+                assert decode_stream(payload)[1] == syms
+                with python_loops():
+                    want = encode_stream(syms, k, CoderConfig(
+                        "adaptive", "fenwick", rescale, interval))
+            offset = unpack_header(payload)[1]
+            assert payload[offset:] == want[offset:]
 
 
 def overflow(total, cap):
@@ -403,9 +340,9 @@ def test_static_total_above_a_lowered_cap_raises_the_same_error(model):
 def test_table_whose_total_wraps_32_bits_raises_in_the_compiled_loops(model):
     """A hand-built table that ``unpack_header`` never sees, whose total
     2**32 + 1 wraps a 32-bit sum to 1, raises ``check_total``'s
-    OverflowError from the loops' own first-call check, which sums in 64
-    bits, on encode and on decode, before the decode sizes a symbol table
-    from the total, so without allocating one."""
+    OverflowError from the loops' own check, which sums in 64 bits, on
+    encode and on decode, before the decode sizes a symbol table from the
+    total, so without allocating one."""
     lib = _loops.lib()
     want = overflow((1 << 32) + 1, linear_model.MAX_TOTALCOUNT)[1]
     for k in (3, 8):
@@ -416,29 +353,28 @@ def test_table_whose_total_wraps_32_bits_raises_in_the_compiled_loops(model):
         try:
             with pytest.raises(OverflowError) as encoded:
                 rangecoder._encode_compiled(lib, array("I", [2]), header)
-            with pytest.raises(OverflowError) as decoded:
+            with pytest.raises(OverflowError) as in_decode:
                 rangecoder._decode_compiled(lib, payload, len(payload) - 5,
                                             header)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert str(encoded.value) == str(decoded.value) == want
+        assert str(encoded.value) == str(in_decode.value) == want
         assert peak < 1 << 20
 
 
 def test_symbol_table_is_never_written_past_its_size():
-    """``_compiled_loop`` sizes the symbol table from ``StreamHeader.total``
-    and makes it the table decode's cap, so counts raised after the
-    total was read make the first call return -2 before it writes the
-    table, and the decode raises; the sanitized build of the loops checks
-    that nothing is written out of bounds."""
+    """The compiled decode sizes the symbol table from its own sum of the
+    counts, not from ``StreamHeader.total``, so counts raised after the
+    total was read decode as the Python loop decodes them; the sanitized
+    build of the loops checks that nothing is written out of bounds."""
     k = 8
     payload = encode_stream(list(range(k)) * 10, k, CoderConfig("static"))
     header, offset = unpack_header(payload)  # reads header.total
     header.counts[0] += 1000
-    with pytest.raises(StreamFormatError, match="count total 1080 exceeds "
-                       "the total 80 that sized the symbol table"):
-        rangecoder._decode_compiled(_loops.lib(), payload, offset, header)
+    assert header.total == 80
+    want = rangecoder._decode_python(payload, offset, header)
+    assert rangecoder._decode_compiled(_loops.lib(), payload, offset, header) == want
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -625,36 +561,22 @@ def test_static_totals_at_the_reciprocal_edges_code_alike(total, model):
         assert compiled == python
 
 
-def check_compiled_loop(mode, model, rescale, k):
-    """A K-symbol stream encodes in ``{mode}_encode`` and decodes in
-    ``{mode}_decode``, told to rescale by ``new`` only when it is a
-    Fenwick ``new`` stream, and gives the Python loop's bytes and
-    symbols, on flat and geometric data, with ``CHUNK`` lowered to 5
-    too, so a static table that the first call writes serves the later
-    calls."""
-    cfg = CoderConfig(mode, model, rescale, 100)
-    new = (model, rescale) == ("fenwick", "new")
-    header = unpack_header(encode_stream([0], k, cfg))[0]
-    for kind in ("encode", "decode"):
-        loop, frame = rangecoder._compiled_loop(_loops.lib(), kind, header,
-                                                array("I"), 0)
-        assert loop.__name__ == f"{mode}_{kind}"
-        assert frame[_loops.FRAME.index("new_rescale")] == new
-    for dist in ("flat", "geometric"):
-        for n, chunk in ((3000, rangecoder.CHUNK), (16, 5)):
-            syms = gen_sequence(GenSpec(dist, k, n, k)).tolist()
-            with mock.patch.object(rangecoder, "CHUNK", chunk):
-                check_round_trip(syms, k, cfg)
-
-
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("model,rescale", [
     (model, rescale) for model in MODELS for rescale in RESCALES])
 def test_compiled_loop_follows_the_mode_alone(mode, model, rescale):
-    """Every stream runs its mode's loops at every K, small or large,
-    whatever its model and rescale bytes (``check_compiled_loop``)."""
-    for k in (1, 2, 7, 8, 63, 64, 256):
-        check_compiled_loop(mode, model, rescale, k)
+    """Every stream runs the static loops exactly when it has a count
+    table, is told to rescale by ``new`` only when it is a Fenwick
+    ``new`` stream, and gives the Python loop's bytes and symbols at
+    every K, small or large, on flat and geometric data."""
+    cfg = CoderConfig(mode, model, rescale, 100)
+    header = unpack_header(encode_stream([0], 1, cfg))[0]
+    counts, *_, new_rescale = rangecoder._loop_args(header)
+    assert (counts is not None) == (mode == "static")
+    assert new_rescale == ((model, rescale) == ("fenwick", "new"))
+    for k, dist, n in product((1, 2, 7, 8, 63, 64, 256),
+                              ("flat", "geometric"), (16, 3000)):
+        check_round_trip(gen_sequence(GenSpec(dist, k, n, k)).tolist(), k, cfg)
 
 
 @pytest.mark.parametrize("interval", (0, 7))
@@ -667,11 +589,6 @@ def test_adaptive_linear_stream_with_rescale_byte_new_halves(k, interval):
     coded bytes are those of the ``orig`` stream."""
     rng = random.Random(k)
     syms = [rng.randrange(k) if rng.random() < 0.5 else 0 for _ in range(600)]
-
-    def decoded(payload):
-        stats = DecodeStats()
-        return decode_stream(payload, None, stats)[1], stats.rescale_events
-
     with count_cap(k + 2):
         orig, new = (encode_stream(syms, k, CoderConfig(
             "adaptive", "linear", rescale, interval)) for rescale in RESCALES)
@@ -835,60 +752,46 @@ def runs_out(payload, n):
     forged = bytearray(payload)
     struct.pack_into("<Q", forged, N_AT, n)
     try:
-        with python_loops():
-            decode_stream(bytes(forged))
+        decode_stream(bytes(forged))
     except StreamFormatError as exc:
         return str(exc) == "payload ends before the last symbol"
     return False
 
 
-@pytest.mark.parametrize("mode,model,rescale", [
-    ("static", "linear", "orig"), ("static", "fenwick", "orig"),
-    ("adaptive", "linear", "orig"), ("adaptive", "fenwick", "orig"),
-    ("adaptive", "fenwick", "new")])
+@pytest.mark.parametrize("mode,model,rescale", RUNNABLE)
 def test_compiled_loops_match_python_loops_across_chunks(mode, model, rescale):
-    """With ``CHUNK`` lowered to 5, streams of 0, CHUNK - 1, CHUNK,
-    CHUNK + 1 and 3 CHUNK + 1 symbols code the same on both loops, and a
-    payload that runs out inside the second chunk raises the same
-    StreamFormatError on both."""
-    chunk = 5
-    rng = random.Random(chunk)
+    """Streams of CHUNK, CHUNK + 1 and 2 CHUNK + 1 symbols, whose compiled
+    decodes end at, just after and past a chunk boundary, code alike on
+    both loops, and a payload that runs out inside the second chunk
+    raises the same StreamFormatError on both."""
+    rng = random.Random(CHUNK)
     adaptive = mode == "adaptive"
     cfg = CoderConfig(mode, model, rescale, 3 if adaptive else 0)
-    with mock.patch.object(rangecoder, "CHUNK", chunk):
-        for n in (0, chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+    # under a cap just above K, adaptive streams rescale at the cap
+    with count_cap(12 if adaptive else None):
+        for n in (CHUNK, CHUNK + 1, 2 * CHUNK + 1):
             syms = [rng.randrange(7) for _ in range(n)]
-            # under a cap just above K, adaptive streams rescale at the cap
-            check_round_trip(syms, 7, cfg, 12 if adaptive else None)
-        syms = [rng.randrange(256) for _ in range(3 * chunk + 1)]
-        payload = encode_stream(syms, 256, cfg)
-        cut = max(cut for cut in range(unpack_header(payload)[1], len(payload))
-                  if runs_out(payload[:cut], 2 * chunk)
-                  and not runs_out(payload[:cut], chunk))
-        assert both_sides(lambda: decode_stream(payload[:cut])) == [
+            check_round_trip(syms, 7, cfg)
+        payload = encode_stream(syms, 7, cfg)
+        offset = unpack_header(payload)[1]
+        cut = payload[:offset + 3 * (len(payload) - offset) // 4]
+        assert runs_out(cut, 2 * CHUNK) and not runs_out(cut, CHUNK)
+        assert both_sides(lambda: decode_stream(cut)) == [
             (StreamFormatError, "payload ends before the last symbol")] * 2
 
 
 @pytest.mark.parametrize("mode,model,rescale", RUNNABLE)
 def test_encode_calls_its_loop_once(mode, model, rescale):
-    """With ``CHUNK`` lowered to 5, a stream of 3 CHUNK + 1 symbols is
-    coded by one call of the compiled encode loop, which gives the Python
-    loop's bytes: only a decode is chunked."""
-    calls = []
-    compiled_loop = rangecoder._compiled_loop
-
-    def spy(*args):
-        loop, frame = compiled_loop(*args)
-        return lambda *call: calls.append(call) or loop(*call), frame
-
-    syms = [i * 5 % 7 for i in range(16)]
+    """A stream of more than one decode chunk is coded by one call of the
+    compiled ``encode`` and decoded by one call of ``decode``; the test
+    above checks their bytes and symbols at this length."""
+    lib = _loops.lib()
+    syms = [i * 5 % 7 for i in range(CHUNK + 1)]
     cfg = CoderConfig(mode, model, rescale, 3 if mode == "adaptive" else 0)
-    with mock.patch.object(rangecoder, "CHUNK", 5), \
-            mock.patch.object(rangecoder, "_compiled_loop", spy):
-        payload = encode_stream(syms, 7, cfg)
-    with python_loops():
-        assert encode_stream(syms, 7, cfg) == payload
-    assert len(calls) == 1
+    with mock.patch.object(lib, "encode", wraps=lib.encode) as encode, \
+            mock.patch.object(lib, "decode", wraps=lib.decode) as decode:
+        assert decode_stream(encode_stream(syms, 7, cfg))[1] == syms
+    assert encode.call_count == decode.call_count == 1
 
 
 @pytest.mark.parametrize("mode,model,kind", [
@@ -958,27 +861,37 @@ def test_decode_takes_any_bytes_like_payload():
 
 def test_loader_builds_once_and_falls_back(tmp_path):
     """A build is cached under a name keyed by the source and the compile
-    flags, written without a partial file, and reused; other flags give
-    another build, which removes the earlier one; a source that does not
-    compile gives None, which leaves the stream functions on their Python
-    loops and the last build in place."""
+    flags and ending in the interpreter's ``EXT_SUFFIX``, written without
+    a partial file, and reused; other flags give another build, which
+    removes the earlier one.  Flags without the include directory of
+    ``Python.h``, or a source that does not compile, give None, which
+    leaves the stream functions on their Python loops and the last build
+    in place."""
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
     source = tmp_path / "_loops.c"
     source.write_bytes(_loops._SOURCE.read_bytes())
     assert _loops._load(source) is not None
-    built = list((tmp_path / "__pycache__").iterdir())
-    assert len(built) == 1 and built[0].name.startswith("_loops-")
-    assert built[0].suffix == ".so"
-    mtime = built[0].stat().st_mtime_ns
+    (built,) = (tmp_path / "__pycache__").iterdir()
+    assert built.name.startswith("_loops-") and built.name.endswith(suffix)
+    mtime = built.stat().st_mtime_ns
     assert _loops._load(source) is not None
-    assert built[0].stat().st_mtime_ns == mtime
+    assert built.stat().st_mtime_ns == mtime
 
-    with mock.patch.object(_loops, "CFLAGS", ("-O1", "-shared", "-fPIC")):
+    *flags, include = _loops.CFLAGS
+    assert include.startswith("-I")
+    with mock.patch.object(_loops, "CFLAGS", ("-O1", *flags[1:], include)):
         assert _loops._load(source) is not None
     rebuilt = list((tmp_path / "__pycache__").iterdir())
-    assert len(rebuilt) == 1 and rebuilt[0] != built[0]
-    assert rebuilt[0].name.startswith("_loops-") and rebuilt[0].suffix == ".so"
-    assert not built[0].exists()
+    assert len(rebuilt) == 1 and rebuilt[0] != built and not built.exists()
+    assert rebuilt[0].name.startswith("_loops-") and rebuilt[0].name.endswith(suffix)
 
+    with mock.patch.multiple(_loops, CFLAGS=tuple(flags), _SOURCE=source,
+                             _lib=_loops._UNTRIED), \
+            mock.patch.object(rangecoder, "_decode_python",
+                              wraps=rangecoder._decode_python) as python:
+        assert decode_stream(encode_stream(SYMS, 10, CoderConfig()))[1] == SYMS
+        assert _loops._lib is None
+    assert python.call_count == 1
     source.write_text("this is not C\n")
     assert _loops._load(source) is None
     assert list((tmp_path / "__pycache__").iterdir()) == rebuilt

@@ -162,13 +162,23 @@ def test_pack_header_rejects_a_table_of_the_wrong_size():
      r"symbol count must be in \[0, 2\*\*64\), got 36893488147419103232"),
     ({"n": -1}, None, r"symbol count must be in \[0, 2\*\*64\), got -1"),
     ({"rescale_interval": (1 << 32) - 1, "n": (1 << 64) - 1}, None, None),
+    ({"k": 3.0}, None, "alphabet size must be an integer, got 3.0"),
+    ({"rescale_interval": 1.5}, None,
+     "rescale interval must be an integer, got 1.5"),
+    ({"n": 1.0}, None, r"symbol count must be an integer, got 1\.0"),
+    ({"k": np.int64(3), "n": np.uint64(1)}, None, None),
+    ("static", (1, -1, 3), r"counts must be integers in \[0, 2\*\*32\)"),
+    ("static", (1, 1 << 32, 3), r"counts must be integers in \[0, 2\*\*32\)"),
+    ("static", (1, 2.0, 3), r"counts must be integers in \[0, 2\*\*32\)"),
 ])
 def test_header_builds_only_what_it_can_represent(fields, counts, error):
     """A static header needs a table of K counts and an adaptive one has
-    none, and every field must fit its IRC1 byte or word; any other
-    header fails when it is built, not when it is packed or coded.  One
-    that builds packs and unpacks to an equal header.  ``fields`` is the
-    mode, or the fields that differ from a K=3 adaptive header's."""
+    none, every field must be an integer that fits its IRC1 byte or word
+    (a numpy integer is one), and every count must fit 32 bits; any other
+    header fails with ValueError when it is built, not when it is packed
+    or coded.  One that builds packs and unpacks to an equal header.
+    ``fields`` is the mode, or the fields that differ from a K=3 adaptive
+    header's."""
     args = {"mode": "adaptive", "model": "linear", "rescale": "orig",
             "rescale_interval": 0, "k": 3, "n": 1, "counts": counts}
     args.update({"mode": fields} if isinstance(fields, str) else fields)

@@ -2,18 +2,23 @@
 
     PYTHONPATH=src python -m pytest -q -m sanitize
 
-builds ``_loops.c`` with the flags it ships with, ``_loops.CFLAGS``, plus
-``-g -fno-omit-frame-pointer -fsanitize=address,undefined
+builds the extension ``_loops.c`` with the flags it ships with,
+``_loops.CFLAGS``, which carry the include directory of ``Python.h``,
+plus ``-g -fno-omit-frame-pointer -fsanitize=address,undefined
 -fno-sanitize-recover=all``, so that the sanitizers check the code that
-runs, at the optimisation level it ships with.  It reruns ``tests/test_loops.py`` and
-the mutated-stream test of ``tests/test_rangecoder.py`` in a child pytest
-that loads that build, with gcc's ASan runtime preloaded and
-``PYTHONMALLOC=malloc``, so that every buffer the loops are handed comes
-from the instrumented ``malloc``: pymalloc serves blocks of up to 512
-bytes from its own arenas, where ASan sees no overflow.  A sanitizer
-report aborts the child, which fails the test.  The default run
-deselects it (``-m "not sanitize"`` in ``pyproject.toml``): it builds
-with gcc and takes longer than the rest of the suite.
+runs, at the optimisation level it ships with.  It reruns
+``tests/test_loops.py`` and the mutated-stream test of
+``tests/test_rangecoder.py`` in a child pytest that imports that build,
+with gcc's ASan runtime preloaded and ``PYTHONMALLOC=malloc``, so that
+every buffer the loops read or write comes from the instrumented
+``malloc``: pymalloc serves blocks of up to 512 bytes from its own
+arenas, where ASan sees no overflow.  The loops allocate their work
+arrays themselves, at their exact size, so ASan checks directly that
+the adaptive decode's lookahead reaches no further than ``2 top - 1``
+and that a static decode writes its symbol table within its array.  A
+sanitizer report aborts the child, which fails the test.  The default
+run deselects it (``-m "not sanitize"`` in ``pyproject.toml``): it
+builds with gcc and takes longer than the rest of the suite.
 """
 
 import os

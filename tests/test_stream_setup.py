@@ -1,5 +1,5 @@
 """A stream's per-call set-up: the count total a static header carries,
-and the per-stream buffers the compiled loops are handed."""
+and the zero entry a static stream's first-pass counts are copied from."""
 
 import contextlib
 from array import array
@@ -9,11 +9,11 @@ import pytest
 
 from rangekit import rangecoder
 from rangekit.linear_model import MAX_TOTALCOUNT
-from rangekit.rangecoder import (CHUNK, CoderConfig, StreamFormatError,
+from rangekit.rangecoder import (CoderConfig, StreamFormatError,
                                  StreamHeader, decode_stream, encode_stream,
                                  pack_header, unpack_header)
 
-from conftest import python_loops
+from conftest import CHUNK, python_loops
 
 ALPHABETS = (1, 3, 256, 65536)
 
@@ -106,14 +106,13 @@ def test_hostile_static_totals_keep_their_message(loops, counts, n):
 @pytest.mark.parametrize("mode", ("static", "adaptive"))
 @pytest.mark.parametrize("k, n", [(1, 0), (1, 1), (3, CHUNK + 1)])
 def test_zero_buffers_stay_one_zero_entry(loops, mode, k, n):
-    """Every per-stream buffer is a copy of a module-level zero entry;
-    no loop is handed the entry itself, so coding streams, the empty
-    one, a one-symbol one and one of more than one decode chunk, leaves
-    each entry as it was."""
+    """A static stream's first-pass counts are a copy of a module-level
+    zero entry; no loop is handed the entry itself, so coding streams,
+    the empty one, a one-symbol one and one of more than one decode
+    chunk, leaves the entry as it was."""
     syms = [i % k for i in range(n)]
     with loops():
         payload = encode_stream(syms, k, CoderConfig(mode))
         assert decode_stream(payload)[1] == syms
     assert rangecoder._ZERO_I == array("I", [0])
-    assert rangecoder._ZERO_B == array("B", [0])
 
