@@ -1,29 +1,31 @@
 """Loader of the compiled stream loops, the extension module ``_loops.c``.
 
-``lib()`` compiles the C source with ``cc`` and ``CFLAGS``, which carry
-the include directory of ``Python.h``, on its first call and imports the
-result.  The build is cached in this package's ``__pycache__``, under a
-name keyed by a CRC of the source and ``CFLAGS`` and ending in the
-interpreter's ``EXT_SUFFIX``, and written atomically, so later processes
-import it at once; a new build removes the earlier ones beside it.  When
-compiling, writing or importing fails, as it does without ``cc`` or
-``Python.h``, ``lib()`` returns None, and the stream functions of
-``rangecoder`` run their Python loops; setting ``_lib`` to None does the
-same.
+``lib()`` compiles the C source with ``cc``, ``CFLAGS`` and
+``include_flag()``, which finds ``Python.h``, on its first call and
+imports the result.  The build is cached in this package's
+``__pycache__``, under a name keyed by a CRC of the source and
+``CFLAGS`` and ending in the interpreter's first extension suffix, which
+carries its ABI tag, and written atomically, so later processes import
+it at once; a new build removes the earlier ones beside it.  Only a
+compile imports ``sysconfig``, which loads ``_sysconfigdata``: a process
+that finds its build cached imports neither.  When compiling, writing or
+importing fails, as it does without ``cc`` or ``Python.h``, ``lib()``
+returns None, and the stream functions of ``rangecoder`` run their
+Python loops; setting ``_lib`` to None does the same.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
-import sysconfig
 import zlib
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 from types import ModuleType
 
 _SOURCE = Path(__file__).with_name("_loops.c")
-CFLAGS = ("-O3", "-shared", "-fPIC", "-I" + sysconfig.get_path("include"))
-_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+CFLAGS = ("-O3", "-shared", "-fPIC")
+_SUFFIX = EXTENSION_SUFFIXES[0]
 
 _UNTRIED = object()
 _lib = _UNTRIED
@@ -71,6 +73,13 @@ def _remove_other_builds(source: Path, path: Path) -> None:
                 pass
 
 
+def include_flag() -> str:
+    """The ``-I`` flag of the directory that holds ``Python.h``."""
+    import sysconfig  # imported here: a cached build does not need it
+
+    return "-I" + sysconfig.get_path("include")
+
+
 def _compile(source: Path, path: Path) -> None:
     """Build ``path`` from ``source``, or raise OSError."""
     import subprocess  # imported here: a cached build needs neither
@@ -80,7 +89,7 @@ def _compile(source: Path, path: Path) -> None:
     fd, tmp = tempfile.mkstemp(suffix=_SUFFIX, dir=path.parent)
     os.close(fd)
     try:
-        subprocess.run(["cc", *CFLAGS, "-o", tmp, str(source)],
+        subprocess.run(["cc", *CFLAGS, include_flag(), "-o", tmp, str(source)],
                        check=True, capture_output=True, timeout=120)
         os.replace(tmp, path)  # atomic: no process loads half a file
     except subprocess.SubprocessError as exc:  # failed or hung

@@ -113,8 +113,7 @@ def _check_int(name: str, value, bits: int) -> None:
 @dataclass(slots=True)
 class StreamHeader:
     """A stream's header fields.  A static stream's ``counts`` is one
-    ``array('I')`` of K entries, converted once from a tuple or list.
-    ``StreamHeader.total`` sums the table on first read and keeps it."""
+    ``array('I')`` of K entries, converted once from a tuple or list."""
     mode: str
     model: str
     rescale: str
@@ -122,7 +121,6 @@ class StreamHeader:
     k: int
     n: int
     counts: array | None  # static mode only
-    _total: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_names(self.mode, self.model, self.rescale)
@@ -147,15 +145,6 @@ class StreamHeader:
                                      f"got {self.counts!r}") from None
             if (size := len(self.counts)) != self.k:
                 raise ValueError(f"{size} counts for an alphabet of size {self.k}")
-
-    @property
-    def total(self) -> int:
-        """A static header's count total, in 64 bits."""
-        if self._total is None:
-            if self.counts is None:
-                raise ValueError("an adaptive header has no count table")
-            self._total = _table_total(self.counts)
-        return self._total
 
 
 def _table_total(counts: array) -> int:
@@ -309,11 +298,10 @@ def unpack_header(payload: bytes) -> tuple[StreamHeader, int]:
         if sys.byteorder == "big":
             counts.byteswap()
         offset = end
-    header = StreamHeader(mode, model, rescale, interval, k, n, counts)
-    # an empty static stream legitimately carries an all-zero table
-    if counts is not None and not min(n, 1) <= header.total <= MAX_TOTALCOUNT:
-        raise StreamFormatError(f"invalid static count total {header.total}")
-    return header, offset
+        # an empty static stream legitimately carries an all-zero table
+        if not min(n, 1) <= (total := _table_total(counts)) <= MAX_TOTALCOUNT:
+            raise StreamFormatError(f"invalid static count total {total}")
+    return StreamHeader(mode, model, rescale, interval, k, n, counts), offset
 
 
 def normalize_counts(counts) -> array:

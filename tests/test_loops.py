@@ -6,8 +6,11 @@ give the same bytes, the same symbols and the same errors.
 """
 
 import contextlib
+import os
 import random
 import struct
+import subprocess
+import sys
 import sysconfig
 import tracemalloc
 from array import array
@@ -365,14 +368,14 @@ def test_table_whose_total_wraps_32_bits_raises_in_the_compiled_loops(model):
 
 def test_symbol_table_is_never_written_past_its_size():
     """The compiled decode sizes the symbol table from its own sum of the
-    counts, not from ``StreamHeader.total``, so counts raised after the
-    total was read decode as the Python loop decodes them; the sanitized
+    counts, not from the sum ``unpack_header`` checked, so counts raised
+    after the check decode as the Python loop decodes them; the sanitized
     build of the loops checks that nothing is written out of bounds."""
     k = 8
     payload = encode_stream(list(range(k)) * 10, k, CoderConfig("static"))
-    header, offset = unpack_header(payload)  # reads header.total
+    header, offset = unpack_header(payload)  # checks the total, 80
+    assert sum(header.counts) == 80
     header.counts[0] += 1000
-    assert header.total == 80
     want = rangecoder._decode_python(payload, offset, header)
     assert rangecoder._decode_compiled(_loops.lib(), payload, offset, header) == want
 
@@ -530,7 +533,7 @@ def reciprocal_stream(total, model):
         rng = random.Random(total)
         syms = rng.choices(range(k), counts, k=300)
         header = StreamHeader("static", model, "orig", 0, k, len(syms), counts)
-    assert header.total == total
+    assert sum(header.counts) == total
     return header, syms
 
 
@@ -863,10 +866,10 @@ def test_loader_builds_once_and_falls_back(tmp_path):
     """A build is cached under a name keyed by the source and the compile
     flags and ending in the interpreter's ``EXT_SUFFIX``, written without
     a partial file, and reused; other flags give another build, which
-    removes the earlier one.  Flags without the include directory of
-    ``Python.h``, or a source that does not compile, give None, which
-    leaves the stream functions on their Python loops and the last build
-    in place."""
+    removes the earlier one.  A compile whose include flag misses the
+    directory of ``Python.h``, or a source that does not compile, gives
+    None, which leaves the stream functions on their Python loops and
+    the last build in place."""
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     source = tmp_path / "_loops.c"
     source.write_bytes(_loops._SOURCE.read_bytes())
@@ -877,16 +880,15 @@ def test_loader_builds_once_and_falls_back(tmp_path):
     assert _loops._load(source) is not None
     assert built.stat().st_mtime_ns == mtime
 
-    *flags, include = _loops.CFLAGS
-    assert include.startswith("-I")
-    with mock.patch.object(_loops, "CFLAGS", ("-O1", *flags[1:], include)):
+    with mock.patch.object(_loops, "CFLAGS", ("-O1", *_loops.CFLAGS[1:])):
         assert _loops._load(source) is not None
     rebuilt = list((tmp_path / "__pycache__").iterdir())
     assert len(rebuilt) == 1 and rebuilt[0] != built and not built.exists()
     assert rebuilt[0].name.startswith("_loops-") and rebuilt[0].name.endswith(suffix)
 
-    with mock.patch.multiple(_loops, CFLAGS=tuple(flags), _SOURCE=source,
-                             _lib=_loops._UNTRIED), \
+    # the shipped flags' build is gone, so this load compiles
+    with mock.patch.multiple(_loops, include_flag=lambda: f"-I{tmp_path}",
+                             _SOURCE=source, _lib=_loops._UNTRIED), \
             mock.patch.object(rangecoder, "_decode_python",
                               wraps=rangecoder._decode_python) as python:
         assert decode_stream(encode_stream(SYMS, 10, CoderConfig()))[1] == SYMS
@@ -896,3 +898,29 @@ def test_loader_builds_once_and_falls_back(tmp_path):
     assert _loops._load(source) is None
     assert list((tmp_path / "__pycache__").iterdir()) == rebuilt
     assert _loops._load(tmp_path / "missing.c") is None
+
+
+# a process that imports the stream functions and loads the extension,
+# then prints the build it loaded and any sysconfig module it imported
+SYSCONFIG_PROBE = """\
+import sys
+from rangekit import _loops, rangecoder
+print(_loops.lib().__file__)
+print(*(m for m in sys.modules
+        if m == "sysconfig" or m.startswith("_sysconfigdata")), sep="\\n")
+"""
+
+
+def test_a_cached_build_loads_without_sysconfig():
+    """A fresh interpreter that finds the build cached loads it without
+    compiling and imports no ``sysconfig``, nor the ``_sysconfigdata``
+    that it loads: only a compile needs them."""
+    build = _loops._build_path(_loops._SOURCE)
+    assert _loops._load(_loops._SOURCE) is not None  # cached from here on
+    mtime = build.stat().st_mtime_ns
+    env = dict(os.environ, PYTHONPATH=str(_loops._SOURCE.parent.parent))
+    child = subprocess.run([sys.executable, "-c", SYSCONFIG_PROBE], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=60)
+    assert child.stdout.strip().splitlines() == [str(build)]
+    assert build.stat().st_mtime_ns == mtime

@@ -3,8 +3,8 @@
     PYTHONPATH=src python -m pytest -q -m sanitize
 
 builds the extension ``_loops.c`` with the flags it ships with,
-``_loops.CFLAGS``, which carry the include directory of ``Python.h``,
-plus ``-g -fno-omit-frame-pointer -fsanitize=address,undefined
+``_loops.CFLAGS`` and ``_loops.include_flag()`` for ``Python.h``, plus
+``-g -fno-omit-frame-pointer -fsanitize=address,undefined
 -fno-sanitize-recover=all``, so that the sanitizers check the code that
 runs, at the optimisation level it ships with.  It reruns
 ``tests/test_loops.py`` and the mutated-stream test of
@@ -32,7 +32,7 @@ import pytest
 from rangekit import _loops
 
 ROOT = Path(__file__).resolve().parent.parent
-FLAGS = (*_loops.CFLAGS, "-g", "-fno-omit-frame-pointer",
+FLAGS = (*_loops.CFLAGS, _loops.include_flag(), "-g", "-fno-omit-frame-pointer",
          "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 CHILD_TESTS = ("tests/test_loops.py",
                "tests/test_rangecoder.py::test_mutated_streams_decode_or_raise_format_error")
